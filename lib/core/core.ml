@@ -9,44 +9,29 @@ type verification = {
 
 let verify ?ext ?max_instructions ?reference ?compiled ?pool ?inject ?cancel
     ?disasm tr =
-  (* One evaluation plan serves every co-simulation below: the compiled
-     plan is immutable after [compile], so sharing it across pool
-     domains is safe (each run builds its own state and plan instance —
-     see {!Pipeline.Pipesem}). *)
+  (* One evaluation plan serves every co-simulation of the suite: the
+     compiled plan is immutable after [compile], so sharing it across
+     pool domains is safe (each run builds its own state and plan
+     instance — see {!Pipeline.Pipesem}). *)
   let compiled =
     match compiled with Some c -> c | None -> Pipeline.Pipesem.compile tr
   in
-  (* The top-level consistency run and the obligation suite are
-     independent; discharge them concurrently.  The obligation task
-     nests its own [Pool.map] — the caller-helping pool makes that safe
-     at any size.  Liveness depends on the consistency run's
-     instruction count, so it stays after the join. *)
-  let results =
-    Exec.Pool.map_opt pool
-      (fun task -> task ())
-      [
-        (fun () ->
-          `Consistency
-            (Proof_engine.Consistency.check ?ext ?max_instructions ?reference
-               ~compiled ?inject ?cancel tr));
-        (fun () ->
-          `Obligations
-            (Proof_engine.Obligation.discharge_all ?ext ?max_instructions
-               ?reference ~compiled ?pool ?inject ?cancel ?disasm tr));
-      ]
+  (* The obligation suite runs the data-consistency co-simulation and
+     the liveness run once each; its reports are the verdict's.  A run
+     that raised re-raises its own exception with its own backtrace, so
+     [verify_result] classifies it exactly as if it had been run here. *)
+  let d =
+    Proof_engine.Obligation.discharge ?ext ?max_instructions ?reference
+      ~compiled ?pool ?inject ?cancel ?disasm tr
   in
-  let consistency =
-    List.find_map (function `Consistency r -> Some r | _ -> None) results
-    |> Option.get
-  and obligations =
-    List.find_map (function `Obligations o -> Some o | _ -> None) results
-    |> Option.get
-  in
-  let liveness =
-    Proof_engine.Liveness.check ?ext ~compiled ?inject ?cancel
-      ~stop_after:consistency.Proof_engine.Consistency.instructions tr
-  in
-  { consistency; liveness; obligations }
+  match d.Proof_engine.Obligation.runs with
+  | Ok (consistency, liveness) ->
+    {
+      consistency;
+      liveness;
+      obligations = Lazy.force d.Proof_engine.Obligation.obligations;
+    }
+  | Error (e, backtrace) -> Printexc.raise_with_backtrace e backtrace
 
 type verify_error = { phase : string; message : string }
 
@@ -59,10 +44,8 @@ let verify_result ?ext ?max_instructions ?reference ?compiled ?pool ?inject
   | v -> Ok v
   | exception Exec.Cancel.Cancelled -> raise Exec.Cancel.Cancelled
   | exception e ->
-    (* The top-level consistency run is not routed through
-       [check_result] (the obligation suite's copy is), so a mutant
-       that breaks plan evaluation can still surface here as an
-       exception.  Classify it the same way. *)
+    (* A mutant that breaks plan evaluation surfaces here as the
+       exception its co-simulation or liveness run raised. *)
     let phase, message =
       match e with
       | Hw.Plan.Compile_error m -> ("plan compilation", m)

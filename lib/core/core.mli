@@ -43,13 +43,17 @@ val verify :
   ?disasm:(int -> string option) ->
   Pipeline.Transform.t ->
   verification
-(** Generate and discharge the proof obligations; run the
-    data-consistency and liveness checkers.
+(** Generate and discharge the proof obligations
+    ({!Proof_engine.Obligation.discharge}).  The suite runs one
+    data-consistency co-simulation and one liveness run; their reports
+    are the [consistency] and [liveness] fields, so nothing is
+    simulated twice.  A run that raises re-raises its own exception
+    here, with the backtrace of where it was raised; serially, a
+    raising co-simulation skips the structural proofs.
 
-    With [pool], the top-level consistency run and the obligation suite
-    are discharged concurrently, and the obligation checkers fan out
-    over the same pool (see {!Proof_engine.Obligation.discharge_all}).
-    The result is identical to the serial run at any pool size.
+    With [pool], the obligation checkers fan out over the pool (see
+    {!Proof_engine.Obligation.discharge_all}).  The result is identical
+    to the serial run at any pool size.
 
     [inject] runs the behavioural checkers against a faulted machine
     (see {!Pipeline.Pipesem.injection}); [cancel] aborts by raising

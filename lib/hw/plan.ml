@@ -14,12 +14,6 @@ type op =
   | O_zext of int * int
   | O_sext of int * int
   | O_file_read of int * int * int  (* file index, addr slot, data width *)
-  | O_lut of int * int  (* operand slot, table index: dst = tbl.(a) *)
-  | O_lut2 of int * int * int
-      (* operand slots a b, table index: dst = tbl.((a lsl width_b) lor b).
-         Both lut forms are synthesized by [tableify]: a small-support
-         combinational cone collapsed into one exhaustively-enumerated
-         lookup, provably equivalent by construction. *)
 
 type step = { dst : int; op : op }
 
@@ -73,17 +67,6 @@ type t = {
       (* on-demand segments: group [g] is [tape.(lo .. hi - 1)],
          evaluated by [run_group] only on the cycles that consume its
          slots.  [[||]] for unsegmented plans. *)
-  p_tables : Bitvec.t array array;
-      (* lookup tables backing [O_lut]/[O_lut2]; every entry of table
-         [t] has the destination slot's width.  Immutable and shared
-         freely across domains, like the rest of the plan. *)
-  p_equiv : t option;
-      (* work-accounting twin: when this tape is an engine-specific
-         variant (the lanes engine runs the fold-only tape — per-lane
-         table walks would regress its packed boolean logic), [Some]
-         holds the canonical scalar tape whose geometry defines the
-         scalar-equivalent WORK counters, keeping lanes and scalar
-         runs bit-identical on every counter. *)
 }
 
 type instance = {
@@ -303,8 +286,6 @@ let build b =
     p_roots = Array.of_list (List.rev b.roots_rev);
     p_ctrl = Array.length tape;
     p_groups = [||];
-    p_tables = [||];
-    p_equiv = None;
   }
 
 let n_slots p = p.p_n_slots
@@ -399,15 +380,6 @@ let run_range inst lo hi =
           rerr "file %s: stored width %d, expression expects %d"
             inst.plan.file_names.(f) (Bitvec.width v) w;
         v
-      | O_lut (a, t) ->
-        Array.unsafe_get
-          (Array.unsafe_get inst.plan.p_tables t)
-          (Bitvec.to_int s.(a))
-      | O_lut2 (a, b, t) ->
-        Array.unsafe_get
-          (Array.unsafe_get inst.plan.p_tables t)
-          ((Bitvec.to_int s.(a) lsl inst.plan.p_widths.(b))
-          lor Bitvec.to_int s.(b))
     in
     s.(dst) <- v
   done
@@ -466,8 +438,6 @@ type lanes = {
   l_words : int array;  (* packed word, one per width-1 slot *)
   l_vals : int array array;  (* lane-indexed ints, one row per wide slot *)
   l_files : int array array array;  (* file -> lane -> contents; [||] unbound *)
-  l_tables : int array array;
-      (* [p_tables] lowered to raw ints once at lane creation *)
 }
 
 let lanes ?(capacity = Lanes.max_lanes) p =
@@ -488,7 +458,6 @@ let lanes ?(capacity = Lanes.max_lanes) p =
         Array.init n (fun s ->
             if l_bool.(s) then [||] else Array.make capacity 0);
       l_files = Array.make (Array.length p.file_names) [||];
-      l_tables = Array.map (Array.map Bitvec.to_int) p.p_tables;
     }
   in
   (* Constants are replicated across every lane once: no tape step
@@ -768,39 +737,6 @@ let run_lanes_range ln lo hi =
           Array.unsafe_set vd l (row.((geti a l) land (Array.length row - 1)))
         done
       end
-    | O_lut (a, t) ->
-      let tbl = Array.unsafe_get ln.l_tables t in
-      if isb.(dst) then begin
-        let w = ref 0 in
-        for l = 0 to act - 1 do
-          if Array.unsafe_get tbl (geti a l) <> 0 then w := !w lor (1 lsl l)
-        done;
-        words.(dst) <- !w
-      end
-      else begin
-        let vd = vals.(dst) in
-        for l = 0 to act - 1 do
-          Array.unsafe_set vd l (Array.unsafe_get tbl (geti a l))
-        done
-      end
-    | O_lut2 (a, b, t) ->
-      let tbl = Array.unsafe_get ln.l_tables t in
-      let wb = widths.(b) in
-      if isb.(dst) then begin
-        let w = ref 0 in
-        for l = 0 to act - 1 do
-          if Array.unsafe_get tbl ((geti a l lsl wb) lor geti b l) <> 0 then
-            w := !w lor (1 lsl l)
-        done;
-        words.(dst) <- !w
-      end
-      else begin
-        let vd = vals.(dst) in
-        for l = 0 to act - 1 do
-          Array.unsafe_set vd l
-            (Array.unsafe_get tbl ((geti a l lsl wb) lor geti b l))
-        done
-      end
   done
 
 let run_lanes ln = run_lanes_range ln 0 (Array.length ln.l_plan.tape)
@@ -813,10 +749,9 @@ let run_lanes_group ln g =
 let iter_op_operands op k =
   match op with
   | O_unop (_, a) | O_slice (a, _, _) | O_zext (a, _) | O_sext (a, _)
-  | O_file_read (_, a, _)
-  | O_lut (a, _) ->
+  | O_file_read (_, a, _) ->
     k a
-  | O_binop (_, a, b) | O_concat (a, b) | O_lut2 (a, b, _) ->
+  | O_binop (_, a, b) | O_concat (a, b) ->
     k a;
     k b
   | O_mux (c, a, b) ->
@@ -842,8 +777,7 @@ type rewrite = R_const of Bitvec.t | R_alias of int | R_keep of op
 
 (* One fold pass: constant folding and propagation, algebraic
    identities, dead-code elimination by backward liveness, and tape
-   compaction.  [optimize_remap] below runs it twice around the
-   [tableify] lookup-table synthesis and does the counting. *)
+   compaction.  [optimize_remap] below runs it and does the counting. *)
 let fold_remap ?keep_define p =
   let n = p.p_n_slots in
   let widths = p.p_widths in
@@ -938,16 +872,6 @@ let fold_remap ?keep_define p =
     (* Never folded: the read depends on the reader bound at run time.
        A dead read is still killable below — readers are pure. *)
     | O_file_read _ -> R_keep op
-    | O_lut (a, t) -> (
-      match cv a with
-      | Some va -> R_const p.p_tables.(t).(Bitvec.to_int va)
-      | None -> R_keep op)
-    | O_lut2 (a, b, t) -> (
-      match (cv a, cv b) with
-      | Some va, Some vb ->
-        R_const
-          p.p_tables.(t).((Bitvec.to_int va lsl widths.(b)) lor Bitvec.to_int vb)
-      | _ -> R_keep op)
   in
   Array.iter
     (fun { dst; op } ->
@@ -961,8 +885,6 @@ let fold_remap ?keep_define p =
         | O_zext (a, w) -> O_zext (repr.(a), w)
         | O_sext (a, w) -> O_sext (repr.(a), w)
         | O_file_read (f, a, w) -> O_file_read (f, repr.(a), w)
-        | O_lut (a, t) -> O_lut (repr.(a), t)
-        | O_lut2 (a, b, t) -> O_lut2 (repr.(a), repr.(b), t)
       in
       match rewrite dst op with
       | R_const v -> (
@@ -1036,9 +958,7 @@ let fold_remap ?keep_define p =
                    | O_slice (a, hi, lo) -> O_slice (f a, hi, lo)
                    | O_zext (a, w) -> O_zext (f a, w)
                    | O_sext (a, w) -> O_sext (f a, w)
-                   | O_file_read (fi, a, w) -> O_file_read (fi, f a, w)
-                   | O_lut (a, t) -> O_lut (f a, t)
-                   | O_lut2 (a, b, t) -> O_lut2 (f a, f b, t));
+                   | O_file_read (fi, a, w) -> O_file_read (fi, f a, w));
                })
          (Array.to_list kept))
   in
@@ -1076,249 +996,19 @@ let fold_remap ?keep_define p =
       p_roots = Array.map (fun s -> remap.(s)) p.p_roots;
       p_ctrl = Array.length tape';
       p_groups = [||];
-      p_tables = p.p_tables;
-      p_equiv = p.p_equiv;
     },
     remap )
 
-(* ------------------------------------------------------------------ *)
-(* Lookup-table synthesis                                              *)
-(* ------------------------------------------------------------------ *)
-
-(* A step's {e support} is the set of frontier slots its value depends
-   on: constants contribute nothing, tableable operand steps contribute
-   their own support, and everything else (inputs, file reads, wide
-   steps past the limits below) contributes itself.  A cone whose
-   support fits in at most two slots and [max_lut_bits] total bits is a
-   pure function of a small domain — [tableify] replaces each such step
-   with an [O_lut]/[O_lut2] over a table built by exhaustively
-   enumerating the support and evaluating the original ops with Bitvec
-   semantics, so the replacement is equivalent by construction.  The
-   interior of a collapsed cone loses its consumers and dies in the
-   fold pass that follows.
-
-   Steps whose support is entirely width-1 are left alone: the lane
-   engine evaluates packed bool logic with one word op per step, which
-   a per-lane table walk would only slow down.  A wide support slot
-   means the cone is worth collapsing for the scalar engine; the lanes
-   engine still loses (measured): its per-lane loops over wide slots
-   are cheaper than per-lane table-index assembly and walks, so the
-   lanes tape is compiled with LUT synthesis off entirely
-   ([optimize_remap ~lut:false]). *)
-let max_lut_bits = 12
-
-let tableify p =
-  let n = p.p_n_slots in
-  let len = Array.length p.tape in
-  if len = 0 then p
-  else begin
-    let widths = p.p_widths in
-    let is_const = Array.make (max n 1) false in
-    Array.iter (fun (s, _) -> is_const.(s) <- true) p.consts;
-    let step_of = Array.make (max n 1) (-1) in
-    Array.iteri (fun i { dst; _ } -> step_of.(dst) <- i) p.tape;
-    (* [supp.(i)]: sorted support slots of tableable step [i] *)
-    let supp : int list option array = Array.make len None in
-    let rec union a b =
-      match (a, b) with
-      | [], l | l, [] -> l
-      | x :: xs, y :: ys ->
-        if x = y then x :: union xs ys
-        else if x < y then x :: union xs b
-        else y :: union a ys
-    in
-    let contrib s =
-      if is_const.(s) then []
-      else
-        let i = step_of.(s) in
-        if i >= 0 then (match supp.(i) with Some l -> l | None -> [ s ])
-        else [ s ]
-    in
-    for i = 0 to len - 1 do
-      let { op; _ } = p.tape.(i) in
-      match op with
-      | O_file_read _ | O_lut _ | O_lut2 _ -> ()
-      | _ ->
-        let s = ref [] in
-        iter_op_operands op (fun a -> s := union !s (contrib a));
-        let sup = !s in
-        let bits = List.fold_left (fun acc a -> acc + widths.(a)) 0 sup in
-        (match sup with
-        | [ _ ] | [ _; _ ] when bits <= max_lut_bits -> supp.(i) <- Some sup
-        | _ -> ())
-    done;
-    (* Group the replacement candidates by exact support so one
-       enumeration sweep fills every table keyed on the same slots. *)
-    let groups : (int list, int list ref) Hashtbl.t = Hashtbl.create 16 in
-    for i = 0 to len - 1 do
-      match supp.(i) with
-      | Some sup when List.exists (fun a -> widths.(a) > 1) sup -> (
-        match Hashtbl.find_opt groups sup with
-        | Some r -> r := i :: !r
-        | None -> Hashtbl.add groups sup (ref [ i ]))
-      | _ -> ()
-    done;
-    if Hashtbl.length groups = 0 then p
-    else begin
-      let scratch = Array.make (max n 1) (Bitvec.zero 1) in
-      Array.iter (fun (s, v) -> scratch.(s) <- v) p.consts;
-      let eval_step { dst; op } =
-        scratch.(dst) <-
-          (match op with
-          | O_unop (o, a) -> apply_unop o scratch.(a)
-          | O_binop (o, a, b) -> apply_binop o scratch.(a) scratch.(b)
-          | O_mux (c, a, b) ->
-            if Bitvec.to_bool scratch.(c) then scratch.(a) else scratch.(b)
-          | O_concat (a, b) -> Bitvec.concat scratch.(a) scratch.(b)
-          | O_slice (a, hi, lo) -> Bitvec.slice scratch.(a) ~hi ~lo
-          | O_zext (a, w) -> Bitvec.zero_extend scratch.(a) w
-          | O_sext (a, w) -> Bitvec.sign_extend scratch.(a) w
-          | O_file_read _ | O_lut _ | O_lut2 _ -> assert false)
-      in
-      let tape' = Array.copy p.tape in
-      let tables_rev = ref [] in
-      let n_tables = ref (Array.length p.p_tables) in
-      let keys =
-        List.sort compare (Hashtbl.fold (fun k _ acc -> k :: acc) groups [])
-      in
-      List.iter
-        (fun sup ->
-          let members = List.rev !(Hashtbl.find groups sup) in
-          (* every tableable step supported by a subset of [sup], in
-             tape order: evaluating these covers each member's cone
-             (operands are consts, slots of [sup], or earlier steps of
-             this very set) *)
-          let cone = ref [] in
-          for i = len - 1 downto 0 do
-            match supp.(i) with
-            | Some s' when List.for_all (fun a -> List.mem a sup) s' ->
-              cone := i :: !cone
-            | _ -> ()
-          done;
-          let cone = !cone in
-          let bits = List.fold_left (fun acc a -> acc + widths.(a)) 0 sup in
-          let size = 1 lsl bits in
-          let mtbl =
-            List.map (fun i -> (i, Array.make size (Bitvec.zero 1))) members
-          in
-          for idx = 0 to size - 1 do
-            (match sup with
-            | [ a ] -> scratch.(a) <- Bitvec.make ~width:widths.(a) idx
-            | [ a; b ] ->
-              let wb = widths.(b) in
-              scratch.(a) <- Bitvec.make ~width:widths.(a) (idx lsr wb);
-              scratch.(b) <- Bitvec.make ~width:wb (idx land ((1 lsl wb) - 1))
-            | _ -> assert false);
-            List.iter (fun i -> eval_step p.tape.(i)) cone;
-            List.iter
-              (fun (i, tbl) -> tbl.(idx) <- scratch.(p.tape.(i).dst))
-              mtbl
-          done;
-          List.iter
-            (fun (i, tbl) ->
-              let t = !n_tables in
-              incr n_tables;
-              tables_rev := tbl :: !tables_rev;
-              let op =
-                match sup with
-                | [ a ] -> O_lut (a, t)
-                | [ a; b ] -> O_lut2 (a, b, t)
-                | _ -> assert false
-              in
-              tape'.(i) <- { tape'.(i) with op })
-            mtbl)
-        keys;
-      {
-        p with
-        tape = tape';
-        p_tables =
-          Array.append p.p_tables (Array.of_list (List.rev !tables_rev));
-      }
-    end
-  end
-
-(* Drop the tables of luts that did not survive (cone interiors killed
-   by the fold after [tableify]), renumbering the survivors. *)
-let prune_tables p =
-  let nt = Array.length p.p_tables in
-  if nt = 0 then p
-  else begin
-    let used = Array.make nt false in
-    Array.iter
-      (fun { op; _ } ->
-        match op with
-        | O_lut (_, t) | O_lut2 (_, _, t) -> used.(t) <- true
-        | _ -> ())
-      p.tape;
-    let new_t = Array.make nt (-1) in
-    let cnt = ref 0 in
-    for t = 0 to nt - 1 do
-      if used.(t) then begin
-        new_t.(t) <- !cnt;
-        incr cnt
-      end
-    done;
-    if !cnt = nt then p
-    else begin
-      let tables = Array.make !cnt [||] in
-      for t = 0 to nt - 1 do
-        if used.(t) then tables.(new_t.(t)) <- p.p_tables.(t)
-      done;
-      let tape =
-        Array.map
-          (fun ({ op; _ } as st) ->
-            match op with
-            | O_lut (a, t) -> { st with op = O_lut (a, new_t.(t)) }
-            | O_lut2 (a, b, t) -> { st with op = O_lut2 (a, b, new_t.(t)) }
-            | _ -> st)
-          p.tape
-      in
-      { p with tape; p_tables = tables }
-    end
-  end
-
-let optimize_remap ?(count = true) ?keep_define ?(lut = true) p =
-  let ops0 = Array.length p.tape and slots0 = p.p_n_slots in
-  let p1, r1 = fold_remap ?keep_define p in
-  (* Iterate LUT synthesis to a fixpoint (bounded): each round's table
-     outputs become frontier slots the next round can fold cones over,
-     so a deep cone collapses through successive 2-input tables.  A
-     round that stops shrinking the tape has nothing left to offer.
-     [lut = false] stops after the fold: the caller wants the variant
-     for an engine whose cost model table walks don't fit (the lanes
-     engine evaluates packed boolean logic at one word op per step,
-     and its per-lane loops over wide slots beat per-lane table
-     walks — both measured on the dlx tape). *)
-  let p2 = ref p1 and r2 = ref (Array.init (max p1.p_n_slots 1) Fun.id) in
-  (let rounds = ref 0 and shrinking = ref lut in
-   while !shrinking && !rounds < 4 do
-     incr rounds;
-     let before = Array.length !p2.tape in
-     let p', r' = fold_remap (tableify !p2) in
-     let prev = !r2 in
-     p2 := p';
-     r2 :=
-       Array.map (fun m -> if m < 0 then -1 else r'.(m)) prev;
-     shrinking := Array.length p'.tape < before
-   done);
-  let p2 = prune_tables !p2 and r2 = !r2 in
-  let remap =
-    Array.init (max slots0 1) (fun s ->
-        let m = r1.(s) in
-        if m < 0 then -1 else r2.(m))
-  in
+let optimize_remap ?(count = true) ?keep_define p =
+  let p', remap = fold_remap ?keep_define p in
   if count then begin
     Obs.Counters.add Obs.Counters.Plan_ops_folded
-      (ops0 - Array.length p2.tape);
-    Obs.Counters.add Obs.Counters.Slots_killed (slots0 - p2.p_n_slots)
+      (Array.length p.tape - Array.length p'.tape);
+    Obs.Counters.add Obs.Counters.Slots_killed (p.p_n_slots - p'.p_n_slots)
   end;
-  (p2, remap)
+  (p', remap)
 
-let optimize ?count ?keep_define ?lut p =
-  fst (optimize_remap ?count ?keep_define ?lut p)
-
-let with_work_equiv ~equiv p = { p with p_equiv = Some equiv }
-let work_equiv p = match p.p_equiv with Some e -> e | None -> p
+let optimize ?count ?keep_define p = fst (optimize_remap ?count ?keep_define p)
 
 (* ------------------------------------------------------------------ *)
 (* Tape segmentation: control prefix + on-demand groups                *)
@@ -1469,13 +1159,7 @@ let pp ppf p =
       | O_zext (a, w) -> Format.fprintf ppf "zext %a %d" slot a w
       | O_sext (a, w) -> Format.fprintf ppf "sext %a %d" slot a w
       | O_file_read (f, a, w) ->
-        Format.fprintf ppf "file_read %s[%a] %d" p.file_names.(f) slot a w
-      | O_lut (a, t) ->
-        Format.fprintf ppf "lut t%d[%a] (%d entries)" t slot a
-          (Array.length p.p_tables.(t))
-      | O_lut2 (a, b, t) ->
-        Format.fprintf ppf "lut2 t%d[%a,%a] (%d entries)" t slot a slot b
-          (Array.length p.p_tables.(t)));
+        Format.fprintf ppf "file_read %s[%a] %d" p.file_names.(f) slot a w);
       Format.fprintf ppf "@.")
     p.tape
 
@@ -1514,9 +1198,7 @@ let stats p =
         | O_slice _ -> "slice"
         | O_zext _ -> "zext"
         | O_sext _ -> "sext"
-        | O_file_read _ -> "file_read"
-        | O_lut _ -> "lut"
-        | O_lut2 _ -> "lut2"))
+        | O_file_read _ -> "file_read"))
     p.tape;
   let ops =
     List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [])
@@ -1524,5 +1206,4 @@ let stats p =
   ("slots", p.p_n_slots)
   :: ("consts", Array.length p.consts)
   :: ("instrs", Array.length p.tape)
-  :: ("tables", Array.length p.p_tables)
   :: ops

@@ -137,32 +137,19 @@ val build : builder -> t
     {!define_slot}, {!read_name}, {!iter_inputs}, {!bind_file}) work
     unchanged on the optimized plan.
 
-    After folding, {e LUT synthesis} collapses whole combinational
-    cones whose transitive support fits in at most two slots and 12
-    total bits — instruction decode trees, comparator chains against
-    constants, small next-state functions — into single table-lookup
-    steps over tables built by exhaustive enumeration through the same
-    {!Bitvec} semantics (equivalent by construction).  Synthesis
-    iterates to a bounded fixpoint: each round's table outputs are
-    frontier slots the next round can fold cones over.  Cones whose
-    support is entirely 1-bit slots are left alone — the lanes engine
-    already evaluates packed boolean logic at one word op per step.
+    The optimized tape is the one tape of its shape: the scalar engine
+    ({!run}, {!run_control}) and the lanes engine ({!run_lanes}) both
+    evaluate it, so their WORK accounting reads the same geometry.
 
     [count] (default [true]) adds the number of eliminated tape steps
     and slots to {!Obs.Counters.Plan_ops_folded} /
-    {!Obs.Counters.Slots_killed}.  Optimizing an already optimized
-    plan cannot shrink it further (and counts nothing). *)
+    {!Obs.Counters.Slots_killed}. *)
 
-val optimize :
-  ?count:bool -> ?keep_define:(string -> bool) -> ?lut:bool -> t -> t
+val optimize : ?count:bool -> ?keep_define:(string -> bool) -> t -> t
 (** [optimize p] = [fst (optimize_remap p)]. *)
 
 val optimize_remap :
-  ?count:bool ->
-  ?keep_define:(string -> bool) ->
-  ?lut:bool ->
-  t ->
-  t * int array
+  ?count:bool -> ?keep_define:(string -> bool) -> t -> t * int array
 (** The optimized plan plus the old-slot → new-slot translation.
 
     [keep_define] narrows the define liveness roots: only defines it
@@ -172,25 +159,7 @@ val optimize_remap :
     signals — use this to let the unobserved signal forest die.
     Dropped defines are removed from the name tables, so
     {!define_slot} / {!read_name} on them return [None] rather than a
-    stale slot.  Default: keep every define.
-
-    [lut] (default [true]) enables LUT synthesis.  [lut:false] stops
-    after fold/DCE/compaction: the tape variant for the lanes engine,
-    whose packed boolean word ops and tight per-lane loops both beat
-    per-lane table walks (see {!with_work_equiv}). *)
-
-val with_work_equiv : equiv:t -> t -> t
-(** [with_work_equiv ~equiv p] marks [p] as an engine-specific variant
-    of the canonical tape [equiv]: WORK counters for runs of [p] are
-    accounted against [equiv]'s geometry ({!work_equiv}), so a lanes
-    run over a fold-only tape reports bit-identical [Plan_ops] to the
-    scalar run over the LUT tape it replays.  Both plans must be
-    segmented into the same logical groups. *)
-
-val work_equiv : t -> t
-(** The plan whose geometry defines this plan's scalar-equivalent WORK
-    accounting: the [equiv] twin when one was attached, the plan
-    itself otherwise. *)
+    stale slot.  Default: keep every define. *)
 
 (** {1 Segmentation}
 

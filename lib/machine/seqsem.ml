@@ -16,40 +16,24 @@ let run_instruction (m : Spec.t) state =
 
 (* Compiled machine: one plan per stage (a stage reads the state its
    predecessor just committed, so each stage re-loads and re-runs its
-   own tape). *)
+   own tape).  The scalar and lanes sessions bind the same plans. *)
 type compiled = {
   cm_spec : Spec.t;
   cm_stages : (Hw.Plan.t * Commit.cstage) array;
-  cm_lanes_stages : (Hw.Plan.t * Commit.cstage) array Lazy.t;
-      (* the lanes mirror's engine-specific tapes: fold-only (LUT
-         synthesis would replace packed boolean word ops with per-lane
-         table walks), work-accounted against [cm_stages] so lane and
-         scalar runs stay counter-identical *)
 }
 
 let compile ?(optimize = Hw.Plan.optimize_default ()) (m : Spec.t) =
-  let build_stage ~lut k =
+  let build_stage k =
     let b = Hw.Plan.create ~auto:true () in
     let cs = Commit.compile_stage m b ~stage:k in
     let plan = Hw.Plan.build b in
     if optimize then begin
-      let plan, remap = Hw.Plan.optimize_remap ~count:lut ~lut plan in
+      let plan, remap = Hw.Plan.optimize_remap plan in
       (plan, Commit.remap_cstage (fun s -> remap.(s)) cs)
     end
     else (plan, cs)
   in
-  let stages = Array.init m.n_stages (build_stage ~lut:true) in
-  {
-    cm_spec = m;
-    cm_stages = stages;
-    cm_lanes_stages =
-      lazy
-        (if not optimize then stages
-         else
-           Array.init m.n_stages (fun k ->
-               let plan, cs = build_stage ~lut:false k in
-               (Hw.Plan.with_work_equiv ~equiv:(fst stages.(k)) plan, cs)));
-  }
+  { cm_spec = m; cm_stages = Array.init m.n_stages build_stage }
 
 let spec cm = cm.cm_spec
 
@@ -179,7 +163,7 @@ let lanes_session ?capacity cm =
   let stages =
     Array.map
       (fun (plan, cs) -> (State.bind_lanes state (Hw.Plan.lanes ?capacity plan), cs))
-      (Lazy.force cm.cm_lanes_stages)
+      cm.cm_stages
   in
   { lss_cm = cm; lss_state = state; lss_stages = stages; lss_prev = None }
 
@@ -209,7 +193,7 @@ let run_lanes_session ~ledger ~inits ~max_instructions s =
     Hw.Plan.run_lanes inst;
     Obs.Counters.ledger_add ledger Obs.Counters.Plan_runs act;
     Obs.Counters.ledger_add ledger Obs.Counters.Plan_ops
-      (act * Hw.Plan.n_instrs (Hw.Plan.work_equiv (Hw.Plan.lanes_plan inst)));
+      (act * Hw.Plan.n_instrs (Hw.Plan.lanes_plan inst));
     Obs.Counters.ledger_add ledger Obs.Counters.Cells_written
       (Commit.lanes_stage_updates inst state ~mask cs)
   in

@@ -33,7 +33,8 @@ type compiled
 
 val compile : ?optimize:bool -> Spec.t -> compiled
 (** [optimize] (default {!Hw.Plan.optimize_default}) runs
-    {!Hw.Plan.optimize} on each stage tape. *)
+    {!Hw.Plan.optimize} on each stage tape.  Scalar and lane sessions
+    bind these same tapes. *)
 
 val spec : compiled -> Spec.t
 

@@ -290,16 +290,10 @@ type compiled = {
   c_spec_slots : (Fwd_spec.speculation * int) list;     (* assq *)
   c_stages : Machine.Commit.cstage array;
   c_rollbacks : (Fwd_spec.speculation * Machine.Commit.cwrite list) list;
-  c_lanes : compiled Lazy.t;
-      (* the lanes engine's sibling compile: same machine, fold-only
-         tape (LUT synthesis would replace the packed boolean word ops
-         the bit-parallel engine lives on with per-lane table walks),
-         its plan stamped with this compile's plan as work-accounting
-         twin so lane and scalar runs stay counter-identical.  Self
-         for an unoptimized compile. *)
 }
 
-let rec compile_gen ~lut ~optimize ~observe (t : Transform.t) =
+let compile ?(optimize = Hw.Plan.optimize_default ()) ?(observe = true)
+    (t : Transform.t) =
   Obs.Span.with_span "pipesem.compile" @@ fun () ->
   let m = t.Transform.machine in
   let n = m.Machine.Spec.n_stages in
@@ -351,9 +345,7 @@ let rec compile_gen ~lut ~optimize ~observe (t : Transform.t) =
           Some (Hashtbl.mem dhaz)
         end
       in
-      let plan, remap =
-        Hw.Plan.optimize_remap ~count:lut ~lut ?keep_define plan
-      in
+      let plan, remap = Hw.Plan.optimize_remap ?keep_define plan in
       let f s = remap.(s) in
       let c_full_slots = Array.map f c_full_slots in
       let c_ext_slots = Array.map f c_ext_slots in
@@ -410,50 +402,39 @@ let rec compile_gen ~lut ~optimize ~observe (t : Transform.t) =
     Hashtbl.replace c_free (Transform.full_signal k) ();
     Hashtbl.replace c_free (Transform.ext_signal k) ()
   done;
-  let rec c =
-    {
-      c_tr = t;
-      c_plan = plan;
-      c_free;
-      c_full_slots;
-      c_ext_slots;
-      c_dhaz_slots;
-      c_spec_slots;
-      c_stages;
-      c_rollbacks;
-      c_lanes =
-        lazy
-          (if not (optimize && lut) then c
-           else
-             let lc = compile_gen ~lut:false ~optimize ~observe t in
-             let rec lc' =
-               {
-                 lc with
-                 c_plan = Hw.Plan.with_work_equiv ~equiv:c.c_plan lc.c_plan;
-                 c_lanes = lazy lc';
-               }
-             in
-             lc');
-    }
-  in
-  c
-
-let compile ?(optimize = Hw.Plan.optimize_default ()) ?(observe = true) t =
-  compile_gen ~lut:true ~optimize ~observe t
+  {
+    c_tr = t;
+    c_plan = plan;
+    c_free;
+    c_full_slots;
+    c_ext_slots;
+    c_dhaz_slots;
+    c_spec_slots;
+    c_stages;
+    c_rollbacks;
+  }
 
 let transform c = c.c_tr
 let plan c = c.c_plan
-let lanes_plan c = (Lazy.force c.c_lanes).c_plan
 
 (* Cross-request plan reuse: two transforms of the same shape (same
    stages, registers and synthesized signals — only initial values
    differ, the batched-path contract) can share one compiled plan.
    The returned [compiled] carries [t], so state creation and session
-   resets read [t]'s init.  The structural guard is deliberately
-   cheap: name-level equality catches shape drift without re-walking
-   expression trees (transforms of one machine builder are
-   expression-identical by construction). *)
+   resets read [t]'s init, and its speculation tables are re-keyed
+   onto [t]'s own speculation records: the engines look them up by
+   physical equality on the records the running transform holds.
+   The structural guard is deliberately cheap: name-level equality
+   catches shape drift without re-walking expression trees
+   (transforms of one machine builder are expression-identical by
+   construction). *)
 let rebind c (t : Transform.t) =
+  let spec_shape (t : Transform.t) =
+    List.map
+      (fun (sp : Fwd_spec.speculation) ->
+        (sp.Fwd_spec.spec_label, sp.Fwd_spec.resolve_stage))
+      t.Transform.speculations
+  in
   let m0 = c.c_tr.Transform.machine and m1 = t.Transform.machine in
   let reg_names (m : Machine.Spec.t) =
     List.map
@@ -469,8 +450,17 @@ let rebind c (t : Transform.t) =
     || reg_names m0 <> reg_names m1
     || List.map fst c.c_tr.Transform.signals <> List.map fst t.Transform.signals
     || c.c_tr.Transform.stage_dhaz <> t.Transform.stage_dhaz
+    || spec_shape c.c_tr <> spec_shape t
   then invalid_arg "Pipesem.rebind: transforms differ in shape";
-  { c with c_tr = t }
+  let rekey l =
+    List.map2 (fun (_, x) sp -> (sp, x)) l t.Transform.speculations
+  in
+  {
+    c with
+    c_tr = t;
+    c_spec_slots = rekey c.c_spec_slots;
+    c_rollbacks = rekey c.c_rollbacks;
+  }
 
 let plan_engine c state =
   let bound =
@@ -622,14 +612,10 @@ type lane_session = {
 
 let lanes_session ?capacity c =
   Obs.Counters.bump Obs.Counters.Sessions;
-  (* Bind the lanes engine to the fold-only sibling tape; keep the
-     caller's transform so a [rebind]ed compiled still seeds its own
-     initial values through the sibling's slot map. *)
-  let lc = { (Lazy.force c.c_lanes) with c_tr = c.c_tr } in
-  let state = State.create_lanes ?capacity lc.c_tr.Transform.machine in
-  let inst = Hw.Plan.lanes ?capacity lc.c_plan in
-  let bound = State.bind_lanes ~extern:(Hashtbl.mem lc.c_free) state inst in
-  { lns_c = lc; lns_state = state; lns_inst = inst; lns_bound = bound }
+  let state = State.create_lanes ?capacity c.c_tr.Transform.machine in
+  let inst = Hw.Plan.lanes ?capacity c.c_plan in
+  let bound = State.bind_lanes ~extern:(Hashtbl.mem c.c_free) state inst in
+  { lns_c = c; lns_state = state; lns_inst = inst; lns_bound = bound }
 
 let lanes_state ls = ls.lns_state
 
@@ -673,13 +659,12 @@ let run_lanes_session ?(ext = fun ~stage:_ ~cycle:_ -> false)
   Hw.Plan.lanes_set_active ls.lns_inst act;
   let inst = ls.lns_inst in
   let all = Hw.Lanes.mask_of_count act in
-  (* WORK geometry comes from the scalar twin ([work_equiv]) so lane
-     packs account the same per-program op counts as the scalar gated
-     engine; gating and group ranges come from the real bound plan. *)
-  let wplan = Hw.Plan.work_equiv c.c_plan in
-  let tape_len = Hw.Plan.n_instrs wplan in
-  let gated = Hw.Plan.is_segmented c.c_plan in
-  let ctrl_len = Hw.Plan.n_ctrl_instrs wplan in
+  (* Lane packs account the same per-program op counts as the scalar
+     gated engine: both run this one plan. *)
+  let plan = c.c_plan in
+  let tape_len = Hw.Plan.n_instrs plan in
+  let gated = Hw.Plan.is_segmented plan in
+  let ctrl_len = Hw.Plan.n_ctrl_instrs plan in
   let rb_index = List.mapi (fun i (sp, _) -> (sp, i)) c.c_rollbacks in
   let deadlock_window = (4 * n) + 64 in
   let maxc = Array.map (fun stop -> (stop * 4 * n) + 10_000) stop_afters in
@@ -811,7 +796,7 @@ let run_lanes_session ?(ext = fun ~stage:_ ~cycle:_ -> false)
           if mask <> 0 then begin
             Hw.Plan.run_lanes_group inst k;
             Obs.Counters.ledger_add ledger Obs.Counters.Plan_ops
-              (Hw.Plan.group_instrs wplan k * Hw.Lanes.popcount mask)
+              (Hw.Plan.group_instrs plan k * Hw.Lanes.popcount mask)
           end
         done;
         List.iter
@@ -820,7 +805,7 @@ let run_lanes_session ?(ext = fun ~stage:_ ~cycle:_ -> false)
               let g = n + List.assq sp rb_index in
               Hw.Plan.run_lanes_group inst g;
               Obs.Counters.ledger_add ledger Obs.Counters.Plan_ops
-                (Hw.Plan.group_instrs wplan g * Hw.Lanes.popcount f)
+                (Hw.Plan.group_instrs plan g * Hw.Lanes.popcount f)
             end)
           fires
       end;

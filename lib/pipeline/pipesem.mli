@@ -121,8 +121,11 @@ val compile : ?optimize:bool -> ?observe:bool -> Transform.t -> compiled
     (the plan is immutable — instances are private to sessions).
 
     [optimize] (default {!Hw.Plan.optimize_default}) runs
-    {!Hw.Plan.optimize} on the tape and remaps every captured slot;
-    the engines are oblivious to which plan they evaluate.
+    {!Hw.Plan.optimize} on the tape, remaps every captured slot and
+    segments the result into a control prefix plus one on-demand group
+    per stage commit and per rollback (see {!Hw.Plan.segment}).  This
+    is the one tape of the shape: the scalar, session and lanes
+    engines all bind it, so their WORK counters read one geometry.
 
     [observe] (default [true]) keeps every synthesized signal
     readable by name on the running instance (the [on_signals]
@@ -147,27 +150,21 @@ val compile : ?optimize:bool -> ?observe:bool -> Transform.t -> compiled
 
 val transform : compiled -> Transform.t
 val plan : compiled -> Hw.Plan.t
-
-val lanes_plan : compiled -> Hw.Plan.t
-(** The tape the bit-parallel lanes engine actually evaluates.  For an
-    optimized compile this is the fold-only sibling of {!plan} — LUT
-    synthesis is skipped because a per-lane table walk would replace
-    the packed boolean word ops the lanes engine lives on — stamped
-    with {!plan} as its {!Hw.Plan.work_equiv} twin so both engines
-    account identical WORK counters.  For an unoptimized compile it is
-    {!plan} itself.  Forces the lazily-built sibling. *)
+(** The evaluation tape every engine over this compile runs. *)
 
 val rebind : compiled -> Transform.t -> compiled
 (** [rebind c t] reuses [c]'s evaluation plan for transform [t], which
     must have the {e same shape} as [c]'s transform: identical stage
-    count, register names, synthesized signal names and hazard
-    structure — i.e. the two transforms come from the same machine
-    builder and differ only in initial values (the program image).
+    count, register names, synthesized signal names, hazard structure
+    and speculations (labels and resolve stages) — i.e. the two
+    transforms come from the same machine builder and differ only in
+    initial values (the program image).
     This is the batched-path contract from the sweep engine, promoted
     to a public operation: plan slots are shape-only, and state
-    creation reads initial values from the {e rebound} transform, so
-    runs of the result behave exactly as if [t] had been compiled
-    directly.  The service layer uses this to compile each machine
+    creation reads initial values from the {e rebound} transform, and
+    the speculation tables are re-keyed onto [t]'s speculation
+    records, so runs of the result behave exactly as if [t] had been
+    compiled directly.  The service layer uses this to compile each machine
     shape once and serve every program against it.
 
     @raise Invalid_argument when the shapes differ. *)
@@ -313,8 +310,8 @@ val no_lane_obs : lane_obs
 type lane_session
 
 val lanes_session : ?capacity:int -> compiled -> lane_session
-(** Fresh SoA state + lane plan instance bound once; reusable across
-    {!run_lanes_session} calls. *)
+(** Fresh SoA state + a lanes instance of {!plan} bound once; reusable
+    across {!run_lanes_session} calls. *)
 
 val lanes_state : lane_session -> Machine.State.lanes
 

@@ -134,6 +134,10 @@ type failure = {
   message : string;
 }
 
+val failure_of_exn : exn -> failure
+(** The typed failure {!check_result} reports for an exception the
+    co-simulation raised. *)
+
 val check_result :
   ?ext:Pipeline.Pipesem.ext_model ->
   ?max_instructions:int ->

@@ -173,9 +173,24 @@ let check_top_structural (t : Transform.t) (r : Transform.rule) =
     | Equiv.Width_mismatch (a, b) ->
       Error (Printf.sprintf "width mismatch %d vs %d" a b))
 
-let discharge_all ?ext ?max_instructions ?reference ?compiled ?pool ?inject
-    ?cancel ?disasm (t : Transform.t) =
-  Obs.Span.with_span "verify.obligations" @@ fun () ->
+type discharge = {
+  obligations : obligation list Lazy.t;
+  runs :
+    ( Consistency.report * Liveness.report,
+      exn * Printexc.raw_backtrace )
+    result;
+}
+
+(* A checker run that raised keeps its exception and where it was
+   raised: the statuses render it, and [discharge] hands both back. *)
+let catching f =
+  match f () with
+  | r -> Ok r
+  | exception Exec.Cancel.Cancelled -> raise Exec.Cancel.Cancelled
+  | exception e -> Error (e, Printexc.get_raw_backtrace ())
+
+let suite ?ext ?max_instructions ?reference ?compiled ?pool ?inject ?cancel
+    ?disasm (t : Transform.t) =
   let obs = generate t in
   Obs.Counters.add Obs.Counters.Obligations (List.length obs);
   let disassemble tag =
@@ -205,24 +220,40 @@ let discharge_all ?ext ?max_instructions ?reference ?compiled ?pool ?inject
       Error
         (Printf.sprintf "structural check aborted: %s" (Printexc.to_string e))
   in
-  let wave1 =
-    (fun () ->
-      `Report
-        (Consistency.check_result ?ext ?max_instructions ?reference ?compiled
-           ?inject ?cancel t))
-    :: List.map
-         (fun (r : Transform.rule) () ->
-           `Top (r.Transform.rule_label, top_structural r))
-         t.Transform.rules
+  let tops =
+    List.map
+      (fun (r : Transform.rule) ->
+        (r.Transform.rule_label, lazy (top_structural r)))
+      t.Transform.rules
   in
-  let wave1 = Exec.Pool.map_opt pool (fun task -> task ()) wave1 in
+  let cosim () =
+    catching (fun () ->
+        Consistency.check ?ext ?max_instructions ?reference ?compiled ?inject
+          ?cancel t)
+  in
+  (* Serially the co-simulation runs first, and when it raised the
+     structural proofs wait until the obligations are read: a verify
+     that re-raises the co-simulation's exception never runs them. *)
   let report =
-    match wave1 with `Report r :: _ -> r | _ -> assert false
-  in
-  let top_results =
-    List.filter_map
-      (function `Top (label, res) -> Some (label, res) | `Report _ -> None)
-      wave1
+    match pool with
+    | None ->
+      let report = cosim () in
+      if Result.is_ok report then
+        List.iter (fun (_, proof) -> ignore (Lazy.force proof)) tops;
+      report
+    | Some pool -> (
+      match
+        Exec.Pool.map pool
+          (fun task -> task ())
+          ((fun () -> Some (cosim ()))
+          :: List.map
+               (fun (_, proof) () ->
+                 ignore (Lazy.force proof);
+                 None)
+               tops)
+      with
+      | Some report :: _ -> report
+      | _ -> assert false)
   in
   (* A short symbolic co-simulation strengthens the data-consistency
      evidence from "on this run" to "for all initial data" when the
@@ -270,27 +301,24 @@ let discharge_all ?ext ?max_instructions ?reference ?compiled ?pool ?inject
           `Ti (Trace_invariants.check ~n_stages:n report.Consistency.trace));
         (fun () ->
           `Live
-            (match
-               Liveness.check ?ext ?compiled ?inject ?cancel
-                 ~stop_after:report.Consistency.instructions t
-             with
-            | live -> Ok live
-            | exception Exec.Cancel.Cancelled -> raise Exec.Cancel.Cancelled
-            | exception e -> Error (Printexc.to_string e)));
+            (catching (fun () ->
+                 Liveness.check ?ext ?compiled ?inject ?cancel
+                   ~stop_after:report.Consistency.instructions t)));
       ]
   in
   let statuses =
     match report with
-    | Error (f : Consistency.failure) ->
+    | Error ((e, _) as raised) ->
       (* The co-simulation itself died: every obligation that depends
          on its trace fails with the same typed evidence, and the
          structural TOP proofs (wave 1) still stand on their own. *)
+      let f = Consistency.failure_of_exn e in
       let failed =
         Failed
           (Printf.sprintf "co-simulation aborted during %s: %s"
              f.Consistency.failing_phase f.Consistency.message)
       in
-      `All_cosim_failed failed
+      `All_cosim_failed (failed, raised)
     | Ok report ->
       let wave2 = wave2 report in
       let symbolic_evidence, ti, live =
@@ -301,10 +329,10 @@ let discharge_all ?ext ?max_instructions ?reference ?compiled ?pool ?inject
       `Statuses (report, symbolic_evidence, ti, live)
   in
   let lemma1_status, engine_status, consistency_status, cosim_global_status,
-      lv_status =
+      lv_status, runs =
     match statuses with
-    | `All_cosim_failed failed ->
-      (failed, failed, (fun _ -> failed), failed, failed)
+    | `All_cosim_failed (failed, raised) ->
+      (failed, failed, (fun _ -> failed), failed, failed, Error raised)
     | `Statuses (report, symbolic_evidence, ti, live) ->
       let lemma1_status =
         match report.Consistency.lemma1 with
@@ -375,35 +403,55 @@ let discharge_all ?ext ?max_instructions ?reference ?compiled ?pool ?inject
             Failed
               (Printf.sprintf "liveness bound exceeded: max gap %d > bound %d"
                  live.Liveness.max_gap live.Liveness.bound)
-        | Error msg -> Failed ("liveness check aborted: " ^ msg)
+        | Error (e, _) ->
+          Failed ("liveness check aborted: " ^ Printexc.to_string e)
       in
       (lemma1_status, engine_status, consistency_status, cosim_global_status,
-       lv_status)
+       lv_status, Result.map (fun live -> (report, live)) live)
   in
-  List.iter
-    (fun o ->
-      let id = o.ob_id in
-      let starts p =
-        String.length id >= String.length p && String.sub id 0 (String.length p) = p
-      in
-      o.ob_status <-
-        (if starts "L1." then lemma1_status
-         else if starts "SE." then engine_status
-         else if starts "DC." then
-           consistency_status (String.sub id 3 (String.length id - 3))
-         else if starts "TOP." then begin
-           let label = String.sub id 4 (String.length id - 4) in
-           match List.assoc_opt label top_results with
-           | None -> Failed "rule not found"
-           | Some (Ok msg) -> Discharged msg
-           | Some (Error msg) -> Failed msg
-         end
-         else if starts "L2." || starts "L3." || starts "SP." then
-           cosim_global_status
-         else if String.equal id "LV" then lv_status
-         else Pending))
-    obs;
-  obs
+  let assign () =
+    List.iter
+      (fun o ->
+        let id = o.ob_id in
+        let starts p =
+          String.length id >= String.length p && String.sub id 0 (String.length p) = p
+        in
+        o.ob_status <-
+          (if starts "L1." then lemma1_status
+           else if starts "SE." then engine_status
+           else if starts "DC." then
+             consistency_status (String.sub id 3 (String.length id - 3))
+           else if starts "TOP." then begin
+             let label = String.sub id 4 (String.length id - 4) in
+             match List.assoc_opt label tops with
+             | None -> Failed "rule not found"
+             | Some proof -> (
+               match Lazy.force proof with
+               | Ok msg -> Discharged msg
+               | Error msg -> Failed msg)
+           end
+           else if starts "L2." || starts "L3." || starts "SP." then
+             cosim_global_status
+           else if String.equal id "LV" then lv_status
+           else Pending))
+      obs;
+    obs
+  in
+  { obligations = lazy (assign ()); runs }
+
+let discharge ?ext ?max_instructions ?reference ?compiled ?pool ?inject ?cancel
+    ?disasm t =
+  Obs.Span.with_span "verify.obligations" @@ fun () ->
+  suite ?ext ?max_instructions ?reference ?compiled ?pool ?inject ?cancel
+    ?disasm t
+
+let discharge_all ?ext ?max_instructions ?reference ?compiled ?pool ?inject
+    ?cancel ?disasm t =
+  Obs.Span.with_span "verify.obligations" @@ fun () ->
+  Lazy.force
+    (suite ?ext ?max_instructions ?reference ?compiled ?pool ?inject ?cancel
+       ?disasm t)
+      .obligations
 
 let all_discharged obs =
   List.for_all

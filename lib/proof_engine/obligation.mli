@@ -35,6 +35,39 @@ val generate : Pipeline.Transform.t -> obligation list
     the data-consistency theorem per visible register, and the
     liveness theorem. *)
 
+type discharge = {
+  obligations : obligation list Lazy.t;
+      (** the statuses, as {!discharge_all} returns them.  Serially,
+          when the co-simulation raised, the structural proofs run only
+          once this is forced. *)
+  runs :
+    ( Consistency.report * Liveness.report,
+      exn * Printexc.raw_backtrace )
+    result;
+      (** the data-consistency and liveness reports the statuses were
+          derived from; [Error (e, bt)] when one of the two runs raised,
+          with its exception unchanged and the backtrace of where it was
+          raised (the co-simulation's when it raised, so no liveness run
+          happened) *)
+}
+
+val discharge :
+  ?ext:Pipeline.Pipesem.ext_model ->
+  ?max_instructions:int ->
+  ?reference:Machine.Seqsem.trace ->
+  ?compiled:Pipeline.Pipesem.compiled ->
+  ?pool:Exec.Pool.t ->
+  ?inject:Pipeline.Pipesem.injection ->
+  ?cancel:Exec.Cancel.token ->
+  ?disasm:(int -> string option) ->
+  Pipeline.Transform.t ->
+  discharge
+(** {!discharge_all}, also returning the reports of its one
+    co-simulation and one liveness run, so a caller that needs the
+    verdicts themselves ([Core.verify]) does not run them again, and
+    one that gives up on a raising co-simulation does not pay for the
+    structural proofs. *)
+
 val discharge_all :
   ?ext:Pipeline.Pipesem.ext_model ->
   ?max_instructions:int ->
@@ -48,8 +81,8 @@ val discharge_all :
   obligation list
 (** Generate and check.  Structural obligations are checked on the
     netlist; behavioural ones by one co-simulation run with full trace
-    recording.  [compiled] reuses an existing evaluation plan for the
-    co-simulations.
+    recording and one liveness run.  [compiled] reuses an existing
+    evaluation plan for the co-simulations.
 
     With [pool], the independent checks fan out over the domain pool:
     first the co-simulation alongside every per-rule structural (BDD)

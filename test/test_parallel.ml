@@ -272,10 +272,17 @@ let test_self_healing () =
   in
   Pool.with_pool ~size:4 ~chaos @@ fun pool ->
   let restarts0 = Obs.Counters.get Obs.Counters.Pool_restarts in
+  (* Kills strike only tasks a worker domain claims.  Tasks that take a
+     millisecond keep the submitting thread from draining a batch alone
+     before the workers are scheduled on a loaded host. *)
+  let slow f x =
+    Unix.sleepf 0.001;
+    f x
+  in
   let xs = List.init 32 Fun.id in
   let expect = List.map (fun x -> x * x) xs in
   Alcotest.(check (list int)) "no work lost to the kills" expect
-    (Pool.map pool (fun x -> x * x) xs);
+    (Pool.map pool (slow (fun x -> x * x)) xs);
   (* Chaos pools heal at batch boundaries; drive a few batches until
      both victims have been respawned. *)
   let rec settle n =
@@ -284,7 +291,7 @@ let test_self_healing () =
       && Obs.Counters.get Obs.Counters.Pool_restarts - restarts0 < 2
     then begin
       Alcotest.(check (list int)) "batch while healing" [ 2; 4; 6 ]
-        (Pool.map pool (fun x -> 2 * x) [ 1; 2; 3 ]);
+        (Pool.map pool (slow (fun x -> 2 * x)) [ 1; 2; 3 ]);
       settle (n - 1)
     end
   in

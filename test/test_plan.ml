@@ -334,7 +334,7 @@ let test_define_resolution () =
     = Some "double")
 
 (* ------------------------------------------------------------------ *)
-(* The optimizer: folding, identities, DCE, compaction, LUT synthesis  *)
+(* The optimizer: folding, identities, DCE, compaction                 *)
 (* ------------------------------------------------------------------ *)
 
 let plan_of es =
@@ -451,62 +451,6 @@ let test_opt_counters () =
     (P.n_slots plan - P.n_slots opt)
     (Obs.Counters.get Obs.Counters.Slots_killed - before_k)
 
-let test_opt_lut_synthesis () =
-  (* A decode-shaped cone — eq-against-const chain, or tree, const-mux
-     ladder, all keyed on one 6-bit field — collapses to a single
-     lookup step, equivalent on every point of the domain. *)
-  let op6 = E.input "op" 6 in
-  let eqc k = E.Binop (E.Eq, op6, E.const_int ~width:6 k) in
-  let sel = E.Binop (E.Or, eqc 3, eqc 7) in
-  let e =
-    E.Mux
-      ( sel,
-        E.const_int ~width:4 9,
-        E.Mux (eqc 12, E.const_int ~width:4 5, E.const_int ~width:4 1) )
-  in
-  let plan, slots = plan_of [ e ] in
-  let opt, remap = P.optimize_remap plan in
-  Alcotest.(check int) "cone collapsed to one step" 1 (P.n_instrs opt);
-  Alcotest.(check int) "one lut" 1
-    (Option.value ~default:0 (List.assoc_opt "lut" (P.stats opt)));
-  Alcotest.(check int) "one table survives pruning" 1
-    (Option.value ~default:0 (List.assoc_opt "tables" (P.stats opt)));
-  let root = List.hd slots in
-  for v = 0 to 63 do
-    let bindings = [ ("op", bv ~width:6 v) ] in
-    let reference = run_get plan bindings root in
-    let lut = run_get opt bindings remap.(root) in
-    if not (B.equal reference lut) then
-      Alcotest.failf "lut diverges at op=%d: %d <> %d" v (B.to_int reference)
-        (B.to_int lut)
-  done
-
-let test_opt_lut2_synthesis () =
-  (* A two-operand cone becomes one [O_lut2]; exhaustive over the
-     8-bit joint domain. *)
-  let a = E.input "a" 4 and b4 = E.input "b" 4 in
-  let e =
-    E.Mux
-      ( E.Binop (E.Eq, a, b4),
-        E.Binop (E.Add, a, b4),
-        E.Binop (E.Xor, a, b4) )
-  in
-  let plan, slots = plan_of [ e ] in
-  let opt, remap = P.optimize_remap plan in
-  Alcotest.(check int) "cone collapsed to one step" 1 (P.n_instrs opt);
-  Alcotest.(check int) "one lut2" 1
-    (Option.value ~default:0 (List.assoc_opt "lut2" (P.stats opt)));
-  let root = List.hd slots in
-  for va = 0 to 15 do
-    for vb = 0 to 15 do
-      let bindings = [ ("a", bv ~width:4 va); ("b", bv ~width:4 vb) ] in
-      let reference = run_get plan bindings root in
-      let lut = run_get opt bindings remap.(root) in
-      if not (B.equal reference lut) then
-        Alcotest.failf "lut2 diverges at a=%d b=%d" va vb
-    done
-  done
-
 let test_segment_gating () =
   (* Control prefix + on-demand groups: running control then each
      group reproduces the full run, and the counters account one
@@ -542,7 +486,7 @@ let test_segment_gating () =
 
 (* Optimized ≡ unoptimized over the same random expression space the
    interpreter property uses — the differential oracle for the whole
-   rewrite catalogue, LUT synthesis included. *)
+   rewrite catalogue. *)
 let opt_value e bindings =
   let b = P.create ~auto:true ~files:[ ("mem", mem_width) ] () in
   let slot = P.root b e in
@@ -597,8 +541,6 @@ let () =
           Alcotest.test_case "keep_define narrows liveness" `Quick
             test_opt_keep_define;
           Alcotest.test_case "fold counters" `Quick test_opt_counters;
-          Alcotest.test_case "lut synthesis" `Quick test_opt_lut_synthesis;
-          Alcotest.test_case "lut2 synthesis" `Quick test_opt_lut2_synthesis;
           Alcotest.test_case "segmentation gating" `Quick test_segment_gating;
         ] );
       ( "properties",

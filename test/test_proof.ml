@@ -63,6 +63,120 @@ let test_discharge_dlx () =
   in
   Alcotest.(check bool) "all discharged" true (O.all_discharged obs)
 
+(* ---------------- Core.verify ---------------- *)
+
+let sim_cycles f =
+  let before = Obs.Counters.get Obs.Counters.Sim_cycles in
+  let r = f () in
+  (r, Obs.Counters.get Obs.Counters.Sim_cycles - before)
+
+let test_verify_simulates_once () =
+  (* The verdict's consistency and liveness reports are the obligation
+     suite's own runs: one verify simulates exactly what one
+     co-simulation plus one liveness run do. *)
+  let p = Dlx.Progs.fib 8 in
+  let n = p.Dlx.Progs.dyn_instructions in
+  let reference =
+    Dlx.Seq_dlx.ref_trace ~data:p.Dlx.Progs.data Dlx.Seq_dlx.Base
+      ~program:(Dlx.Progs.program p) ~instructions:n
+  in
+  List.iter
+    (fun (name, tr, reference, max_instructions) ->
+      let compiled = Pipeline.Pipesem.compile tr in
+      let v, verify_cycles =
+        sim_cycles (fun () ->
+            Core.verify ?reference ?max_instructions ~compiled tr)
+      in
+      let (), checker_cycles =
+        sim_cycles (fun () ->
+            let r = C.check ?reference ?max_instructions ~compiled tr in
+            ignore
+              (Proof_engine.Liveness.check ~compiled
+                 ~stop_after:r.C.instructions tr))
+      in
+      Alcotest.(check bool) (name ^ " verified") true (Core.verified v);
+      Alcotest.(check int)
+        (name ^ ": one co-simulation and one liveness run")
+        checker_cycles verify_cycles)
+    [
+      ("toy3", toy_tr (), None, None);
+      ("dlx5", dlx_tr p, Some reference, Some n);
+    ]
+
+(* An injection whose edge hook raises in cycle 3 of every run. *)
+let upset =
+  {
+    Pipeline.Pipesem.no_injection with
+    Pipeline.Pipesem.inj_edge =
+      (fun ~cycle _ -> if cycle = 3 then failwith "upset");
+  }
+
+let contains s sub =
+  let n = String.length sub in
+  let rec go i =
+    i + n <= String.length s && (String.equal (String.sub s i n) sub || go (i + 1))
+  in
+  go 0
+
+let test_verify_error_unchanged () =
+  (* A run that raises surfaces from [verify_result] as its own
+     exception, classified by [verify_result] itself — not as the
+     obligation suite's rendering of it. *)
+  match Core.verify_result ~inject:upset (toy_tr ()) with
+  | Error { Core.phase; message } ->
+    Alcotest.(check string) "phase" "verification" phase;
+    Alcotest.(check string) "message"
+      (Printexc.to_string (Failure "upset"))
+      message
+  | Ok _ -> Alcotest.fail "expected the raising run to abort verification"
+
+let test_verify_keeps_backtrace () =
+  (* The re-raised exception carries the backtrace of the run that
+     raised it, not one that starts in [Core.verify]. *)
+  let recording = Printexc.backtrace_status () in
+  Printexc.record_backtrace true;
+  Fun.protect ~finally:(fun () -> Printexc.record_backtrace recording)
+  @@ fun () ->
+  match Core.verify ~inject:upset (toy_tr ()) with
+  | _ -> Alcotest.fail "expected the raising run to abort verification"
+  | exception Failure _ ->
+    let bt = Printexc.get_backtrace () in
+    Alcotest.(check bool)
+      ("raised inside the co-simulation:\n" ^ bt)
+      true (contains bt "pipesem.ml")
+
+let test_verify_skips_structural () =
+  (* Serially, a verify whose co-simulation raised gives up before the
+     per-rule structural (BDD) proofs.  The full suite still runs them
+     on the same machine, and they stand on their own. *)
+  let with_equiv_spans f =
+    Obs.Span.set_enabled true;
+    Fun.protect ~finally:(fun () -> Obs.Span.set_enabled false) @@ fun () ->
+    let r = f () in
+    ( r,
+      List.length
+        (List.filter
+           (fun (s : Obs.Span.record) -> s.Obs.Span.span_name = "verify.equiv")
+           (Obs.Span.records ())) )
+  in
+  let tr = toy_tr () in
+  let r, proofs = with_equiv_spans (fun () -> Core.verify_result ~inject:upset tr) in
+  Alcotest.(check bool) "verify aborted" true (Result.is_error r);
+  Alcotest.(check int) "no structural proof" 0 proofs;
+  let obs, proofs = with_equiv_spans (fun () -> O.discharge_all ~inject:upset tr) in
+  let tops =
+    List.filter (fun (o : O.obligation) -> contains o.O.ob_id "TOP.") obs
+  in
+  Alcotest.(check bool) "the machine has forwarding rules" true (tops <> []);
+  Alcotest.(check int) "one structural proof per rule" (List.length tops)
+    proofs;
+  List.iter
+    (fun (o : O.obligation) ->
+      match o.O.ob_status with
+      | O.Discharged _ -> ()
+      | O.Pending | O.Failed _ -> Alcotest.fail (o.O.ob_id ^ " not discharged"))
+    tops
+
 (* ---------------- fault injection ---------------- *)
 
 (* Sabotage the forwarding: replace a g network by the plain register
@@ -225,6 +339,17 @@ let () =
           Alcotest.test_case "generation" `Quick test_generate_counts;
           Alcotest.test_case "discharge toy" `Quick test_discharge_toy;
           Alcotest.test_case "discharge dlx" `Quick test_discharge_dlx;
+        ] );
+      ( "verify",
+        [
+          Alcotest.test_case "one co-simulation per verify" `Quick
+            test_verify_simulates_once;
+          Alcotest.test_case "raising run keeps its error" `Quick
+            test_verify_error_unchanged;
+          Alcotest.test_case "raising run keeps its backtrace" `Quick
+            test_verify_keeps_backtrace;
+          Alcotest.test_case "raising run skips structural proofs" `Quick
+            test_verify_skips_structural;
         ] );
       ( "fault injection",
         [

@@ -357,19 +357,32 @@ let test_cache_bit_identity () =
   Alcotest.(check bool) "different key misses" false r3.Resp.cached
 
 let test_shape_reuse_sound () =
-  (* Two programs on one machine shape through a shared environment
-     (plan compiled once, rebound) must answer exactly like fresh
-     one-shot evaluations. *)
-  let env = H.create_env () in
+  (* Programs on one machine shape through a shared environment (plan
+     compiled once, rebound) must answer exactly like fresh one-shot
+     evaluations.  On the speculating machines the rebound shape must
+     also resolve the new program's speculation records. *)
   List.iter
-    (fun kernel ->
-      let s = { (spec MS.Dlx5) with Req.kernel = Some kernel } in
-      let shared =
-        H.handle ~env (Req.make ~spec:s Req.Stats) |> payload_bytes
-      in
-      let fresh = H.handle (Req.make ~spec:s Req.Stats) |> payload_bytes in
-      Alcotest.(check string) ("shape reuse, " ^ kernel) fresh shared)
-    [ "fib_10"; "memcpy_8"; "dep_chain_24" ]
+    (fun (m, kernels) ->
+      let env = H.create_env () in
+      List.iter
+        (fun kernel ->
+          List.iter
+            (fun kind ->
+              let req =
+                Req.make ~spec:{ (spec m) with Req.kernel = Some kernel } kind
+              in
+              let shared = H.handle ~env req |> payload_bytes in
+              let fresh = H.handle req |> payload_bytes in
+              Alcotest.(check string)
+                (Printf.sprintf "shape reuse, %s %s" (MS.to_string m) kernel)
+                fresh shared)
+            [ Req.Stats; Req.Verify ])
+        kernels)
+    [
+      (MS.Dlx5, [ "fib_10"; "memcpy_8"; "dep_chain_24" ]);
+      (MS.Dlx5_bp, [ "branches_8"; "fib_10" ]);
+      (MS.Dlx5_intr, [ "branches_8"; "fib_10" ]);
+    ]
 
 let test_campaign_not_cached () =
   let env = H.create_env () in
