@@ -546,6 +546,40 @@ let time_wall_ns ?(budget = 0.2) ?(min_runs = 2) f =
   done;
   (Unix.gettimeofday () -. t0) *. 1e9 /. float_of_int !runs
 
+(* Interleaved wall-clock timing of two alternatives, for ratios: single
+   runs of [a] and [b] alternate (which goes first alternates too) until
+   [budget] seconds have passed and at least [min_pairs] pairs ran; each
+   side reports its median ns/run.  Timing the two in back-to-back
+   blocks lets a spell of host slowness land on one side only and skew
+   the ratio; interleaved, it lands on both. *)
+let time_wall_pair_ns ?(budget = 0.4) ?(min_pairs = 5) a b =
+  Obs.Counters.with_disabled @@ fun () ->
+  let once f =
+    let t = Unix.gettimeofday () in
+    ignore (f ());
+    (Unix.gettimeofday () -. t) *. 1e9
+  in
+  let median xs =
+    let a = Array.of_list xs in
+    Array.sort compare a;
+    let n = Array.length a in
+    if n mod 2 = 1 then a.(n / 2) else (a.((n / 2) - 1) +. a.(n / 2)) /. 2.
+  in
+  let t0 = Unix.gettimeofday () in
+  let ta = ref [] and tb = ref [] and pairs = ref 0 in
+  while !pairs < min_pairs || Unix.gettimeofday () -. t0 < budget do
+    if !pairs mod 2 = 0 then begin
+      ta := once a :: !ta;
+      tb := once b :: !tb
+    end
+    else begin
+      tb := once b :: !tb;
+      ta := once a :: !ta
+    end;
+    incr pairs
+  done;
+  (median !ta, median !tb)
+
 let perf_compiled () =
   section "PERF"
     "Compiled evaluation plans vs interpreted simulation (same driver loop)";
@@ -636,13 +670,15 @@ let perf_parallel ~jobs () =
            ~cycles:row.Workload.Stats.cycles
            (Printf.sprintf "PERF.par_sweep_bias_%.0f" (bias *. 100.))))
     serial;
-  let ns_serial = time_wall_ns (fun () -> sweep ()) in
   Exec.Pool.reset_stats pool;
-  let ns_parallel = time_wall_ns (fun () -> sweep ~pool ()) in
+  let ns_serial, ns_parallel =
+    time_wall_pair_ns (fun () -> sweep ()) (fun () -> sweep ~pool ())
+  in
   let util = Exec.Pool.stats pool in
   let speedup = ns_serial /. ns_parallel in
   Format.printf
-    "  serial %.2f ms/sweep, -j %d %.2f ms/sweep: speedup %.2fx@."
+    "  serial %.2f ms/sweep, -j %d %.2f ms/sweep (medians, interleaved): \
+     speedup %.2fx@."
     (ns_serial /. 1e6) jobs (ns_parallel /. 1e6) speedup;
   List.iter
     (fun (s : Exec.Pool.domain_stats) ->

@@ -16,6 +16,8 @@ type state = {
   mutable edpc : int;
   mutable eca : int;
   mutable instret : int;
+  mutable gpr_written : int;
+  mutable stored : int;
 }
 
 let mem_words = 1 lsl 12
@@ -39,6 +41,8 @@ let create ?(data = []) ~program () =
     edpc = 0;
     eca = 0;
     instret = 0;
+    gpr_written = -1;
+    stored = -1;
   }
 
 let add_overflows a b =
@@ -64,7 +68,14 @@ let step ?(config = default_config) s =
   let ir = s.imem.(word_index s.dpc) in
   let insn = Isa.decode ir in
   let old_pc = s.pc and old_dpc = s.dpc in
-  let set_gpr r v = if r <> 0 then s.gpr.(r) <- mask32 v in
+  s.gpr_written <- -1;
+  s.stored <- -1;
+  let set_gpr r v =
+    if r <> 0 then begin
+      s.gpr.(r) <- mask32 v;
+      s.gpr_written <- r
+    end
+  in
   let g r = s.gpr.(r) in
   (* "Continue"-type interrupts: the faulting instruction is aborted
      and RFE resumes at its successor (old_pc / old_pc+4). *)
@@ -133,7 +144,9 @@ let step ?(config = default_config) s =
       set_gpr d (load s ~addr:(mask32 (g a + mask32 off)) ~size:`Half ~signed:false);
       normal ()
     | Isa.Sw (a, src, off) ->
-      s.mem.(word_index (mask32 (g a + mask32 off))) <- g src;
+      let w = word_index (mask32 (g a + mask32 off)) in
+      s.mem.(w) <- g src;
+      s.stored <- w;
       normal ()
     | Isa.Beqz (a, off) ->
       normal ~taken:(g a = 0) ~target:(old_dpc + 4 + off) ()

@@ -27,6 +27,15 @@ type state = {
   mutable edpc : int;
   mutable eca : int;
   mutable instret : int;    (** instructions executed *)
+  mutable gpr_written : int;
+      (** the register the latest {!step} wrote, [-1] if it wrote none
+          (writes to [r0] are discarded and do not count) *)
+  mutable stored : int;
+      (** the [mem] word index the latest {!step} stored to, [-1] if it
+          stored nothing.  With [gpr_written] this tells a caller that
+          snapshots the state after every step exactly which entry
+          changed, so it can copy one entry instead of scanning a
+          file ({!Seq_dlx.ref_trace}). *)
 }
 
 val mem_words : int

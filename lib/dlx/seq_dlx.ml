@@ -159,6 +159,75 @@ let reg ?prev ?(visible = false) name width stage kind =
 let w ?guard ?addr dst value =
   { Spec.dst; value; guard; wr_addr = addr }
 
+(* ------------------------------------------------------------------ *)
+(* Initial images                                                      *)
+(* ------------------------------------------------------------------ *)
+
+(* Images are read-only initial values: [State.reset] and
+   [State.reset_lanes] copy out of them and remember the physical
+   array they were reset from, and [ref_trace] starts its MEM snapshots
+   from the same array.  Handing every consumer of one program the
+   {e same physical} image is what lets resets skip refill work and
+   the consistency checkers skip comparing a file no store has
+   touched.  The caches below are therefore never mutated, and their
+   results must not be either.
+
+   The all-zero MEM table is shared by every empty-[data] image.
+   Eager, not [lazy]: images are built on pool workers and OCaml lazy
+   is not domain-safe. *)
+let zero_mem =
+  Machine.Value.File (Array.make (1 lsl mem_addr_bits) (Hw.Bitvec.zero 32))
+
+(* Per-domain memos, so no locking is needed and pointer stability
+   lands where the per-domain session caches live.  An exhaustive
+   sweep asks for the same few dozen programs on every query; a
+   verified sweep point asks for its data image twice (reference
+   trace, then initial values).  Bounded: wiped when they outgrow a
+   sweep's alphabet — a wipe costs sharing, never correctness. *)
+let imem_memo : (int list, Machine.Value.t) Hashtbl.t Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> Hashtbl.create 64)
+
+let mem_memo : ((int * int) list, Machine.Value.t) Hashtbl.t Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> Hashtbl.create 16)
+
+let memoized key ~limit memo build =
+  let memo = Domain.DLS.get memo in
+  match Hashtbl.find_opt memo key with
+  | Some v -> v
+  | None ->
+    let v = build key in
+    if Hashtbl.length memo >= limit then Hashtbl.reset memo;
+    Hashtbl.add memo key v;
+    v
+
+let imem_of_program program =
+  memoized program ~limit:512 imem_memo (fun program ->
+      Machine.Value.file_of_list ~width:32 ~addr_bits:mem_addr_bits
+        (List.map (fun v -> Hw.Bitvec.make ~width:32 v) program))
+
+(* The MEM image of [data]: the one builder behind [machine], [image]
+   and [ref_trace] (IMEM's is [imem_of_program], behind [machine] and
+   [image]).  Fewer entries than IMEM's memo: each holds a 4096-word
+   table. *)
+let mem_of_data = function
+  | [] -> zero_mem
+  | data ->
+    memoized data ~limit:64 mem_memo (fun data ->
+        let arr = Array.make (1 lsl mem_addr_bits) (Hw.Bitvec.zero 32) in
+        List.iter
+          (fun (i, v) ->
+            arr.(i land ((1 lsl mem_addr_bits) - 1)) <-
+              Hw.Bitvec.make ~width:32 v)
+          data;
+        Machine.Value.File arr)
+
+(* The point-dependent part of [machine]'s init — IMEM (the program)
+   and MEM (the data image).  Everything else (PC/DPC/SR/SPC and the
+   machine structure) depends only on the variant, so sweeps compile
+   one shape per variant and rebind these per point. *)
+let image ?(data = []) ~program () =
+  [ ("IMEM", imem_of_program program); ("MEM", mem_of_data data) ]
+
 let pc = E.input "PC" 32
 let dpc = E.input "DPC" 32
 
@@ -389,18 +458,6 @@ let machine ?(data = []) variant ~program =
            else []);
     }
   in
-  let imem_init =
-    Machine.Value.file_of_list ~width:32 ~addr_bits:mem_addr_bits
-      (List.map (fun v -> Hw.Bitvec.make ~width:32 v) program)
-  in
-  let mem_init =
-    let arr = Array.make (1 lsl mem_addr_bits) (Hw.Bitvec.zero 32) in
-    List.iter
-      (fun (i, v) ->
-        arr.(i land ((1 lsl mem_addr_bits) - 1)) <- Hw.Bitvec.make ~width:32 v)
-      data;
-    Machine.Value.File arr
-  in
   {
     Spec.machine_name =
       (match variant with
@@ -412,8 +469,8 @@ let machine ?(data = []) variant ~program =
     stages = [ stage0; stage1; stage2; stage3; stage4 ];
     init =
       [
-        ("IMEM", imem_init);
-        ("MEM", mem_init);
+        ("IMEM", imem_of_program program);
+        ("MEM", mem_of_data data);
         ("PC", Machine.Value.scalar (Hw.Bitvec.make ~width:32 4));
         ("DPC", Machine.Value.scalar (Hw.Bitvec.make ~width:32 0));
       ]
@@ -493,57 +550,6 @@ let speculations variant =
       };
     ]
 
-(* The point-dependent part of [machine]'s init — IMEM (the program)
-   and MEM (the data image).  Everything else (PC/DPC/SR/SPC and the
-   machine structure) depends only on the variant, so sweeps compile
-   one shape per variant and rebind these per point. *)
-(* The all-zero MEM table, shared by every empty-[data] image: images
-   are read-only initial values ([State.reset] copies out of them), so
-   one 4096-entry array serves the whole batched sweep instead of
-   being reallocated per program.  Eager, not [lazy] — [image] runs on
-   pool workers and OCaml lazy is not domain-safe. *)
-let zero_mem =
-  Machine.Value.File (Array.make (1 lsl mem_addr_bits) (Hw.Bitvec.zero 32))
-
-(* Per-domain IMEM memo: an exhaustive sweep asks for the same few
-   dozen programs on every query, and downstream reset paths skip
-   refill work when they see the {e same physical} image array again
-   ([State.reset]'s pointer-equal entry skip, [State.reset_lanes]'s
-   per-lane source tracking).  Like [zero_mem], cached images are
-   read-only by convention.  Per-domain (not global) so no locking is
-   needed and pointer stability lands where the per-domain session
-   caches live.  Bounded: wiped when it outgrows a sweep's alphabet. *)
-let imem_memo : (int list, Machine.Value.t) Hashtbl.t Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> Hashtbl.create 64)
-
-let imem_of_program program =
-  let memo = Domain.DLS.get imem_memo in
-  match Hashtbl.find_opt memo program with
-  | Some v -> v
-  | None ->
-    let v =
-      Machine.Value.file_of_list ~width:32 ~addr_bits:mem_addr_bits
-        (List.map (fun v -> Hw.Bitvec.make ~width:32 v) program)
-    in
-    if Hashtbl.length memo >= 512 then Hashtbl.reset memo;
-    Hashtbl.add memo program v;
-    v
-
-let image ?(data = []) ~program () =
-  let imem = imem_of_program program in
-  let mem =
-    match data with
-    | [] -> zero_mem
-    | data ->
-      let arr = Array.make (1 lsl mem_addr_bits) (Hw.Bitvec.zero 32) in
-      List.iter
-        (fun (i, v) ->
-          arr.(i land ((1 lsl mem_addr_bits) - 1)) <- Hw.Bitvec.make ~width:32 v)
-        data;
-      Machine.Value.File arr
-  in
-  [ ("IMEM", imem); ("MEM", mem) ]
-
 let transform ?options ?data variant ~program =
   Pipeline.Transform.run ?options ~hints:(hints variant)
     ~speculations:(speculations variant)
@@ -559,32 +565,11 @@ let visible_names variant =
   | With_interrupts _ ->
     [ "DPC"; "ECA"; "EDPC"; "EPC"; "GPR"; "MEM"; "PC"; "SR" ]
 
-let snapshot_of_ref variant (s : Refmodel.state) =
-  let bv32 v = Hw.Bitvec.make ~width:32 v in
-  let file arr =
-    Machine.Value.File (Array.map bv32 arr)
-  in
-  let base =
-    [
-      ("DPC", Machine.Value.scalar (bv32 s.Refmodel.dpc));
-      ("GPR", file s.Refmodel.gpr);
-      ("MEM", file s.Refmodel.mem);
-      ("PC", Machine.Value.scalar (bv32 s.Refmodel.pc));
-    ]
-  in
-  match variant with
-  | Base | Branch_predict -> base
-  | With_interrupts _ ->
-    List.sort
-      (fun (a, _) (b, _) -> String.compare a b)
-      (base
-      @ [
-          ("SR", Machine.Value.scalar (Hw.Bitvec.make ~width:1 s.Refmodel.sr));
-          ("EPC", Machine.Value.scalar (bv32 s.Refmodel.epc));
-          ("EDPC", Machine.Value.scalar (bv32 s.Refmodel.edpc));
-          ("ECA", Machine.Value.scalar (bv32 s.Refmodel.eca));
-        ])
-
+(* Copy-on-write (see the interface): [Refmodel] names the one entry
+   a step wrote, so no step scans or deep-copies the 4096-word
+   memory, and MEM starts as [mem_of_data]'s array — the one the
+   simulator is reset from — so checkers can match it by pointer until
+   the first store. *)
 let ref_trace ?(data = []) variant ~program ~instructions =
   let config =
     match variant with
@@ -592,12 +577,49 @@ let ref_trace ?(data = []) variant ~program ~instructions =
     | Base | Branch_predict -> Refmodel.default_config
   in
   let s = Refmodel.create ~data ~program () in
+  let bv32 v = Hw.Bitvec.make ~width:32 v in
+  let scalar v = Machine.Value.scalar (bv32 v) in
+  let with_entry file i v =
+    match file with
+    | Machine.Value.File a ->
+      let a = Array.copy a in
+      a.(i) <- bv32 v;
+      Machine.Value.File a
+    | Machine.Value.Scalar _ -> invalid_arg "Seq_dlx.ref_trace: scalar file"
+  in
+  let gpr = ref (Machine.Value.File (Array.make 32 (Hw.Bitvec.zero 32))) in
+  let mem = ref (mem_of_data data) in
+  (* Name-sorted, like [visible_names]. *)
+  let snapshot () =
+    match variant with
+    | Base | Branch_predict ->
+      [
+        ("DPC", scalar s.Refmodel.dpc);
+        ("GPR", !gpr);
+        ("MEM", !mem);
+        ("PC", scalar s.Refmodel.pc);
+      ]
+    | With_interrupts _ ->
+      [
+        ("DPC", scalar s.Refmodel.dpc);
+        ("ECA", scalar s.Refmodel.eca);
+        ("EDPC", scalar s.Refmodel.edpc);
+        ("EPC", scalar s.Refmodel.epc);
+        ("GPR", !gpr);
+        ("MEM", !mem);
+        ("PC", scalar s.Refmodel.pc);
+        ("SR", Machine.Value.scalar (Hw.Bitvec.make ~width:1 s.Refmodel.sr));
+      ]
+  in
   let snaps = Array.make (instructions + 1) [] in
   for i = 0 to instructions - 1 do
-    snaps.(i) <- snapshot_of_ref variant s;
-    Refmodel.step ~config s
+    snaps.(i) <- snapshot ();
+    Refmodel.step ~config s;
+    let r = s.Refmodel.gpr_written and w = s.Refmodel.stored in
+    if r >= 0 then gpr := with_entry !gpr r s.Refmodel.gpr.(r);
+    if w >= 0 then mem := with_entry !mem w s.Refmodel.mem.(w)
   done;
-  snaps.(instructions) <- snapshot_of_ref variant s;
+  snaps.(instructions) <- snapshot ();
   { Machine.Seqsem.spec_before = snaps; instructions; halted = false }
 
 let disasm ~(reference : Machine.Seqsem.trace) ~program tag =

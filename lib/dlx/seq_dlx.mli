@@ -30,6 +30,13 @@ type variant =
 val mem_addr_bits : int
 (** 12: both memories hold [2^12] words. *)
 
+(** {b Read-only images.}  {!machine}, {!image} and {!ref_trace} build
+    their MEM (and {!machine} and {!image} their IMEM) through bounded
+    per-domain memos, so the same program and data yield the {e same
+    physical} array.  Resets and checkers rely on that identity
+    ({!Machine.State.holds_image}): never mutate a file value obtained
+    from these functions. *)
+
 val machine :
   ?data:(int * int) list -> variant -> program:int list -> Machine.Spec.t
 (** The prepared sequential machine with the program in instruction
@@ -51,9 +58,11 @@ val image :
     MEM from [data], exactly as {!machine} initializes them.  The
     [?init] override that drives one compiled machine shape (fixed
     variant and options) across many programs in batched sweeps.
-    Treat the result as read-only: consumers copy out of it
-    ({!Machine.State.reset}), and the empty-[data] MEM table is one
-    shared array. *)
+    Read-only: consumers copy out of it ({!Machine.State.reset}) and
+    remember the array.  The MEM value is physically the one
+    {!machine} and {!ref_trace} use for the same [data] (on this
+    domain, while the bounded memo keeps it); the empty-[data] MEM
+    table is one array shared by all. *)
 
 val transform :
   ?options:Pipeline.Fwd_spec.options ->
@@ -71,7 +80,15 @@ val ref_trace :
   Machine.Seqsem.trace
 (** The specification trace [R_S^i] produced by the ISA golden model
     ({!Refmodel}), in the shape {!Proof_engine.Consistency} consumes.
-    Required for the speculation variants, valid for all three. *)
+    Required for the speculation variants, valid for all three.
+
+    Copy-on-write: a snapshot shares every file the step before it
+    did not write with its predecessor, and a step that wrote GPR or
+    MEM gets a copy of the previous array with the one entry
+    {!Refmodel.state} names set — no step scans or deep-copies MEM.
+    MEM starts as {!image}'s array for [data], which lets the
+    checkers match an untouched data memory by pointer.  Snapshots
+    are shared, hence read-only. *)
 
 val disasm :
   reference:Machine.Seqsem.trace -> program:int list -> int -> string option

@@ -1,14 +1,30 @@
 (* Registers live in mutable cells so that plan bindings can capture a
    cell once and read the current value without a per-cycle hash
-   lookup. *)
-type cell = { mutable v : Value.t }
+   lookup.
+
+   [src] is a file cell's provenance, the scalar twin of the lane
+   cells' [lc_srcs]: the image array the cell was last filled from by
+   [create] or [reset], kept only while the cell is untouched since.
+   Every write path ([set], [set_scalar], [write_file], [restore])
+   clears it.  While it is set the cell's contents equal the image's —
+   images are never mutated, and nobody writes a file array obtained
+   from [get] — so a checker holding the same physical image knows the
+   two are equal without reading them ([holds_image]). *)
+type cell = { mutable v : Value.t; mutable src : Hw.Bitvec.t array option }
 type t = (string, cell) Hashtbl.t
+
+let provenance = function Value.File a -> Some a | Value.Scalar _ -> None
 
 let create (m : Spec.t) =
   let tbl = Hashtbl.create 64 in
   List.iter
     (fun (r : Spec.register) ->
-      Hashtbl.replace tbl r.reg_name { v = Spec.initial_value m r })
+      Hashtbl.replace tbl r.reg_name
+        {
+          v = Spec.initial_value m r;
+          src =
+            Option.bind (List.assoc_opt r.reg_name m.Spec.init) provenance;
+        })
     m.registers;
   tbl
 
@@ -29,7 +45,7 @@ let reset ?(init = []) (m : Spec.t) t =
      dirtied.  The sharing also feeds the [Value.equal] pointer
      shortcut. *)
   let refill c v =
-    match (c.v, v) with
+    (match (c.v, v) with
     | Value.File dst, Value.File src
       when dst != src && Array.length dst = Array.length src ->
       (* [unsafe]: i < length src = length dst. *)
@@ -37,7 +53,8 @@ let reset ?(init = []) (m : Spec.t) t =
         let s = Array.unsafe_get src i in
         if Array.unsafe_get dst i != s then Array.unsafe_set dst i s
       done
-    | _ -> c.v <- Value.copy v
+    | _ -> c.v <- Value.copy v);
+    c.src <- provenance v
   in
   List.iter
     (fun (r : Spec.register) ->
@@ -49,13 +66,17 @@ let reset ?(init = []) (m : Spec.t) t =
       match (Hashtbl.find_opt t r.reg_name, v) with
       | Some c, Some v -> refill c v
       | Some c, None -> (
+        c.src <- None;
         match (c.v, r.kind) with
         | Value.File dst, Spec.File { addr_bits }
           when Array.length dst = 1 lsl addr_bits ->
           Array.fill dst 0 (Array.length dst) (Hw.Bitvec.zero r.width)
         | _ -> c.v <- Spec.initial_value m r)
-      | None, Some v -> Hashtbl.replace t r.reg_name { v = Value.copy v }
-      | None, None -> Hashtbl.replace t r.reg_name { v = Spec.initial_value m r })
+      | None, Some v ->
+        Hashtbl.replace t r.reg_name { v = Value.copy v; src = provenance v }
+      | None, None ->
+        Hashtbl.replace t r.reg_name
+          { v = Spec.initial_value m r; src = None })
     m.registers;
   (* Every spec register is now present, so names the spec does not
      know — added by [set] during an instrumented run — exist only if
@@ -69,37 +90,55 @@ let reset ?(init = []) (m : Spec.t) t =
     List.iter (Hashtbl.remove t) extras
   end
 
-let get t name =
+let cell t name =
   match Hashtbl.find_opt t name with
-  | Some c -> c.v
+  | Some c -> c
   | None -> invalid_arg (Printf.sprintf "State.get: unknown register %s" name)
+
+let get t name = (cell t name).v
+
+(* Forgetting the image tests before it stores: scalar cells, the
+   commit loop's hot path, never hold one. *)
+let forget_image c = match c.src with Some _ -> c.src <- None | None -> ()
 
 let set t name v =
   match Hashtbl.find_opt t name with
-  | Some c -> c.v <- v
-  | None -> Hashtbl.replace t name { v }
+  | Some c ->
+    c.v <- v;
+    forget_image c
+  | None -> Hashtbl.replace t name { v; src = None }
 
 let get_scalar t name = Value.read_scalar (get t name)
 let set_scalar t name v = set t name (Value.Scalar v)
 let read_file t name addr = Value.read_file (get t name) addr
 
 let write_file t name ~addr ~data =
-  Value.write_file (get t name) addr data
+  let c = cell t name in
+  forget_image c;
+  Value.write_file c.v addr data
+
+let holds_image t name image =
+  match image with
+  | Value.Scalar _ -> false
+  | Value.File b -> (
+    match Hashtbl.find_opt t name with
+    | Some { src = Some a; _ } -> a == b
+    | Some { src = None; _ } | None -> false)
 
 let eval_env t =
   {
     Hw.Eval.lookup_input =
       (fun n ->
         match Hashtbl.find_opt t n with
-        | Some { v = Value.Scalar v } -> v
-        | Some { v = Value.File _ } ->
+        | Some { v = Value.Scalar v; _ } -> v
+        | Some { v = Value.File _; _ } ->
           raise (Hw.Eval.Eval_error (n ^ " is a register file, not a scalar"))
         | None -> raise Not_found);
     Hw.Eval.lookup_file =
       (fun f addr ->
         match Hashtbl.find_opt t f with
-        | Some { v = Value.File _ as v } -> Value.read_file v addr
-        | Some { v = Value.Scalar _ } ->
+        | Some { v = Value.File _ as v; _ } -> Value.read_file v addr
+        | Some { v = Value.Scalar _; _ } ->
           raise (Hw.Eval.Eval_error (f ^ " is a scalar, not a register file"))
         | None -> raise Not_found);
   }
@@ -114,8 +153,8 @@ let bind_plan ?(extern = fun _ -> false) t plan =
   let loads = ref [] in
   Hw.Plan.iter_inputs plan (fun name ~slot ~width:_ ->
       match Hashtbl.find_opt t name with
-      | Some ({ v = Value.Scalar _ } as c) -> loads := (slot, c) :: !loads
-      | Some { v = Value.File _ } ->
+      | Some ({ v = Value.Scalar _; _ } as c) -> loads := (slot, c) :: !loads
+      | Some { v = Value.File _; _ } ->
         raise (Hw.Eval.Eval_error (name ^ " is a register file, not a scalar"))
       | None ->
         if not (extern name) then
@@ -123,9 +162,9 @@ let bind_plan ?(extern = fun _ -> false) t plan =
   let instance = Hw.Plan.instance plan in
   Hw.Plan.iter_files plan (fun name ~index:_ ~width:_ ->
       match Hashtbl.find_opt t name with
-      | Some ({ v = Value.File _ } as c) ->
+      | Some ({ v = Value.File _; _ } as c) ->
         Hw.Plan.bind_file instance name (fun addr -> Value.read_file c.v addr)
-      | Some { v = Value.Scalar _ } ->
+      | Some { v = Value.Scalar _; _ } ->
         raise (Hw.Eval.Eval_error (name ^ " is a scalar, not a register file"))
       | None ->
         raise (Hw.Eval.Eval_error ("unknown register file " ^ name)));

@@ -1,10 +1,21 @@
 (** Mutable register state of a machine, shared by the sequential and
-    pipelined simulators. *)
+    pipelined simulators.
+
+    {b Read-only conventions.}  Two rules make file provenance
+    ({!holds_image}) sound:
+    - an {e image} — a register-file value passed as an initial value
+      to {!create} (through the spec's [init]) or {!reset} — is never
+      mutated afterwards, by anyone;
+    - a file value returned by {!get} is never written in place; a
+      file changes only through {!write_file}, {!set}, {!set_scalar}
+      or {!restore}. *)
 
 type t
 
 val create : Spec.t -> t
-(** All registers at their initial values ({!Spec.initial_value}). *)
+(** All registers at their initial values ({!Spec.initial_value}).
+    File registers initialised from the spec's [init] remember that
+    image, as after {!reset}. *)
 
 val reset : ?init:(string * Value.t) list -> Spec.t -> t -> unit
 (** Return the state to [create m] semantics without reallocating
@@ -15,6 +26,9 @@ val reset : ?init:(string * Value.t) list -> Spec.t -> t -> unit
     {!bind_plan} remain valid across resets — this is what lets one
     compiled session serve many programs (see
     {!Pipeline.Pipesem.run_session}).
+    A file register filled from an image (an [init] entry, or the
+    spec's own) remembers the physical image array; see
+    {!holds_image}.
     @raise Invalid_argument if an [init] name is not a spec register. *)
 
 val get : t -> string -> Value.t
@@ -29,6 +43,19 @@ val set_scalar : t -> string -> Hw.Bitvec.t -> unit
 val read_file : t -> string -> Hw.Bitvec.t -> Hw.Bitvec.t
 
 val write_file : t -> string -> addr:Hw.Bitvec.t -> data:Hw.Bitvec.t -> unit
+(** Writes one entry, in place.  Like {!set}, {!set_scalar} and
+    {!restore}, it makes the register forget its image, even when the
+    written value equals the old one. *)
+
+val holds_image : t -> string -> Value.t -> bool
+(** [holds_image t name v]: [v] is a file whose array is physically
+    the image register [name] was last filled from by {!create} or
+    {!reset}, and the register has not been written since.  Then its
+    contents equal [v]'s without a scan — the consistency checkers use
+    this to skip comparing an untouched data memory against a
+    reference trace that still shares the same image.  [false] for
+    scalars, unknown names and any other array, even one with equal
+    contents. *)
 
 val eval_env : t -> Hw.Eval.env
 (** Environment reading registers by name (scalars as inputs, files

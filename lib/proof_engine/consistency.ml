@@ -38,6 +38,15 @@ let ok r =
 
 let value_at snapshot name = List.assoc_opt name snapshot
 
+(* A register matches its reference value either by provenance — the
+   reference still shares the image the register was filled from and
+   no write has touched the register since ({!Machine.State.holds_image}),
+   the common case for a data memory no store has reached yet — or by
+   comparing entries. *)
+let matches state name expected got =
+  Machine.State.holds_image state name expected
+  || Machine.Value.equal expected got
+
 (* The co-simulation core, generic over how the pipelined run is
    produced: [check] gives it a fresh per-call run, [check_batched] a
    per-domain session replay. *)
@@ -66,7 +75,7 @@ let check_core ~seq_trace ~run_pipe (t : Pipeline.Transform.t) =
     match value_at snapshot r.Spec.reg_name with
     | None -> ()
     | Some expected ->
-      if not (Machine.Value.equal expected got) then
+      if not (matches state r.Spec.reg_name expected got) then
         violations :=
           {
             at_cycle = cycle;
@@ -153,8 +162,9 @@ let check_core ~seq_trace ~run_pipe (t : Pipeline.Transform.t) =
             match value_at final_spec r.Spec.reg_name with
             | None -> true
             | Some expected ->
-              Machine.Value.equal expected
-                (Machine.State.get result.Pipesem.state r.Spec.reg_name))
+              let state = result.Pipesem.state in
+              matches state r.Spec.reg_name expected
+                (Machine.State.get state r.Spec.reg_name))
           last_stage_regs
       in
       Some all_match
@@ -445,8 +455,15 @@ let soa_matches (cell : State.lane_cell) lane (expected : State.lane_value) =
      !ok)
   | _ -> false
 
+(* The lane twin of [matches]: a file lane still holding the very
+   image array [expected] is ([lc_srcs]) matches without a scan. *)
 let boxed_matches (cell : State.lane_cell) lane (expected : Machine.Value.t) =
   match (cell.State.lc_value, expected) with
+  | State.Lfile _, Machine.Value.File arr
+    when (match cell.State.lc_srcs.(lane) with
+         | Some src -> src == arr
+         | None -> false) ->
+    true
   | State.Lbool got, Machine.Value.Scalar bv ->
     Hw.Lanes.test got.State.word lane = (Hw.Bitvec.to_int bv <> 0)
   | State.Lints got, Machine.Value.Scalar bv ->

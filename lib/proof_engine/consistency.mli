@@ -12,7 +12,16 @@
     pipelined simulator, via its [on_edge] hook.  For a speculation
     with [retires = true] (precise interrupts) resolving in the last
     stage, the rollback commit is checked against the full visible
-    state [R_S^{i+1}]. *)
+    state [R_S^{i+1}].
+
+    A visible register file matches without an entry scan when its
+    reference value is physically the image the register was last
+    filled from and no write has touched the register since
+    ({!Machine.State.holds_image}) — e.g. a DLX data memory before its
+    first store, against {!Dlx.Seq_dlx.ref_trace}'s copy-on-write
+    snapshots.  The comparison still counts in [edge_checks]; any
+    other case compares entries.  Sound under the read-only
+    conventions of {!Machine.State}. *)
 
 type violation = {
   at_cycle : int;
@@ -211,7 +220,10 @@ val check_lanes :
     [references], one SoA sequential reference is run for the pack
     ([max_instructions] each, default 200, like {!check_batched}).
     With [references] (per-lane scalar traces, e.g. a sweep's), lane
-    [l] runs [references.(l).instructions] instructions.  [faulty]
+    [l] runs [references.(l).instructions] instructions, and a file
+    lane still holding the very array its reference value is
+    ([State.lane_cell.lc_srcs]) matches without a scan, as in the
+    scalar checker.  [faulty]
     relaxes the lane loop's retire-tag asserts and makes the fallback
     replay pass {!Pipeline.Pipesem.no_injection}, matching how fault
     campaigns drive structural mutants.  [lv_stats]/[lv_outcome] are

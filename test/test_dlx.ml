@@ -46,7 +46,106 @@ let test_seqsem_matches_refmodel () =
             | None -> ())
           seq.Machine.Seqsem.spec_before.(i)
       done)
-    Progs.all_kernels
+    (Progs.all_kernels
+    @ List.map
+        (fun seed ->
+          Workload.Gen.generate ~seed ~length:40 Workload.Gen.memory_heavy)
+        [ 3; 5; 11 ])
+
+(* ---------------- copy-on-write reference trace ---------------- *)
+
+let qcheck_seed =
+  match Option.bind (Sys.getenv_opt "QCHECK_SEED") int_of_string_opt with
+  | Some n -> n
+  | None -> 421_337
+
+(* The oracle: a deep copy of the golden model's visible state, built
+   afresh at every step and sharing nothing. *)
+let deep_snapshot variant (s : Dlx.Refmodel.state) =
+  let bv32 v = Hw.Bitvec.make ~width:32 v in
+  let scalar v = Machine.Value.scalar (bv32 v) in
+  let file a = Machine.Value.File (Array.map bv32 a) in
+  let value = function
+    | "DPC" -> scalar s.Dlx.Refmodel.dpc
+    | "PC" -> scalar s.Dlx.Refmodel.pc
+    | "GPR" -> file s.Dlx.Refmodel.gpr
+    | "MEM" -> file s.Dlx.Refmodel.mem
+    | "EPC" -> scalar s.Dlx.Refmodel.epc
+    | "EDPC" -> scalar s.Dlx.Refmodel.edpc
+    | "ECA" -> scalar s.Dlx.Refmodel.eca
+    | "SR" -> Machine.Value.scalar (Hw.Bitvec.make ~width:1 s.Dlx.Refmodel.sr)
+    | n -> Alcotest.failf "unexpected visible register %s" n
+  in
+  List.map (fun n -> (n, value n)) (SD.visible_names variant)
+
+type cow_case = { cseed : int; kind : int; length : int }
+
+let cow_program { cseed; kind; length } =
+  let gen profile = Workload.Gen.generate ~seed:cseed ~length profile in
+  match kind with
+  | 0 -> (SD.Base, gen Workload.Gen.memory_heavy)
+  | 1 -> (SD.Base, gen Workload.Gen.typical)
+  | _ ->
+    ( SD.With_interrupts { sisr = 8 },
+      Workload.Gen.generate_with_interrupts ~seed:cseed ~length ~sisr:8
+        Workload.Gen.memory_heavy )
+
+let prop_cow_trace =
+  QCheck.Test.make ~count:40
+    ~name:"ref_trace = deep-copy oracle, MEM shared until a store"
+    (QCheck.make
+       ~print:(fun { cseed; kind; length } ->
+         Printf.sprintf "QCHECK_SEED=%d seed=%d kind=%d length=%d" qcheck_seed
+           cseed kind length)
+       QCheck.Gen.(
+         let* cseed = int_bound 100_000 in
+         let* kind = int_bound 2 in
+         let+ length = int_range 5 60 in
+         { cseed; kind; length }))
+    (fun case ->
+      let variant, p = cow_program case in
+      let program = Progs.program p and data = p.Progs.data in
+      let n = p.Progs.dyn_instructions in
+      let trace = SD.ref_trace ~data variant ~program ~instructions:n in
+      let snaps = trace.Machine.Seqsem.spec_before in
+      let config =
+        match variant with
+        | SD.With_interrupts { sisr } ->
+          { Dlx.Refmodel.with_interrupts = true; sisr }
+        | SD.Base | SD.Branch_predict -> Dlx.Refmodel.default_config
+      in
+      let s = Dlx.Refmodel.create ~data ~program () in
+      let mem i = List.assoc "MEM" snaps.(i) in
+      (* Step 0 starts from the image the pipelined machine is reset
+         from, physically. *)
+      if mem 0 != List.assoc "MEM" (SD.image ~data ~program ()) then
+        QCheck.Test.fail_report "MEM at step 0 is not the image";
+      for i = 0 to n do
+        let expected = deep_snapshot variant s in
+        if List.map fst snaps.(i) <> List.map fst expected then
+          QCheck.Test.fail_reportf "step %d: register names differ" i;
+        List.iter2
+          (fun (name, v) (_, v') ->
+            if not (Machine.Value.equal v v') then
+              QCheck.Test.fail_reportf "step %d: %s differs from the oracle" i
+                name)
+          snaps.(i) expected;
+        if i < n then begin
+          let word =
+            s.Dlx.Refmodel.imem.(Dlx.Refmodel.word_index s.Dlx.Refmodel.dpc)
+          in
+          let stores =
+            match Dlx.Isa.decode word with
+            | Some (Dlx.Isa.Sw _) -> true
+            | Some _ | None -> false
+          in
+          Dlx.Refmodel.step ~config s;
+          if (not stores) && mem i != mem (i + 1) then
+            QCheck.Test.fail_reportf
+              "step %d stored nothing but MEM was copied" i
+        end
+      done;
+      true)
 
 (* ---------------- pipelined consistency ---------------- *)
 
@@ -343,6 +442,9 @@ let () =
         [
           Alcotest.test_case "seqsem = refmodel on kernels" `Slow
             test_seqsem_matches_refmodel;
+          QCheck_alcotest.to_alcotest
+            ~rand:(Random.State.make [| qcheck_seed |])
+            prop_cow_trace;
         ] );
       ( "pipelined consistency",
         [

@@ -382,6 +382,57 @@ let test_dlx_speculating_sweep_lanes () =
   Alcotest.(check bool) "dependency rows lanes = scalar" true (lanes = scalar);
   Alcotest.check work "dependency WORK lanes = scalar" w_scalar w_lanes
 
+(* The lane twin of the scalar checker's store-against-image test
+   (test_proof): [store] differs from the ALU-only [alu] only by one
+   store, so MEM is the only register that diverges.  Against [alu]'s
+   reference trace every lane starts from the same shared zero image;
+   the lane whose row a store has touched must stop counting as
+   holding it. *)
+let test_store_against_image_lanes () =
+  let body mid =
+    Dlx.Asm.
+      [
+        Insn (Dlx.Isa.Addi (1, 0, 5));
+        Insn (Dlx.Isa.Addi (2, 0, 7));
+        Insn mid;
+        Insn (Dlx.Isa.Add (3, 1, 2));
+        Insn (Dlx.Isa.Add (4, 3, 1));
+      ]
+  in
+  let alu = Dlx.Progs.make "alu" (body (Dlx.Isa.Add (0, 1, 2))) in
+  let store = Dlx.Progs.make "store" (body (Dlx.Isa.Sw (0, 1, 16))) in
+  let n = alu.Dlx.Progs.dyn_instructions in
+  let trace (p : Dlx.Progs.t) =
+    Dlx.Seq_dlx.ref_trace Dlx.Seq_dlx.Base ~program:(Dlx.Progs.program p)
+      ~instructions:n
+  in
+  let image (p : Dlx.Progs.t) =
+    Dlx.Seq_dlx.image ~program:(Dlx.Progs.program p) ()
+  in
+  let shape =
+    C.shape
+      (Dlx.Seq_dlx.transform Dlx.Seq_dlx.Base
+         ~program:(Dlx.Progs.program alu))
+  in
+  let references = [| trace alu; trace alu; trace store |] in
+  let inits = [| image alu; image store; image store |] in
+  let expected = [ true; false; true ] in
+  Alcotest.(check (list bool)) "scalar verdicts" expected
+    (List.init 3 (fun l ->
+         C.ok
+           (C.check_batched ~max_instructions:n ~reference:references.(l)
+              ~init:inits.(l) shape)));
+  Obs.Span.set_enabled true;
+  let verdicts = C.check_lanes ~references ~inits shape in
+  let spans = List.map (fun r -> r.Obs.Span.span_name) (Obs.Span.records ()) in
+  Obs.Span.set_enabled false;
+  Alcotest.(check bool) "lane engine ran" true
+    (List.mem "pipesem.run_lanes" spans);
+  Alcotest.(check bool) "no scalar fallback" false
+    (List.mem "pipesem.run" spans);
+  Alcotest.(check (list bool)) "lane verdicts" expected
+    (Array.to_list (Array.map (fun v -> v.C.lv_ok) verdicts))
+
 let () =
   Alcotest.run "lanes"
     [
@@ -398,6 +449,8 @@ let () =
           Alcotest.test_case "dlx bmc row" `Quick test_dlx_bmc_lanes;
           Alcotest.test_case "dlx speculating sweeps" `Quick
             test_dlx_speculating_sweep_lanes;
+          Alcotest.test_case "store against an untouched image" `Quick
+            test_store_against_image_lanes;
         ] );
       ("properties", List.map to_alcotest [ prop_lanes_equal_scalar ]);
     ]

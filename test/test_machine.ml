@@ -56,6 +56,55 @@ let test_snapshot_diff () =
   Alcotest.(check (list string)) "diff" [ "REG" ] (Machine.State.diff a b);
   Alcotest.(check bool) "equal_on" false (Machine.State.equal_on a b)
 
+(* File provenance: a register counts as holding an image only while
+   it is untouched since the reset that filled it from that very
+   array.  Every write path must clear it — a stale claim would let
+   the consistency checkers accept a file without comparing it. *)
+let test_holds_image () =
+  let module S = Machine.State in
+  let img =
+    Machine.Value.File (Array.init 16 (fun i -> bv ~width:16 (3 * i)))
+  in
+  let st = S.create toy in
+  let holds what expected =
+    Alcotest.(check bool) what expected (S.holds_image st "REG" img)
+  in
+  let reset () = S.reset ~init:[ ("REG", img) ] toy st in
+  let spec_image = List.assoc "REG" toy.Spec.init in
+  Alcotest.(check bool) "create: the spec's image" true
+    (S.holds_image st "REG" spec_image);
+  holds "create: not another image" false;
+  reset ();
+  holds "after reset" true;
+  Alcotest.(check bool) "an equal copy never counts" false
+    (S.holds_image st "REG" (Machine.Value.copy img));
+  Alcotest.(check bool) "scalar register" false (S.holds_image st "PC" img);
+  Alcotest.(check bool) "unknown register" false (S.holds_image st "NOPE" img);
+  (* write_file, also when it stores the value already there *)
+  let a = bv ~width:4 5 in
+  S.write_file st "REG" ~addr:a ~data:(S.read_file st "REG" a);
+  holds "after an equal write_file" false;
+  reset ();
+  S.write_file st "REG" ~addr:a ~data:(bv ~width:16 1);
+  holds "after write_file" false;
+  reset ();
+  holds "reset again" true;
+  S.set st "REG" (Machine.Value.copy img);
+  holds "after set" false;
+  reset ();
+  S.set_scalar st "REG" (bv ~width:16 0);
+  holds "after set_scalar" false;
+  reset ();
+  let snap = S.snapshot st in
+  S.restore st snap;
+  holds "after restore" false;
+  (* a reset without an image forgets the old one *)
+  reset ();
+  S.reset toy st;
+  holds "reset to the spec's image" false;
+  Alcotest.(check bool) "which it holds" true
+    (S.holds_image st "REG" spec_image)
+
 (* ---------------- Spec lookups ---------------- *)
 
 let test_spec_lookup () =
@@ -242,6 +291,7 @@ let () =
           Alcotest.test_case "file of list" `Quick test_value_of_list;
           Alcotest.test_case "state" `Quick test_state;
           Alcotest.test_case "snapshots" `Quick test_snapshot_diff;
+          Alcotest.test_case "image provenance" `Quick test_holds_image;
         ] );
       ( "spec",
         [

@@ -233,6 +233,58 @@ let test_detects_broken_interlock () =
   Alcotest.(check bool) "violations found" true
     (List.length report.C.violations > 0)
 
+(* Two programs that differ only in data memory: [alu] is ALU-only,
+   and [store] replaces its one instruction without effect (a write to
+   r0) by a store of a nonzero register.  GPR, PC and DPC agree at
+   every step; MEM differs from the store on.  Checking [store]'s run
+   against [alu]'s reference trace must report MEM: both start from
+   the same shared zero image, so a checker that trusted a stale
+   "still the image" claim after the store would miss it. *)
+let alu_vs_store () =
+  let body mid =
+    Dlx.Asm.
+      [
+        Insn (Dlx.Isa.Addi (1, 0, 5));
+        Insn (Dlx.Isa.Addi (2, 0, 7));
+        Insn mid;
+        Insn (Dlx.Isa.Add (3, 1, 2));
+        Insn (Dlx.Isa.Add (4, 3, 1));
+      ]
+  in
+  ( Dlx.Progs.make "alu" (body (Dlx.Isa.Add (0, 1, 2))),
+    Dlx.Progs.make "store" (body (Dlx.Isa.Sw (0, 1, 16))) )
+
+let registers (r : C.report) =
+  List.sort_uniq String.compare
+    (List.map (fun (v : C.violation) -> v.C.register) r.C.violations)
+
+let test_detects_store_against_image () =
+  let alu, store = alu_vs_store () in
+  let n = alu.Dlx.Progs.dyn_instructions in
+  Alcotest.(check int) "same length" n store.Dlx.Progs.dyn_instructions;
+  let trace (p : Dlx.Progs.t) =
+    Dlx.Seq_dlx.ref_trace Dlx.Seq_dlx.Base ~program:(Dlx.Progs.program p)
+      ~instructions:n
+  in
+  let image (p : Dlx.Progs.t) =
+    Dlx.Seq_dlx.image ~program:(Dlx.Progs.program p) ()
+  in
+  let shape = C.shape (dlx_tr alu) in
+  let batched p ~reference =
+    C.check_batched ~max_instructions:n ~reference ~init:(image p) shape
+  in
+  Alcotest.(check bool) "alu against its own trace" true
+    (C.ok (batched alu ~reference:(trace alu)));
+  Alcotest.(check bool) "store against its own trace" true
+    (C.ok (batched store ~reference:(trace store)));
+  let r = batched store ~reference:(trace alu) in
+  Alcotest.(check (list string)) "batched: MEM diverges" [ "MEM" ]
+    (registers r);
+  (* the one-shot path, whose state starts from the spec's image *)
+  let r = C.check ~max_instructions:n ~reference:(trace alu) (dlx_tr store) in
+  Alcotest.(check (list string)) "one-shot: MEM diverges" [ "MEM" ]
+    (registers r)
+
 let test_liveness_negative () =
   let ext ~stage ~cycle:_ = stage = 2 in
   let live = Proof_engine.Liveness.check ~ext ~stop_after:6 (toy_tr ()) in
@@ -355,6 +407,8 @@ let () =
         [
           Alcotest.test_case "broken forwarding caught" `Quick
             test_detects_broken_forwarding;
+          Alcotest.test_case "store against an untouched image" `Quick
+            test_detects_store_against_image;
           Alcotest.test_case "broken interlock caught" `Quick
             test_detects_broken_interlock;
           Alcotest.test_case "liveness violation caught" `Quick
