@@ -16,19 +16,20 @@ let verify ?ext ?max_instructions ?reference ?compiled ?pool ?inject ?cancel
   let compiled =
     match compiled with Some c -> c | None -> Pipeline.Pipesem.compile tr
   in
-  (* The obligation suite runs the data-consistency co-simulation and
-     the liveness run once each; its reports are the verdict's.  A run
-     that raised re-raises its own exception with its own backtrace, so
-     [verify_result] classifies it exactly as if it had been run here. *)
+  (* The obligation suite runs the data-consistency co-simulation once,
+     and reads the liveness report off the same run; its reports are the
+     verdict's.  A run that raised re-raises its own exception with its
+     own backtrace, so [verify_result] classifies it exactly as if it had
+     been run here. *)
   let d =
     Proof_engine.Obligation.discharge ?ext ?max_instructions ?reference
       ~compiled ?pool ?inject ?cancel ?disasm tr
   in
   match d.Proof_engine.Obligation.runs with
-  | Ok (consistency, liveness) ->
+  | Ok consistency ->
     {
       consistency;
-      liveness;
+      liveness = consistency.Proof_engine.Consistency.liveness;
       obligations = Lazy.force d.Proof_engine.Obligation.obligations;
     }
   | Error (e, backtrace) -> Printexc.raise_with_backtrace e backtrace
@@ -45,7 +46,7 @@ let verify_result ?ext ?max_instructions ?reference ?compiled ?pool ?inject
   | exception Exec.Cancel.Cancelled -> raise Exec.Cancel.Cancelled
   | exception e ->
     (* A mutant that breaks plan evaluation surfaces here as the
-       exception its co-simulation or liveness run raised. *)
+       exception its co-simulation raised. *)
     let phase, message =
       match e with
       | Hw.Plan.Compile_error m -> ("plan compilation", m)

@@ -45,11 +45,12 @@ val verify :
   verification
 (** Generate and discharge the proof obligations
     ({!Proof_engine.Obligation.discharge}).  The suite runs one
-    data-consistency co-simulation and one liveness run; their reports
-    are the [consistency] and [liveness] fields, so nothing is
-    simulated twice.  A run that raises re-raises its own exception
-    here, with the backtrace of where it was raised; serially, a
-    raising co-simulation skips the structural proofs.
+    data-consistency co-simulation and reads liveness off the same run;
+    its reports are the [consistency] and [liveness] fields (the
+    latter is [consistency.liveness]), so nothing is simulated twice.
+    A run that raises re-raises its own exception here, with the
+    backtrace of where it was raised; serially, a raising
+    co-simulation skips the structural proofs.
 
     With [pool], the obligation checkers fan out over the pool (see
     {!Proof_engine.Obligation.discharge_all}).  The result is identical

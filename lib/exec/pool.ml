@@ -34,11 +34,15 @@ let default_size () = Domain.recommended_domain_count ()
 
 (* Run one task outside the lock, charging wall time to [slot].  The
    start timestamp is published under the mutex so the watchdog
-   ([wedged]) can spot a slot that has been inside one task too long. *)
+   ([wedged]) can spot a slot that has been inside one task too long.
+   The task is counted when it starts: it completes its batch itself,
+   so counting it afterwards would let [map] return, and [stats] read,
+   before the count. *)
 let run_task t slot task =
   let t0 = Unix.gettimeofday () in
   Mutex.lock t.mutex;
   t.w_started.(slot) <- t0;
+  t.w_tasks.(slot) <- t.w_tasks.(slot) + 1;
   Mutex.unlock t.mutex;
   task ();
   let dt = Unix.gettimeofday () -. t0 in
@@ -47,7 +51,6 @@ let run_task t slot task =
     (if slot = 0 then Obs.Counters.Pool_helped else Obs.Counters.Pool_stolen);
   Mutex.lock t.mutex;
   t.w_started.(slot) <- 0.0;
-  t.w_tasks.(slot) <- t.w_tasks.(slot) + 1;
   t.w_busy.(slot) <- t.w_busy.(slot) +. dt;
   Mutex.unlock t.mutex
 

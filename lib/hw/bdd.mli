@@ -10,7 +10,10 @@
     closer to the root).  All operations are memoized. *)
 
 type man
-(** A manager owns the unique and operation caches. *)
+(** A manager owns the unique table and the [ite] memo: open-addressing
+    tables over flat int arrays, so a lookup allocates nothing.  Both
+    are lossless, so node handles and {!node_count} depend only on the
+    sequence of operations performed. *)
 
 type t
 (** A node handle, canonical within its manager. *)
@@ -37,7 +40,8 @@ val is_tru : t -> bool
 val is_fls : t -> bool
 
 val node_count : man -> int
-(** Live unique-table size (diagnostics). *)
+(** Nodes allocated so far, terminals included (diagnostics; proofs
+    print it). *)
 
 val any_sat : man -> t -> (int * bool) list option
 (** A satisfying assignment (variables not mentioned are don't-care),

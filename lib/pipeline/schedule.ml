@@ -22,12 +22,16 @@ let has_rollback records =
 let check_lemma1 ~n_stages records =
   if has_rollback records then
     Error
-      [ "trace contains rollbacks; the scheduling-function lemmas apply to \
-         rollback-free execution (paper §6.1)" ]
+      {
+        Evidence.total = 1;
+        messages =
+          [ "trace contains rollbacks; the scheduling-function lemmas apply \
+             to rollback-free execution (paper §6.1)" ];
+      }
   else begin
     let table = of_trace ~n_stages records in
-    let errors = ref [] in
-    let fail fmt = Format.kasprintf (fun s -> errors := s :: !errors) fmt in
+    let errors = Evidence.sink () in
+    let fail fmt = Evidence.fail errors fmt in
     List.iteri
       (fun t (r : Pipesem.cycle_record) ->
         for k = 0 to n_stages - 1 do
@@ -65,5 +69,5 @@ let check_lemma1 ~n_stages records =
           | Some _ | None -> ()
         done)
       records;
-    match !errors with [] -> Ok () | es -> Error (List.rev es)
+    Evidence.result errors
   end

@@ -29,9 +29,11 @@ val of_trace : n_stages:int -> Pipesem.cycle_record list -> table
     are records. *)
 
 val check_lemma1 :
-  n_stages:int -> Pipesem.cycle_record list -> (unit, string list) result
+  n_stages:int -> Pipesem.cycle_record list -> (unit, Evidence.t) result
 (** Check all three Lemma 1 properties plus the tag cross-validation on
-    a rollback-free trace.  Traces containing rollbacks are rejected
-    with an explanatory message (the paper's proofs "omit rollback"). *)
+    a rollback-free trace.  Every cycle is checked and every violation
+    counted; the messages are capped as {!Evidence} describes.  Traces
+    containing rollbacks are rejected with one explanatory message (the
+    paper's proofs "omit rollback"). *)
 
 val has_rollback : Pipesem.cycle_record list -> bool

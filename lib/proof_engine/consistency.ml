@@ -13,11 +13,10 @@ type violation = {
 type lemma1_status =
   | Lemma_ok
   | Lemma_skipped_rollback
-  | Lemma_failed of string list
+  | Lemma_failed of Pipeline.Evidence.t
 
 type report = {
   instructions : int;
-  retirements : int;
   edge_checks : int;
   violations : violation list;
   lemma1 : lemma1_status;
@@ -25,6 +24,7 @@ type report = {
   stats : Pipesem.stats;
   final_visible_match : bool option;
   trace : Pipesem.cycle_record list;
+  liveness : Liveness.report;
 }
 
 let ok r =
@@ -67,7 +67,7 @@ let check_core ~seq_trace ~run_pipe (t : Pipeline.Transform.t) =
      comparisons are cancelled when the squash happens. *)
   let violations = ref [] in
   let edge_checks = ref 0 in
-  let retirements = ref 0 in
+  let gaps = Liveness.gaps () in
   let records = ref [] in
   let compare_reg ~cycle ~stage ~tag snapshot (r : Spec.register) state =
     incr edge_checks;
@@ -101,7 +101,7 @@ let check_core ~seq_trace ~run_pipe (t : Pipeline.Transform.t) =
     done
   in
   let on_retire ~tag ~kind state =
-    incr retirements;
+    Liveness.on_retire gaps;
     match kind with
     | Pipesem.Normal -> ()
     | Pipesem.Via_rollback _ when tag + 1 <= instructions ->
@@ -115,6 +115,7 @@ let check_core ~seq_trace ~run_pipe (t : Pipeline.Transform.t) =
   in
   let on_cycle (r : Pipesem.cycle_record) =
     records := r :: !records;
+    Liveness.on_cycle gaps r;
     (* A rollback at stage k squashes the instructions in stages 0..k;
        cancel their buffered speculative-write comparisons.  The
        retiring instruction itself (if the speculation retires) is
@@ -172,7 +173,6 @@ let check_core ~seq_trace ~run_pipe (t : Pipeline.Transform.t) =
   in
   {
     instructions;
-    retirements = !retirements;
     edge_checks = !edge_checks;
     violations = List.rev !violations;
     lemma1;
@@ -180,6 +180,7 @@ let check_core ~seq_trace ~run_pipe (t : Pipeline.Transform.t) =
     stats = result.Pipesem.stats;
     final_visible_match;
     trace;
+    liveness = Liveness.of_run ~n_stages:n gaps result;
   }
 
 let check ?ext ?(max_instructions = 200) ?reference ?compiled ?optimize
@@ -313,12 +314,12 @@ let pp_report ppf r =
   Format.fprintf ppf
     "data consistency: %d instructions, %d retirements, %d register \
      comparisons, %d violations; lemma 1: %s; outcome: %s@."
-    r.instructions r.retirements r.edge_checks
+    r.instructions r.liveness.Liveness.checked r.edge_checks
     (List.length r.violations)
     (match r.lemma1 with
     | Lemma_ok -> "ok"
     | Lemma_skipped_rollback -> "skipped (rollbacks)"
-    | Lemma_failed es -> Printf.sprintf "%d violations" (List.length es))
+    | Lemma_failed e -> Printf.sprintf "%d violations" e.Pipeline.Evidence.total)
     (match r.outcome with
     | Pipesem.Completed -> "completed"
     | Pipesem.Deadlocked -> "DEADLOCK"

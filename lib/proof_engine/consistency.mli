@@ -37,11 +37,12 @@ type lemma1_status =
   | Lemma_skipped_rollback
       (** the trace contained rollbacks; the scheduling-function lemmas
           apply to rollback-free execution (paper §6.1) *)
-  | Lemma_failed of string list
+  | Lemma_failed of Pipeline.Evidence.t
+      (** every violation counted, the first
+          {!Pipeline.Evidence.shown} messages kept *)
 
 type report = {
   instructions : int;      (** instructions co-checked *)
-  retirements : int;
   edge_checks : int;       (** individual register comparisons made *)
   violations : violation list;
   lemma1 : lemma1_status;
@@ -55,6 +56,12 @@ type report = {
           comparison does not apply *)
   trace : Pipeline.Pipesem.cycle_record list;
       (** the recorded per-cycle signals, for further invariant checks *)
+  liveness : Liveness.report;
+      (** the liveness account of this same run (its retirements —
+          [liveness.checked] — and inter-retirement gaps,
+          {!Liveness.default_bound}): equal to a
+          standalone {!Liveness.check} of the same plan, [ext], [inject]
+          and [stop_after = instructions], without simulating again *)
 }
 
 val ok : report -> bool
@@ -180,6 +187,9 @@ val check_batched_result :
     task's run. *)
 
 val pp_report : Format.formatter -> report -> unit
+(** One summary line — lemma 1 as ["ok"], ["skipped (rollbacks)"] or
+    ["N violations"] with N the true total, however few messages were
+    kept — then the first ten violations. *)
 
 (** {1 Lane-parallel checking (up to 62 programs per co-simulation)}
 

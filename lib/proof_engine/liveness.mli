@@ -5,19 +5,54 @@
     (each [ext_k] episode lasts at most [e] cycles) and whose
     speculations cannot livelock, every instruction retires within a
     bound linear in [n], [e] and the number of in-flight rollbacks.
-    The checker runs the pipelined machine and measures the largest gap
-    between consecutive retirements (and from reset to the first
-    retirement), then compares it against the supplied bound. *)
+    The checker measures the largest gap between consecutive
+    retirements (and from reset to the first retirement) of a run of
+    the pipelined machine, and compares it against the bound.
+
+    The measurement is {!gaps}, fed from a run's [on_cycle] and
+    [on_retire] callbacks.  The data-consistency co-simulation feeds
+    one too ({!Consistency.report}[.liveness]), so verification reads
+    its liveness verdict off the run it already made; {!check} is the
+    standalone run, for callers without a co-simulation. *)
 
 type report = {
   checked : int;          (** retirements observed *)
   max_gap : int;          (** largest inter-retirement gap in cycles *)
   bound : int;
   outcome : Pipeline.Pipesem.outcome;
+  idle : int;
+      (** cycles the run simulated after its last retirement (after
+          reset if nothing retired): what stopped a run that did not
+          complete *)
 }
 
 val ok : report -> bool
 (** Completed within the bound. *)
+
+val default_bound : n_stages:int -> int
+(** [8 * n_stages + 64], comfortably above any legitimate stall run
+    for the machines in this repository; ext models that stall longer
+    need an explicit bound. *)
+
+(** {1 Gap accounting} *)
+
+type gaps
+(** The retirement count and inter-retirement gaps of one run so far. *)
+
+val gaps : unit -> gaps
+
+val on_cycle : gaps -> Pipeline.Pipesem.cycle_record -> unit
+(** Call from the run's [on_cycle] callback. *)
+
+val on_retire : gaps -> unit
+(** Call from the run's [on_retire] callback, once per retirement. *)
+
+val of_run :
+  ?bound:int -> n_stages:int -> gaps -> Pipeline.Pipesem.result -> report
+(** The report of the finished run the gaps were fed from; [bound]
+    defaults to {!default_bound}. *)
+
+(** {1 Standalone check} *)
 
 val check :
   ?ext:Pipeline.Pipesem.ext_model ->
@@ -28,10 +63,17 @@ val check :
   stop_after:int ->
   Pipeline.Transform.t ->
   report
-(** [bound] defaults to [8 * n_stages + 64], comfortably above any
-    legitimate stall run for the machines in this repository;
-    ext models that stall longer need an explicit bound.  [inject]
-    runs the checker against a faulted machine; [cancel] is polled
-    per cycle (see {!Pipeline.Pipesem.run_compiled}). *)
+(** Run the pipelined machine until [stop_after] instructions retire
+    and account its gaps.  [bound] defaults to {!default_bound}.
+    [inject] runs the checker against a faulted machine; [cancel] is
+    polled per cycle (see {!Pipeline.Pipesem.run_compiled}).  Given the
+    same plan, [ext], [inject] and [stop_after], the report equals the
+    [liveness] field of the co-simulation's {!Consistency.report}. *)
+
+val evidence : report -> string
+(** The liveness obligation's evidence: the largest gap against the
+    bound for a completed run; for a run that did not complete, its
+    outcome, the retirements seen and the cycles since the last
+    retirement. *)
 
 val pp_report : Format.formatter -> report -> unit

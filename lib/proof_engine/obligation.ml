@@ -175,10 +175,7 @@ let check_top_structural (t : Transform.t) (r : Transform.rule) =
 
 type discharge = {
   obligations : obligation list Lazy.t;
-  runs :
-    ( Consistency.report * Liveness.report,
-      exn * Printexc.raw_backtrace )
-    result;
+  runs : (Consistency.report, exn * Printexc.raw_backtrace) result;
 }
 
 (* A checker run that raised keeps its exception and where it was
@@ -203,9 +200,10 @@ let suite ?ext ?max_instructions ?reference ?compiled ?pool ?inject ?cancel
      and the per-rule structural proofs are mutually independent (the
      BDD checker builds a private manager per rule; the co-simulation
      instantiates the shared immutable plan privately).  Wave 2:
-     everything that consumes the recorded trace.  Results are
-     assembled in the fixed obligation order, so the statuses are
-     bit-identical to the serial discharge.
+     everything that consumes the recorded trace.  Liveness needs no
+     run of its own: the co-simulation accounts its retirements'
+     gaps.  Results are assembled in the fixed obligation order, so
+     the statuses are bit-identical to the serial discharge.
 
      Every task is hardened: a diverging or structurally broken
      machine (a campaign mutant) yields a [Failed] status on the
@@ -299,11 +297,6 @@ let suite ?ext ?max_instructions ?reference ?compiled ?pool ?inject ?cancel
         (fun () -> `Sym (symbolic_task report));
         (fun () ->
           `Ti (Trace_invariants.check ~n_stages:n report.Consistency.trace));
-        (fun () ->
-          `Live
-            (catching (fun () ->
-                 Liveness.check ?ext ?compiled ?inject ?cancel
-                   ~stop_after:report.Consistency.instructions t)));
       ]
   in
   let statuses =
@@ -320,20 +313,19 @@ let suite ?ext ?max_instructions ?reference ?compiled ?pool ?inject ?cancel
       in
       `All_cosim_failed (failed, raised)
     | Ok report ->
-      let wave2 = wave2 report in
-      let symbolic_evidence, ti, live =
-        match wave2 with
-        | [ `Sym s; `Ti ti; `Live l ] -> (s, ti, l)
+      let symbolic_evidence, ti =
+        match wave2 report with
+        | [ `Sym s; `Ti ti ] -> (s, ti)
         | _ -> assert false
       in
-      `Statuses (report, symbolic_evidence, ti, live)
+      `Statuses (report, symbolic_evidence, ti)
   in
   let lemma1_status, engine_status, consistency_status, cosim_global_status,
       lv_status, runs =
     match statuses with
     | `All_cosim_failed (failed, raised) ->
       (failed, failed, (fun _ -> failed), failed, failed, Error raised)
-    | `Statuses (report, symbolic_evidence, ti, live) ->
+    | `Statuses (report, symbolic_evidence, ti) ->
       let lemma1_status =
         match report.Consistency.lemma1 with
         | Consistency.Lemma_ok ->
@@ -342,7 +334,8 @@ let suite ?ext ?max_instructions ?reference ?compiled ?pool ?inject ?cancel
                (List.length report.Consistency.trace))
         | Consistency.Lemma_skipped_rollback ->
           Discharged "not applicable: the trace contains rollbacks (paper 6.1)"
-        | Consistency.Lemma_failed es -> Failed (String.concat "; " es)
+        | Consistency.Lemma_failed e ->
+          Failed (String.concat "; " e.Pipeline.Evidence.messages)
       in
       let engine_status =
         match ti with
@@ -350,7 +343,7 @@ let suite ?ext ?max_instructions ?reference ?compiled ?pool ?inject ?cancel
           Discharged
             (Printf.sprintf "re-derived on a %d-cycle trace"
                (List.length report.Consistency.trace))
-        | Error es -> Failed (String.concat "; " es)
+        | Error e -> Failed (String.concat "; " e.Pipeline.Evidence.messages)
       in
       let consistency_status register =
         let mine =
@@ -393,21 +386,12 @@ let suite ?ext ?max_instructions ?reference ?compiled ?pool ?inject ?cancel
           | [] -> Failed "data-consistency violations on the co-simulation"
       in
       let lv_status =
-        match live with
-        | Ok live ->
-          if Liveness.ok live then
-            Discharged
-              (Printf.sprintf "max inter-retirement gap %d <= bound %d"
-                 live.Liveness.max_gap live.Liveness.bound)
-          else
-            Failed
-              (Printf.sprintf "liveness bound exceeded: max gap %d > bound %d"
-                 live.Liveness.max_gap live.Liveness.bound)
-        | Error (e, _) ->
-          Failed ("liveness check aborted: " ^ Printexc.to_string e)
+        let live = report.Consistency.liveness in
+        if Liveness.ok live then Discharged (Liveness.evidence live)
+        else Failed (Liveness.evidence live)
       in
       (lemma1_status, engine_status, consistency_status, cosim_global_status,
-       lv_status, Result.map (fun live -> (report, live)) live)
+       lv_status, Ok report)
   in
   let assign () =
     List.iter

@@ -40,15 +40,11 @@ type discharge = {
       (** the statuses, as {!discharge_all} returns them.  Serially,
           when the co-simulation raised, the structural proofs run only
           once this is forced. *)
-  runs :
-    ( Consistency.report * Liveness.report,
-      exn * Printexc.raw_backtrace )
-    result;
-      (** the data-consistency and liveness reports the statuses were
-          derived from; [Error (e, bt)] when one of the two runs raised,
-          with its exception unchanged and the backtrace of where it was
-          raised (the co-simulation's when it raised, so no liveness run
-          happened) *)
+  runs : (Consistency.report, exn * Printexc.raw_backtrace) result;
+      (** the co-simulation report the statuses were derived from (its
+          [liveness] field is the liveness verdict); [Error (e, bt)]
+          when the run raised, with its exception unchanged and the
+          backtrace of where it was raised *)
 }
 
 val discharge :
@@ -62,11 +58,10 @@ val discharge :
   ?disasm:(int -> string option) ->
   Pipeline.Transform.t ->
   discharge
-(** {!discharge_all}, also returning the reports of its one
-    co-simulation and one liveness run, so a caller that needs the
-    verdicts themselves ([Core.verify]) does not run them again, and
-    one that gives up on a raising co-simulation does not pay for the
-    structural proofs. *)
+(** {!discharge_all}, also returning the report of its one
+    co-simulation, so a caller that needs the verdicts themselves
+    ([Core.verify]) does not run it again, and one that gives up on a
+    raising co-simulation does not pay for the structural proofs. *)
 
 val discharge_all :
   ?ext:Pipeline.Pipesem.ext_model ->
@@ -81,13 +76,16 @@ val discharge_all :
   obligation list
 (** Generate and check.  Structural obligations are checked on the
     netlist; behavioural ones by one co-simulation run with full trace
-    recording and one liveness run.  [compiled] reuses an existing
-    evaluation plan for the co-simulations.
+    recording, whose retirements also give the liveness verdict
+    ({!Consistency.report}[.liveness]; LV's evidence is
+    {!Liveness.evidence}).  Failing trace checks carry capped messages
+    ({!Pipeline.Evidence}).  [compiled] reuses an existing evaluation
+    plan for the co-simulation.
 
     With [pool], the independent checks fan out over the domain pool:
     first the co-simulation alongside every per-rule structural (BDD)
-    proof, then the trace-invariant re-derivation, the liveness run
-    and the symbolic strengthening concurrently.  Each task either
+    proof, then the trace-invariant re-derivation and the symbolic
+    strengthening concurrently.  Each task either
     builds private state (a BDD manager per rule) or instantiates the
     shared immutable plan privately, and the statuses are assembled in
     the fixed obligation order — the result is bit-identical to the

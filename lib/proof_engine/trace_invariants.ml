@@ -6,8 +6,8 @@ let rollback_up (r : Pipesem.cycle_record) k =
   go k
 
 let check ~n_stages records =
-  let errors = ref [] in
-  let fail fmt = Format.kasprintf (fun s -> errors := s :: !errors) fmt in
+  let errors = Pipeline.Evidence.sink () in
+  let fail fmt = Pipeline.Evidence.fail errors fmt in
   let arr = Array.of_list records in
   Array.iteri
     (fun t (r : Pipesem.cycle_record) ->
@@ -62,12 +62,12 @@ let check ~n_stages records =
         done
       end)
     arr;
-  match !errors with [] -> Ok () | es -> Error (List.rev es)
+  Pipeline.Evidence.result errors
 
 let check_exn ~n_stages records =
   match check ~n_stages records with
   | Ok () -> ()
-  | Error es ->
+  | Error e ->
     failwith
       (Printf.sprintf "stall-engine invariants violated:\n%s"
-         (String.concat "\n" es))
+         (String.concat "\n" e.Pipeline.Evidence.messages))

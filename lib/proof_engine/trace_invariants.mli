@@ -17,7 +17,9 @@
 val check :
   n_stages:int ->
   Pipeline.Pipesem.cycle_record list ->
-  (unit, string list) result
+  (unit, Pipeline.Evidence.t) result
+(** Every cycle is checked and every violation counted; the messages
+    are capped as {!Pipeline.Evidence} describes. *)
 
 val check_exn : n_stages:int -> Pipeline.Pipesem.cycle_record list -> unit
-(** @raise Failure with the violation list. *)
+(** @raise Failure with the (capped) violation messages. *)

@@ -263,6 +263,99 @@ let prop_bdd_canonical =
       in
       B.equal bf bg = same_semantics)
 
+(* ---------------- lossless tables ---------------- *)
+
+let qcheck_seed =
+  match Option.bind (Sys.getenv_opt "QCHECK_SEED") int_of_string_opt with
+  | Some n -> n
+  | None -> 421_337
+
+(* The unique table and the ite memo are open-addressing tables that
+   start at 1024 entries and double once three quarters full.  Canonicity survives
+   every growth: within one manager that grows several times, two
+   handles are equal exactly when their truth tables over 8 inputs are.
+   Each formula is built twice, the second time through a rewrite into
+   other connectives, so equal truth tables are common. *)
+let rec rewrite = function
+  | `Var v -> `Not (`Not (`Var v))
+  | `And (a, b) -> `Not (`Or (`Not (rewrite a), `Not (rewrite b)))
+  | `Or (a, b) -> `Not (`And (`Not (rewrite b), `Not (rewrite a)))
+  | `Xor (a, b) -> `Not (`Xor (`Not (rewrite a), rewrite b))
+  | `Not a -> `Not (rewrite a)
+  | `Ite (a, b, c) -> `Ite (`Not (rewrite a), rewrite c, rewrite b)
+
+let arb_formulas8 =
+  (* A direct sampler: composing [QCheck.Gen] combinators per depth
+     would build the whole generator tree for every sample. *)
+  let rec gen depth st =
+    let sub () = gen (depth - 1) st in
+    if depth = 0 then `Var (Random.State.int st 8)
+    else
+      match Random.State.int st 10 with
+      | 0 -> gen 0 st
+      | 1 | 2 -> let a = sub () in `And (a, sub ())
+      | 3 | 4 -> let a = sub () in `Or (a, sub ())
+      | 5 | 6 | 7 -> let a = sub () in `Xor (a, sub ())
+      | 8 -> `Not (sub ())
+      | _ ->
+        let a = sub () in
+        let b = sub () in
+        `Ite (a, b, sub ())
+  in
+  QCheck.make
+    ~print:(fun fs ->
+      Printf.sprintf "QCHECK_SEED=%d: %d formulas" qcheck_seed (List.length fs))
+    QCheck.Gen.(
+      list_size (int_range 150 200) (fun st -> gen (1 + Random.State.int st 6) st))
+
+let truth_table8 f =
+  String.init 256 (fun bits ->
+      if formula_eval (fun v -> (bits lsr v) land 1 = 1) f then '1' else '0')
+
+let prop_bdd_tables_lossless =
+  QCheck.Test.make
+    ~name:"equal handles iff equal truth tables across table growths"
+    ~count:12 arb_formulas8
+    (fun fs ->
+      let m = B.manager () in
+      let by_table = Hashtbl.create 512 and by_handle = Hashtbl.create 512 in
+      let agree f =
+        let h = formula_to_bdd m f and tt = truth_table8 f in
+        String.iteri
+          (fun bits c ->
+            if B.eval m h (fun v -> (bits lsr v) land 1 = 1) <> (c = '1') then
+              QCheck.Test.fail_reportf "BDD disagrees with its truth table")
+          tt;
+        (match Hashtbl.find_opt by_table tt with
+        | Some h' when not (B.equal h h') ->
+          QCheck.Test.fail_report "equal truth tables, different handles"
+        | Some _ | None -> Hashtbl.replace by_table tt h);
+        match Hashtbl.find_opt by_handle h with
+        | Some tt' when tt' <> tt ->
+          QCheck.Test.fail_report "equal handles, different truth tables"
+        | Some _ | None -> Hashtbl.replace by_handle h tt
+      in
+      List.iter (fun f -> agree f; agree (rewrite f)) fs;
+      (* Past 4096 nodes the unique table has doubled at least three
+         times, and the memo (which holds an entry per new node and
+         more) as often. *)
+      if B.node_count m <= 4096 then
+        QCheck.Test.fail_reportf "only %d nodes: too few to grow the tables"
+          (B.node_count m);
+      true)
+
+let test_symsim_toy_node_count () =
+  (* Node ids and counts are the same as with any other lossless table,
+     and proofs print them: [proof toy3] reports this figure. *)
+  let tr = Core.Toy.transform ~program:Core.Toy.default_program () in
+  match Proof_engine.Symsim.check ~instructions:6 tr with
+  | Proof_engine.Symsim.Proved { instructions; variables; bdd_nodes } ->
+    Alcotest.(check int) "instructions" 6 instructions;
+    Alcotest.(check int) "variables" 256 variables;
+    Alcotest.(check int) "BDD nodes" 37_032 bdd_nodes
+  | o ->
+    Alcotest.failf "not proved: %a" Proof_engine.Symsim.pp_outcome o
+
 let () =
   Alcotest.run "equiv"
     [
@@ -272,6 +365,11 @@ let () =
           Alcotest.test_case "sat" `Quick test_bdd_sat;
           QCheck_alcotest.to_alcotest prop_bdd_truth_table;
           QCheck_alcotest.to_alcotest prop_bdd_canonical;
+          QCheck_alcotest.to_alcotest
+            ~rand:(Random.State.make [| qcheck_seed |])
+            prop_bdd_tables_lossless;
+          Alcotest.test_case "toy3 symbolic node count" `Quick
+            test_symsim_toy_node_count;
         ] );
       ( "checker",
         [

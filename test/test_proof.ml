@@ -70,38 +70,152 @@ let sim_cycles f =
   let r = f () in
   (r, Obs.Counters.get Obs.Counters.Sim_cycles - before)
 
+let live_report =
+  let pp ppf (r : Proof_engine.Liveness.report) =
+    Format.fprintf ppf "{checked=%d; max_gap=%d; bound=%d; idle=%d; %s}"
+      r.Proof_engine.Liveness.checked r.Proof_engine.Liveness.max_gap
+      r.Proof_engine.Liveness.bound r.Proof_engine.Liveness.idle
+      (match r.Proof_engine.Liveness.outcome with
+      | Pipeline.Pipesem.Completed -> "completed"
+      | Pipeline.Pipesem.Deadlocked -> "deadlocked"
+      | Pipeline.Pipesem.Out_of_cycles -> "out of cycles")
+  in
+  Alcotest.testable pp ( = )
+
+(* One verify simulates exactly what one co-simulation does, and its
+   liveness report — read off that run — equals a standalone liveness
+   run of the same plan, field for field. *)
+let check_one_run ?reference ?max_instructions ?inject ~compiled name tr =
+  let inject () = Option.map (fun f -> f ()) inject in
+  match
+    sim_cycles (fun () ->
+        Core.verify_result ?reference ?max_instructions ?inject:(inject ())
+          ~compiled tr)
+  with
+  | Error _, _ -> None
+  | Ok v, verify_cycles ->
+    let (), cosim_cycles =
+      sim_cycles (fun () ->
+          ignore
+            (C.check ?reference ?max_instructions ?inject:(inject ()) ~compiled
+               tr))
+    in
+    Alcotest.(check int) (name ^ ": one co-simulation") cosim_cycles
+      verify_cycles;
+    Alcotest.check live_report
+      (name ^ ": liveness = a standalone liveness run")
+      (Proof_engine.Liveness.check ?inject:(inject ()) ~compiled
+         ~stop_after:v.Core.consistency.C.instructions tr)
+      v.Core.liveness;
+    Some v
+
 let test_verify_simulates_once () =
-  (* The verdict's consistency and liveness reports are the obligation
-     suite's own runs: one verify simulates exactly what one
-     co-simulation plus one liveness run do. *)
-  let p = Dlx.Progs.fib 8 in
-  let n = p.Dlx.Progs.dyn_instructions in
-  let reference =
-    Dlx.Seq_dlx.ref_trace ~data:p.Dlx.Progs.data Dlx.Seq_dlx.Base
-      ~program:(Dlx.Progs.program p) ~instructions:n
+  let dlx variant (p : Dlx.Progs.t) =
+    let program = Dlx.Progs.program p in
+    let n = p.Dlx.Progs.dyn_instructions in
+    ( Dlx.Seq_dlx.transform ~data:p.Dlx.Progs.data variant ~program,
+      Some
+        (Dlx.Seq_dlx.ref_trace ~data:p.Dlx.Progs.data variant ~program
+           ~instructions:n),
+      Some n )
+  in
+  let intr = Dlx.Seq_dlx.With_interrupts { sisr = 8 } in
+  List.iter
+    (fun (name, (tr, reference, max_instructions)) ->
+      let compiled = Pipeline.Pipesem.compile tr in
+      match check_one_run ?reference ?max_instructions ~compiled name tr with
+      | Some v -> Alcotest.(check bool) (name ^ " verified") true (Core.verified v)
+      | None -> Alcotest.failf "%s: verification aborted" name)
+    [
+      ("toy3", (toy_tr (), None, None));
+      ("dlx5", dlx Dlx.Seq_dlx.Base (Dlx.Progs.fib 8));
+      ("dlx5_bp", dlx Dlx.Seq_dlx.Branch_predict (Dlx.Progs.fib 8));
+      ("dlx5_intr", dlx intr (Dlx.Progs.fib 8));
+      ("dlx5_intr overflow", dlx intr Dlx.Progs.overflow_trap);
+    ]
+
+let toy_mutants () =
+  let tr = toy_tr () in
+  (tr, Fault.Mutate.enumerate ~transients:8 ~seed:1 ~hang:false tr)
+
+let test_mutants_simulate_once () =
+  (* Every seed-1 toy3 campaign mutant, verified the way the campaign
+     does it — including the ones whose run deadlocks or spins to the
+     cycle bound. *)
+  let tr, mutants = toy_mutants () in
+  let compiled = Pipeline.Pipesem.compile tr in
+  Alcotest.(check int) "33 mutants" 33 (List.length mutants);
+  let outcomes =
+    List.filter_map
+      (fun (m : Fault.Mutate.mutant) ->
+        let inject () =
+          match Fault.Inject.injection_of_mutant m with
+          | Some i -> i
+          | None -> Pipeline.Pipesem.no_injection
+        in
+        let compiled =
+          if m.Fault.Mutate.mut_tr == tr then compiled
+          else Pipeline.Pipesem.compile m.Fault.Mutate.mut_tr
+        in
+        Option.map
+          (fun v -> v.Core.liveness.Proof_engine.Liveness.outcome)
+          (check_one_run ~max_instructions:6 ~inject ~compiled
+             m.Fault.Mutate.mut_id m.Fault.Mutate.mut_tr))
+      mutants
+  in
+  let count o = List.length (List.filter (( = ) o) outcomes) in
+  Alcotest.(check int) "every mutant verified" 33 (List.length outcomes);
+  Alcotest.(check int) "deadlocked mutants" 5
+    (count Pipeline.Pipesem.Deadlocked);
+  Alcotest.(check int) "mutants out of cycles" 6
+    (count Pipeline.Pipesem.Out_of_cycles)
+
+let status_of obs id =
+  match List.find_opt (fun (o : O.obligation) -> o.O.ob_id = id) obs with
+  | Some o -> o.O.ob_status
+  | None -> Alcotest.failf "no obligation %s" id
+
+let test_liveness_evidence () =
+  (* A run that never completes names its outcome, the retirements seen
+     and the cycles since the last one — not a "max gap 0". *)
+  let tr, mutants = toy_mutants () in
+  let compiled = Pipeline.Pipesem.compile tr in
+  let verify id =
+    let m =
+      List.find (fun (m : Fault.Mutate.mutant) -> m.Fault.Mutate.mut_id = id)
+        mutants
+    in
+    Core.verify ~max_instructions:6 ~compiled
+      ?inject:(Fault.Inject.injection_of_mutant m)
+      tr
   in
   List.iter
-    (fun (name, tr, reference, max_instructions) ->
-      let compiled = Pipeline.Pipesem.compile tr in
-      let v, verify_cycles =
-        sim_cycles (fun () ->
-            Core.verify ?reference ?max_instructions ~compiled tr)
-      in
-      let (), checker_cycles =
-        sim_cycles (fun () ->
-            let r = C.check ?reference ?max_instructions ~compiled tr in
-            ignore
-              (Proof_engine.Liveness.check ~compiled
-                 ~stop_after:r.C.instructions tr))
-      in
-      Alcotest.(check bool) (name ^ " verified") true (Core.verified v);
-      Alcotest.(check int)
-        (name ^ ": one co-simulation and one liveness run")
-        checker_cycles verify_cycles)
+    (fun (id, lv) ->
+      let v = verify id in
+      Alcotest.(check bool) (id ^ " fails LV") true
+        (status_of v.Core.obligations "LV" = O.Failed lv);
+      Alcotest.(check string) (id ^ " report")
+        (Printf.sprintf "liveness: %s: VIOLATED\n" lv)
+        (Format.asprintf "%a" Proof_engine.Liveness.pp_report v.Core.liveness))
     [
-      ("toy3", toy_tr (), None, None);
-      ("dlx5", dlx_tr p, Some reference, Some n);
-    ]
+      ( "stall@1=1",
+        "run out of cycles after 0 retirements, none in the last 10072 cycles"
+      );
+      ("stall@0=1", "run deadlocked after 0 retirements, none in the last 77 cycles");
+    ];
+  (* Completed runs keep their text. *)
+  let v = Core.verify ~max_instructions:6 ~compiled tr in
+  Alcotest.(check bool) "completed LV" true
+    (status_of v.Core.obligations "LV"
+    = O.Discharged "max inter-retirement gap 3 <= bound 88");
+  Alcotest.(check string) "completed report"
+    "liveness: 6 retirements, max inter-retirement gap 3 cycles (bound 88): \
+     ok\n"
+    (Format.asprintf "%a" Proof_engine.Liveness.pp_report v.Core.liveness);
+  let tight = Proof_engine.Liveness.check ~bound:2 ~stop_after:6 tr in
+  Alcotest.(check string) "completed over the bound"
+    "liveness bound exceeded: max gap 3 > bound 2"
+    (Proof_engine.Liveness.evidence tight)
 
 (* An injection whose edge hook raises in cycle 3 of every run. *)
 let upset =
@@ -339,7 +453,8 @@ let test_trace_invariants_pass () =
   ignore (Pipeline.Pipesem.run ~callbacks ~stop_after:6 (toy_tr ()));
   match Proof_engine.Trace_invariants.check ~n_stages:3 (List.rev !records) with
   | Ok () -> ()
-  | Error es -> Alcotest.failf "%s" (String.concat "; " es)
+  | Error e ->
+    Alcotest.failf "%s" (String.concat "; " e.Pipeline.Evidence.messages)
 
 let test_trace_invariants_negative () =
   let records = ref [] in
@@ -364,6 +479,121 @@ let test_trace_invariants_negative () =
   match Proof_engine.Trace_invariants.check ~n_stages:3 damaged with
   | Error _ -> ()
   | Ok () -> Alcotest.fail "corruption not detected"
+
+(* A toy run whose fetch stage is held by an external stall for most of
+   its cycles.  Lowering full_0 in a cycle where stage 0 neither
+   updates nor rolls back breaks exactly one invariant ("full_0 is
+   low"): no other check reads full_0 there. *)
+let stalled_toy_trace () =
+  let ext ~stage ~cycle = stage = 0 && cycle >= 2 && cycle < 60 in
+  let records = ref [] in
+  let callbacks =
+    {
+      Pipeline.Pipesem.no_callbacks with
+      Pipeline.Pipesem.on_cycle = (fun r -> records := r :: !records);
+    }
+  in
+  ignore (Pipeline.Pipesem.run ~ext ~callbacks ~stop_after:6 (toy_tr ()));
+  List.rev !records
+
+let test_trace_invariants_cap () =
+  let trace = stalled_toy_trace () in
+  let check records =
+    Proof_engine.Trace_invariants.check ~n_stages:3 records
+  in
+  (match check trace with
+  | Ok () -> ()
+  | Error e ->
+    Alcotest.failf "undamaged trace: %s"
+      (String.concat "; " e.Pipeline.Evidence.messages));
+  let idle =
+    List.filter_map
+      (fun (r : Pipeline.Pipesem.cycle_record) ->
+        if r.Pipeline.Pipesem.ue.(0) || r.Pipeline.Pipesem.rollback.(0) then None
+        else Some r.Pipeline.Pipesem.cycle)
+      trace
+  in
+  Alcotest.(check bool) "40 idle fetch cycles" true (List.length idle >= 40);
+  let damage cycles =
+    List.mapi
+      (fun t (r : Pipeline.Pipesem.cycle_record) ->
+        if List.mem t cycles then begin
+          let full = Array.copy r.Pipeline.Pipesem.full in
+          full.(0) <- false;
+          { r with Pipeline.Pipesem.full }
+        end
+        else r)
+      trace
+  in
+  let message t = Printf.sprintf "cycle %d: full_0 is low" t in
+  let take n l = List.filteri (fun i _ -> i < n) l in
+  let few = [ List.nth idle 0; List.nth idle 7; List.nth idle 30 ] in
+  (match check (damage few) with
+  | Error { Pipeline.Evidence.total; messages } ->
+    Alcotest.(check int) "3 counted" 3 total;
+    Alcotest.(check (list string)) "3 messages" (List.map message few) messages
+  | Ok () -> Alcotest.fail "3 damaged cycles not detected");
+  let many = take 40 idle in
+  match check (damage many) with
+  | Error { Pipeline.Evidence.total; messages } ->
+    Alcotest.(check int) "40 counted" 40 total;
+    Alcotest.(check (list string))
+      "first 16, then the rest counted"
+      (List.map message (take 16 many) @ [ "… and 24 more" ])
+      messages
+  | Ok () -> Alcotest.fail "40 damaged cycles not detected"
+
+let test_lemma1_total_reported () =
+  (* The report prints every lemma-1 violation counted, not the number
+     of messages kept. *)
+  let trace = stalled_toy_trace () in
+  let damaged =
+    List.mapi
+      (fun t (r : Pipeline.Pipesem.cycle_record) ->
+        if t >= 1 && t <= 40 then begin
+          let tags = Array.copy r.Pipeline.Pipesem.tags in
+          tags.(0) <- Some (1000 + t);
+          { r with Pipeline.Pipesem.tags }
+        end
+        else r)
+      trace
+  in
+  let e =
+    match Pipeline.Schedule.check_lemma1 ~n_stages:3 damaged with
+    | Error e -> e
+    | Ok () -> Alcotest.fail "40 damaged cycles not detected"
+  in
+  Alcotest.(check int) "17 entries" 17
+    (List.length e.Pipeline.Evidence.messages);
+  let report = C.check ~max_instructions:6 (toy_tr ()) in
+  let text r = Format.asprintf "%a" C.pp_report r in
+  Alcotest.(check bool) "the run itself passes" true
+    (contains (text report) "lemma 1: ok;");
+  Alcotest.(check bool) "40 violations reported" true
+    (contains (text { report with C.lemma1 = C.Lemma_failed e })
+       "lemma 1: 40 violations;");
+  (* A stuck stall wire fails lemma 1 in nearly every one of its 10,072
+     cycles. *)
+  let tr, mutants = toy_mutants () in
+  let m =
+    List.find
+      (fun (m : Fault.Mutate.mutant) -> m.Fault.Mutate.mut_id = "stall@1=1")
+      mutants
+  in
+  let report =
+    C.check ~max_instructions:6 ?inject:(Fault.Inject.injection_of_mutant m) tr
+  in
+  match report.C.lemma1 with
+  | C.Lemma_failed e ->
+    Alcotest.(check bool) "far more than 16" true (e.Pipeline.Evidence.total > 1000);
+    Alcotest.(check int) "17 entries" 17 (List.length e.Pipeline.Evidence.messages);
+    Alcotest.(check string) "the tail counts the rest"
+      (Printf.sprintf "… and %d more" (e.Pipeline.Evidence.total - 16))
+      (List.nth e.Pipeline.Evidence.messages 16);
+    Alcotest.(check bool) "true total reported" true
+      (contains (text report)
+         (Printf.sprintf "lemma 1: %d violations;" e.Pipeline.Evidence.total))
+  | C.Lemma_ok | C.Lemma_skipped_rollback -> Alcotest.fail "lemma 1 held"
 
 (* ---------------- PVS emission ---------------- *)
 
@@ -396,6 +626,10 @@ let () =
         [
           Alcotest.test_case "one co-simulation per verify" `Quick
             test_verify_simulates_once;
+          Alcotest.test_case "one co-simulation per mutant verify" `Quick
+            test_mutants_simulate_once;
+          Alcotest.test_case "liveness evidence of incomplete runs" `Quick
+            test_liveness_evidence;
           Alcotest.test_case "raising run keeps its error" `Quick
             test_verify_error_unchanged;
           Alcotest.test_case "raising run keeps its backtrace" `Quick
@@ -424,6 +658,10 @@ let () =
         [
           Alcotest.test_case "pass" `Quick test_trace_invariants_pass;
           Alcotest.test_case "negative" `Quick test_trace_invariants_negative;
+          Alcotest.test_case "capped messages, every violation counted"
+            `Quick test_trace_invariants_cap;
+          Alcotest.test_case "lemma 1 total reported" `Quick
+            test_lemma1_total_reported;
         ] );
       ("pvs", [ Alcotest.test_case "theory" `Quick test_pvs_theory ]);
     ]
