@@ -5,10 +5,11 @@
    1. Basics — a small request batch goes through the serve loop, and
       the responses must (a) come back in input order, (b) match the
       direct CLI invocations byte for byte — text and exit code —
-      since both front ends share one handler, and (c) answer a
-      repeated request from the content-addressed verdict cache with a
-      bit-identical payload, observable in the exported serve
-      counters.
+      since both front ends share one handler, (c) answer a repeated
+      request, and a kernel-prefix alias of one, from the
+      content-addressed verdict cache with a bit-identical payload,
+      observable in the exported serve counters, and (d) answer a
+      rewritten assembly file anew, as the CLI does on the new file.
    2. Crash recovery — a journaled server is SIGKILLed mid-batch
       (injected delays hold the batch in flight); a restarted server
       must replay the journal and answer every admitted request
@@ -196,13 +197,57 @@ let basics_leg exe =
     die "repeated request was not served from the verdict cache";
   if payload_string rv <> payload_string rv2 then
     die "cached verdict differs from the cold evaluation";
+  (* The key digests the resolved program, not the request's wording:
+     a kernel prefix naming s1's default kernel (fib_10) is a hit. *)
+  send to_serve
+    {|{"pipegen":1,"id":"s2","kind":"stats","machine":"dlx5","kernel":"fib"}|};
+  let _, rs2 = recv from_serve in
+  if not rs2.Service.Response.cached then
+    die "kernel-prefix alias was not served from the verdict cache";
+  if payload_string rs <> payload_string rs2 then
+    die "kernel-prefix alias answered a different payload";
+  (* An assembly file is read anew per request: a repeat hits, a
+     rewritten file misses and answers the new program (one operand
+     changed: same length and dynamic count, no load-use stall). *)
+  let asm = Filename.temp_file "serve_smoke" ".s" in
+  let write_asm text =
+    let oc = open_out_bin asm in
+    output_string oc text;
+    close_out oc
+  in
+  let file_request id =
+    Service.Request.to_string
+      (Service.Request.make ~id
+         ~spec:
+           { Service.Request.default_spec with
+             Service.Request.program_file = Some asm }
+         Service.Request.Stats)
+  in
+  write_asm "  lw r1, 0(r0)\n  add r2, r1, r1\n  halt\n";
+  send to_serve (file_request "p1");
+  let _, rp1 = recv from_serve in
+  send to_serve (file_request "p2");
+  let _, rp2 = recv from_serve in
+  if rp1.Service.Response.cached || not rp2.Service.Response.cached then
+    die "assembly file: expected a cold answer, then a verdict-cache hit";
+  write_asm "  lw r1, 0(r0)\n  add r2, r3, r3\n  halt\n";
+  send to_serve (file_request "p3");
+  let _, rp3 = recv from_serve in
+  if rp3.Service.Response.cached then
+    die "rewritten assembly file was answered from the verdict cache";
   close_out to_serve;
   wait_exit_0 "basics" pid;
   close_in from_serve;
-  (* The cache hit must be visible in the exported serve counters. *)
+  let cli_file, code_file = run_cli exe [ "stats"; "-m"; "dlx5"; "-p"; asm ] in
+  Sys.remove asm;
+  if cli_file <> response_text rp3 || code_file <> 0 then
+    die "rewritten assembly file: serve differs from the CLI on the new file";
+  if response_text rp1 = response_text rp3 then
+    die "rewritten assembly file answered the old program";
+  (* The cache hits must be visible in the exported serve counters. *)
   let counter = counter_of_metrics "basics" metrics_file in
-  if counter "serve_cache_hits" < 1 then
-    die "serve_cache_hits = %d, expected >= 1" (counter "serve_cache_hits");
+  if counter "serve_cache_hits" < 3 then
+    die "serve_cache_hits = %d, expected >= 3" (counter "serve_cache_hits");
   if counter "serve_requests" < 3 then
     die "serve_requests = %d, expected >= 3" (counter "serve_requests");
   Sys.remove metrics_file;

@@ -25,88 +25,16 @@ let create ?(capacity = 256) ?metrics () =
     m_misses = m "misses";
   }
 
-(* ------------------------------------------------------------------ *)
-(* The content address.                                               *)
-(*                                                                    *)
-(* Everything that can influence a verdict is rendered into one       *)
-(* buffer and digested: the request kind and parameters, the          *)
-(* transform options, the machine structure (registers and their      *)
-(* shapes, every stage write's expressions, the synthesized signal    *)
-(* definitions in order) and the initial register contents — the      *)
-(* program image, since instruction and data memory are init values   *)
-(* of the pipelined machine.  The sequential reference trace needs no *)
-(* separate component: it is derived deterministically from the same  *)
-(* machine and image.                                                 *)
-(* ------------------------------------------------------------------ *)
-
-let add_expr buf e =
-  Buffer.add_string buf (Hw.Expr.to_string e);
-  Buffer.add_char buf '\n'
-
-let add_expr_opt buf = function
-  | None -> Buffer.add_string buf "-\n"
-  | Some e -> add_expr buf e
-
-let add_machine buf (m : Machine.Spec.t) =
-  Buffer.add_string buf m.Machine.Spec.machine_name;
-  Buffer.add_string buf (Printf.sprintf "/%d\n" m.Machine.Spec.n_stages);
-  List.iter
-    (fun (r : Machine.Spec.register) ->
-      Buffer.add_string buf
-        (Printf.sprintf "reg %s w%d s%d %s %b %s\n" r.Machine.Spec.reg_name
-           r.Machine.Spec.width r.Machine.Spec.stage
-           (match r.Machine.Spec.kind with
-           | Machine.Spec.Simple -> "simple"
-           | Machine.Spec.File { addr_bits } ->
-             Printf.sprintf "file:%d" addr_bits)
-           r.Machine.Spec.visible
-           (Option.value ~default:"-" r.Machine.Spec.prev_instance)))
-    m.Machine.Spec.registers;
-  List.iter
-    (fun (s : Machine.Spec.stage) ->
-      Buffer.add_string buf
-        (Printf.sprintf "stage %d %s\n" s.Machine.Spec.index
-           s.Machine.Spec.stage_name);
-      List.iter
-        (fun (w : Machine.Spec.write) ->
-          Buffer.add_string buf ("  -> " ^ w.Machine.Spec.dst ^ "\n");
-          add_expr buf w.Machine.Spec.value;
-          add_expr_opt buf w.Machine.Spec.guard;
-          add_expr_opt buf w.Machine.Spec.wr_addr)
-        s.Machine.Spec.writes)
-    m.Machine.Spec.stages
-
-let add_image buf (m : Machine.Spec.t) =
-  (* Every register's effective initial value, in declaration order:
-     the program image (IMEM/MEM contents) lives here. *)
-  List.iter
-    (fun (r : Machine.Spec.register) ->
-      Buffer.add_string buf (r.Machine.Spec.reg_name ^ "=");
-      Buffer.add_string buf
-        (Format.asprintf "%a" Machine.Value.pp (Machine.Spec.initial_value m r));
-      Buffer.add_char buf '\n')
-    m.Machine.Spec.registers
-
-let key ~kind ?(extra = []) (tr : Pipeline.Transform.t) =
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf ("kind " ^ kind ^ "\n");
-  List.iter (fun e -> Buffer.add_string buf ("param " ^ e ^ "\n")) extra;
-  Buffer.add_string buf
-    (Printf.sprintf "options %s %s\n"
-       (match tr.Pipeline.Transform.options.Pipeline.Fwd_spec.mode with
-       | Pipeline.Fwd_spec.Full -> "full"
-       | Pipeline.Fwd_spec.Interlock_only -> "interlock_only")
-       (match tr.Pipeline.Transform.options.Pipeline.Fwd_spec.impl with
-       | Hw.Circuits.Chain -> "chain"
-       | Hw.Circuits.Tree -> "tree"
-       | Hw.Circuits.Bus -> "bus"));
-  add_machine buf tr.Pipeline.Transform.machine;
-  List.iter
-    (fun (name, e) ->
-      Buffer.add_string buf ("sig " ^ name ^ " ");
-      add_expr buf e)
-    tr.Pipeline.Transform.signals;
-  add_image buf tr.Pipeline.Transform.machine;
+(* The content address: the request's inputs, one line each, digested
+   (cache.mli says why they are complete). *)
+let key ~kind ~params ~shape ~instructions ~program ~data =
+  let buf = Buffer.create 512 in
+  Printf.bprintf buf "kind %s\n" kind;
+  List.iter (Printf.bprintf buf "param %s\n") params;
+  Printf.bprintf buf "shape %s\ninstructions %d\nprogram" shape instructions;
+  List.iter (Printf.bprintf buf " %d") program;
+  Buffer.add_string buf "\ndata";
+  List.iter (fun (addr, v) -> Printf.bprintf buf " %d:%d" addr v) data;
   Digest.to_hex (Digest.string (Buffer.contents buf))
 
 let with_lock t f =

@@ -1,15 +1,22 @@
 (** Content-addressed verdict cache.
 
-    Verification is deterministic: the verdict for a machine is a pure
-    function of the machine {e shape} (stages, registers, data paths,
-    the synthesized control), the {e program image} (the initial
-    register contents, including instruction and data memory) and the
-    {e request kind} with its parameters.  The cache key is the MD5
-    digest of exactly those three components — not of the request's
-    surface syntax — so two requests that name the same work by
-    different routes (a kernel name vs. the assembly file it came
-    from) hit the same entry, while any change to the program bytes or
-    the generated hardware misses.
+    Verification is deterministic: within one build, a verdict is a
+    pure function of the request's inputs — the {e request kind} with
+    its parameters, the machine {e shape} (machine, forwarding mode,
+    network implementation) and the {e program} it resolves to (the
+    instruction words, the data image and the dynamic instruction
+    count).  The machine selection and every evaluator read nothing
+    else, and the transform, reference trace and plan are
+    deterministic functions of them.  So the key digests those inputs
+    (a few dozen ints), not the generated hardware: a hit builds
+    nothing.  Two routes to the same program share one entry ([fib]
+    and [fib_10], or one assembly body under two paths); any change to
+    the words, data, shape, kind or parameters misses.
+
+    Entries live in one process, so they always describe the running
+    build.  A journal warm-start ([Handler.warm]) re-keys journaled
+    payloads under the running build, as replay re-emits completed
+    entries verbatim.
 
     A hit returns the stored {!Response.payload} unchanged: replayed
     verdicts are bit-identical to the cold evaluation (the test suite
@@ -28,11 +35,17 @@ val create : ?capacity:int -> ?metrics:Obs.Metrics.registry -> unit -> t
 (** [capacity] defaults to 256 entries. *)
 
 val key :
-  kind:string -> ?extra:string list -> Pipeline.Transform.t -> string
-(** The content address: a digest over [kind], the extra request
-    parameters, the transform's structural shape (registers, stage
-    writes, synthesized signals, options) and the program image (every
-    initial register value of the pipelined machine). *)
+  kind:string ->
+  params:string list ->
+  shape:string ->
+  instructions:int ->
+  program:int list ->
+  data:(int * int) list ->
+  string
+(** The content address: the MD5 digest of the request kind, its
+    parameters, the machine shape and the resolved program's dynamic
+    instruction count, instruction words and (address, value) data
+    image. *)
 
 val find : t -> string -> Response.payload option
 (** Counter-bumping lookup. *)

@@ -91,91 +91,105 @@ let shared_compiled env spec tr =
         Hashtbl.replace env.shapes k c;
         c)
 
-let select ?env (spec : Request.spec) =
+(* The program a request names — the one reading of its kernel, its
+   assembly file or toy3's fixed program.  toy3 ignores [kernel] and
+   [program_file], dlx6 ignores [program_file], and no kernel means
+   fib_10. *)
+type program = {
+  words : int list;
+  data : (int * int) list;
+  instructions : int;  (* dynamic count: the runs' stop_after *)
+}
+
+let of_progs (p : Dlx.Progs.t) =
+  {
+    words = Dlx.Progs.program p;
+    data = p.Dlx.Progs.data;
+    instructions = p.Dlx.Progs.dyn_instructions;
+  }
+
+let load_file variant path =
+  match Dlx.Asm_parser.parse_file path with
+  | items ->
+    (* The parser's "halt" already expanded to the idiom; strip it so
+       Progs.make (which appends its own) measures the dynamic count
+       correctly. *)
+    let rec drop_halt = function
+      | [] -> []
+      | Dlx.Asm.Label "$halt" :: _ -> []
+      | item :: rest -> item :: drop_halt rest
+    in
+    let config =
+      match variant with
+      | Dlx.Seq_dlx.With_interrupts { sisr } ->
+        { Dlx.Refmodel.with_interrupts = true; sisr }
+      | Dlx.Seq_dlx.Base | Dlx.Seq_dlx.Branch_predict ->
+        Dlx.Refmodel.default_config
+    in
+    Dlx.Progs.make ~config (Filename.basename path) (drop_halt items)
+  | exception Sys_error msg -> invalid "%s" msg
+  | exception Dlx.Asm_parser.Parse_error { line; message } ->
+    invalid "%s:%d: %s" path line message
+
+let resolve (spec : Request.spec) =
+  let kernel () =
+    find_kernel (Option.value spec.Request.kernel ~default:"fib_10")
+  in
+  match (spec.Request.machine, spec.Request.program_file) with
+  | Machine_spec.Toy3, _ ->
+    {
+      words = Core.Toy.default_program;
+      data = [];
+      instructions = List.length Core.Toy.default_program;
+    }
+  | Machine_spec.Dlx6, _ | _, None -> of_progs (kernel ())
+  | m, Some path ->
+    of_progs (load_file (Option.get (Machine_spec.variant m)) path)
+
+let selection ?env (spec : Request.spec) prog =
   let options = options_of_spec spec in
-  let selection ?reference ?disasm ~instructions tr =
+  let build ?reference ?disasm tr =
     let compiled = Option.map (fun e -> shared_compiled e spec tr) env in
     {
-      sim = Workload.Sim.make ?compiled ?reference ~instructions tr;
+      sim =
+        Workload.Sim.make ?compiled ?reference
+          ~instructions:prog.instructions tr;
       reference;
       disasm;
     }
   in
-  let dlx variant =
-    let p =
-      match (spec.Request.program_file, spec.Request.kernel) with
-      | Some path, _ -> (
-        match Dlx.Asm_parser.parse_file path with
-        | items ->
-          (* The parser's "halt" already expanded to the idiom; strip it
-             so Progs.make (which appends its own) measures the dynamic
-             count correctly. *)
-          let body =
-            let rec drop_halt = function
-              | [] -> []
-              | Dlx.Asm.Label "$halt" :: _ -> []
-              | item :: rest -> item :: drop_halt rest
-            in
-            drop_halt items
-          in
-          let config =
-            match variant with
-            | Dlx.Seq_dlx.With_interrupts { sisr } ->
-              { Dlx.Refmodel.with_interrupts = true; sisr }
-            | Dlx.Seq_dlx.Base | Dlx.Seq_dlx.Branch_predict ->
-              Dlx.Refmodel.default_config
-          in
-          Dlx.Progs.make ~config (Filename.basename path) body
-        | exception Dlx.Asm_parser.Parse_error { line; message } ->
-          invalid "%s:%d: %s" path line message)
-      | None, None -> Dlx.Progs.fib 10
-      | None, Some name -> find_kernel name
-    in
-    let program = Dlx.Progs.program p in
-    let n = p.Dlx.Progs.dyn_instructions in
+  let dlx variant tr =
     let reference =
-      Dlx.Seq_dlx.ref_trace ~data:p.Dlx.Progs.data variant ~program
-        ~instructions:n
+      Dlx.Seq_dlx.ref_trace ~data:prog.data variant ~program:prog.words
+        ~instructions:prog.instructions
     in
-    selection ~reference
-      ~disasm:(Dlx.Seq_dlx.disasm ~reference ~program)
-      ~instructions:n
-      (Dlx.Seq_dlx.transform ~options ~data:p.Dlx.Progs.data variant ~program)
+    build ~reference
+      ~disasm:(Dlx.Seq_dlx.disasm ~reference ~program:prog.words)
+      tr
   in
-  let dlx6 () =
+  match spec.Request.machine with
+  | Machine_spec.Toy3 ->
+    build (Core.Toy.transform ~options ~program:prog.words ())
+  | Machine_spec.Dlx6 ->
     (* The DLX with a two-stage memory, derived mechanically by
        splitting EX/MEM (Machine.Retime). *)
-    let p =
-      match spec.Request.kernel with
-      | None -> Dlx.Progs.fib 10
-      | Some name -> find_kernel name
-    in
     let m =
       Machine.Retime.insert_passthrough
-        (Dlx.Seq_dlx.machine ~data:p.Dlx.Progs.data Dlx.Seq_dlx.Base
-           ~program:(Dlx.Progs.program p))
+        (Dlx.Seq_dlx.machine ~data:prog.data Dlx.Seq_dlx.Base
+           ~program:prog.words)
         ~at:3
     in
-    let reference =
-      Dlx.Seq_dlx.ref_trace ~data:p.Dlx.Progs.data Dlx.Seq_dlx.Base
-        ~program:(Dlx.Progs.program p)
-        ~instructions:p.Dlx.Progs.dyn_instructions
-    in
-    selection ~reference
-      ~disasm:(Dlx.Seq_dlx.disasm ~reference ~program:(Dlx.Progs.program p))
-      ~instructions:p.Dlx.Progs.dyn_instructions
+    dlx Dlx.Seq_dlx.Base
       (Pipeline.Transform.run ~options
          ~hints:(Dlx.Seq_dlx.hints Dlx.Seq_dlx.Base)
          m)
-  in
-  match spec.Request.machine with
-  | Machine_spec.Dlx6 -> dlx6 ()
-  | Machine_spec.Toy3 ->
-    selection
-      ~instructions:(List.length Core.Toy.default_program)
-      (Core.Toy.transform ~options ~program:Core.Toy.default_program ())
   | (Machine_spec.Dlx5 | Machine_spec.Dlx5_intr | Machine_spec.Dlx5_bp) as m ->
-    dlx (Option.get (Machine_spec.variant m))
+    let variant = Option.get (Machine_spec.variant m) in
+    dlx variant
+      (Dlx.Seq_dlx.transform ~options ~data:prog.data variant
+         ~program:prog.words)
+
+let select ?env spec = selection ?env spec (resolve spec)
 
 (* ------------------------------------------------------------------ *)
 (* Evaluation                                                         *)
@@ -359,32 +373,35 @@ let eval_sweep ?pool ~(spec : Request.spec) ~axis ~points ~length ~seed
   in
   Response.Sweep_rows { rows; text }
 
-(* The verdict-cache key: machine shape + program image (both inside
-   the transform digest) + request kind and its parameters.  Campaigns
-   are not cached — their timed_out classification depends on
-   wall-clock budgets, so a replay is not guaranteed bit-identical. *)
-let cache_extra ~instructions (req : Request.t) =
-  let f x = Printf.sprintf "%h" x in
-  let common = [ Printf.sprintf "instructions=%d" instructions ] in
+(* The verdict-cache key: the request kind and its parameters, the
+   machine shape and the resolved program.  Campaigns are not cached —
+   their timed_out classification depends on wall-clock budgets, so a
+   replay is not guaranteed bit-identical. *)
+let cache_key (req : Request.t) prog =
+  let key params =
+    Some
+      (Cache.key ~kind:(Request.kind_name req) ~params
+         ~shape:(shape_key req.Request.spec) ~instructions:prog.instructions
+         ~program:prog.words ~data:prog.data)
+  in
   match req.Request.kind with
-  | Request.Transform { verilog } ->
-    Some (common @ [ Printf.sprintf "verilog=%b" verilog ])
-  | Request.Verify | Request.Proof | Request.Stats -> Some common
+  | Request.Transform { verilog } -> key [ Printf.sprintf "verilog=%b" verilog ]
+  | Request.Verify | Request.Proof | Request.Stats -> key []
   | Request.Campaign _ -> None
   | Request.Sweep { axis; points; length; seed; lanes = _ } ->
     (* [lanes] is an execution strategy, not a semantic parameter: the
        rows are bit-identical either way, so both modes share the
        cached verdict. *)
-    Some
-      (common
-      @ [
-          (match axis with
-          | Request.Dependency -> "axis=dependency"
-          | Request.Branch -> "axis=branch");
-          "points=" ^ String.concat "," (List.map f points);
-          Printf.sprintf "length=%d" length;
-          Printf.sprintf "seed=%d" seed;
-        ])
+    key
+      [
+        (match axis with
+        | Request.Dependency -> "axis=dependency"
+        | Request.Branch -> "axis=branch");
+        "points="
+        ^ String.concat "," (List.map (Printf.sprintf "%h") points);
+        Printf.sprintf "length=%d" length;
+        Printf.sprintf "seed=%d" seed;
+      ]
 
 let handle ?env ?pool ?cancel ?(cache_only = false) ?checkpoint ?resume
     (req : Request.t) =
@@ -392,19 +409,16 @@ let handle ?env ?pool ?cancel ?(cache_only = false) ?checkpoint ?resume
   let id = req.Request.id in
   let respond ?cached payload = Response.ok ?id ?cached payload in
   try
-    let s = select ?env req.Request.spec in
+    (* Resolve, look up, and build the machine only on a miss: a hit
+       costs the program lookup, one digest and one table probe. *)
+    let prog = resolve req.Request.spec in
     let cache_key =
-      match (env, cache_extra ~instructions:(sel_instructions s) req) with
-      | Some env, Some extra ->
-        Some
-          ( env.env_verdicts,
-            Cache.key ~kind:(Request.kind_name req) ~extra (sel_tr s) )
-      | _ -> None
+      match env with
+      | Some env ->
+        Option.map (fun k -> (env.env_verdicts, k)) (cache_key req prog)
+      | None -> None
     in
-    let cached_payload =
-      Option.bind cache_key (fun (cache, k) -> Cache.find cache k)
-    in
-    match cached_payload with
+    match Option.bind cache_key (fun (cache, k) -> Cache.find cache k) with
     | Some payload -> respond ~cached:true payload
     | None when cache_only ->
       (* Degraded mode: only cached answers are served; fresh
@@ -412,18 +426,21 @@ let handle ?env ?pool ?cancel ?(cache_only = false) ?checkpoint ?resume
       Response.fail ?id Response.Overloaded
         "server is in cache-only degraded mode and this verdict is not cached"
     | None ->
+      let select () = selection ?env req.Request.spec prog in
       let payload =
         match req.Request.kind with
-        | Request.Transform { verilog } -> eval_transform ~verilog s
-        | Request.Verify -> eval_verify ?pool ?cancel s
-        | Request.Proof -> eval_proof ?pool ?cancel s
-        | Request.Stats -> eval_stats s
+        | Request.Transform { verilog } -> eval_transform ~verilog (select ())
+        | Request.Verify -> eval_verify ?pool ?cancel (select ())
+        | Request.Proof -> eval_proof ?pool ?cancel (select ())
+        | Request.Stats -> eval_stats (select ())
         | Request.Campaign { seed; mutants; transients; hang; timeout_s; bmc }
           ->
           eval_campaign ?pool ?checkpoint ?resume
             ~machine:req.Request.spec.Request.machine ~seed ~mutants
-            ~transients ~hang ~timeout_s ~bmc s
+            ~transients ~hang ~timeout_s ~bmc (select ())
         | Request.Sweep { axis; points; length; seed; lanes } ->
+          (* A sweep generates its own programs: it reads the spec's
+             variant and options, never the selection. *)
           eval_sweep ?pool ~spec:req.Request.spec ~axis ~points ~length ~seed
             ~lanes ()
       in
@@ -454,21 +471,13 @@ let handle ?env ?pool ?cancel ?(cache_only = false) ?checkpoint ?resume
   | Sys_error msg | Failure msg -> Response.fail ?id Response.Internal msg
 
 (* Warm-start the verdict cache from a journaled (request, payload)
-   pair: recompute the content address the ordinary path would use and
-   install the payload under it.  Campaigns are never cached, and any
-   failure to rebuild the key (the kernel disappeared, the assembly
-   file moved) just skips the warm — replay correctness does not
-   depend on it, only cache hit rates do. *)
+   pair: install the payload under the key the ordinary path would
+   use.  Campaigns are never cached, and any failure to resolve the
+   program (the kernel disappeared, the assembly file moved) just
+   skips the warm — replay correctness does not depend on it, only
+   cache hit rates do. *)
 let warm ~env (req : Request.t) payload =
-  match req.Request.kind with
-  | Request.Campaign _ -> ()
-  | _ -> (
-    try
-      let s = select ~env req.Request.spec in
-      match cache_extra ~instructions:(sel_instructions s) req with
-      | Some extra ->
-        Cache.add env.env_verdicts
-          (Cache.key ~kind:(Request.kind_name req) ~extra (sel_tr s))
-          payload
-      | None -> ()
-    with _ -> ())
+  match cache_key req (resolve req.Request.spec) with
+  | Some k -> Cache.add env.env_verdicts k payload
+  | None -> ()
+  | exception _ -> ()

@@ -18,12 +18,26 @@
        different program reuse the plan through
        {!Pipeline.Pipesem.rebind};}
     {- the {e verdict cache} — a content-addressed {!Cache} of
-       finished payloads, keyed by machine shape + program image +
-       request kind, so a repeated question is answered without
-       evaluating anything.  Campaign requests are never cached: their
-       timed-out classification depends on wall-clock budgets.}}
+       finished payloads, keyed by request kind + machine shape + the
+       program the request resolves to, so a repeated question is
+       answered without evaluating anything.  Campaign requests are
+       never cached: their timed-out classification depends on
+       wall-clock budgets.}}
 
     Without an [env] (the one-shot CLI) both caches are skipped.
+
+    {2 Order of work}
+
+    [handle] first {e resolves} the request's program (kernel lookup
+    by exact name or unique prefix, assembly-file parse, or toy3's
+    fixed program — the only code that reads it), derives the cache
+    key from it, and looks the key up.  Only a miss builds the
+    machine: transform, reference trace, and compile or rebind.  A
+    hit therefore costs the program lookup, one digest over a few
+    dozen ints and one table probe (an assembly file is read and
+    parsed again, so a rewritten file misses); so do a cache-only
+    refusal and a journal warm-start.  Sweeps generate their own
+    programs and never build the selection.
 
     Thread safety: an {!env} may be shared by concurrent [handle]
     calls (both caches take internal locks); the serve loop calls
@@ -47,18 +61,18 @@ val verdicts : env -> Cache.t
 (** The environment's verdict cache (for observability and tests). *)
 
 exception Invalid_request of string
-(** A semantically invalid request — unknown kernel, unparsable
-    assembly file, a [bmc] campaign on a non-toy3 machine.  [handle]
-    maps it to a [Usage] error response; the CLI's legacy subcommands
-    map it to exit code 2. *)
+(** A semantically invalid request — unknown kernel, unreadable or
+    unparsable assembly file, a [bmc] campaign on a non-toy3 machine.
+    [handle] maps it to a [Usage] error response; the CLI's legacy
+    subcommands map it to exit code 2. *)
 
 val select : ?env:env -> Request.spec -> selection
-(** Resolve a request's machine selection: load the kernel or assembly
-    file, build the reference trace, transform, and compile (or rebind
-    a cached same-shape plan when [env] is given).
+(** Resolve the request's program, then build its machine selection:
+    reference trace, transform, and compile (or rebind a cached
+    same-shape plan when [env] is given).
 
-    @raise Invalid_request on unknown machines/kernels or parse
-    errors. *)
+    @raise Invalid_request on unknown kernels, unreadable or
+    unparsable assembly files. *)
 
 val handle :
   ?env:env ->
@@ -81,11 +95,12 @@ val handle :
     stay with the caller, not on the wire.
 
     With [cache_only] (the serve loop's degraded mode) a cache miss is
-    answered [Overloaded] instead of evaluated. *)
+    answered [Overloaded] instead of evaluated, before anything is
+    built. *)
 
 val warm : env:env -> Request.t -> Response.payload -> unit
 (** Install a journaled payload into the verdict cache under the key
-    the ordinary path would compute for this request.  Campaigns (not
-    cacheable) and requests whose selection no longer resolves are
-    skipped silently — warming is an optimization, never a correctness
-    dependency. *)
+    the ordinary path would compute for this request; nothing is
+    built.  Campaigns (not cacheable) and requests whose program no
+    longer resolves are skipped silently — warming is an optimization,
+    never a correctness dependency. *)

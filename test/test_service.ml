@@ -317,17 +317,26 @@ let test_handler_stats_matches_cli () =
     [ MS.Toy3; MS.Dlx5 ]
 
 let test_handler_usage_errors () =
-  let r =
-    H.handle
-      (Req.make ~spec:{ (spec MS.Dlx5) with Req.kernel = Some "nosuch" }
-         Req.Verify)
+  let missing =
+    Filename.concat (Filename.get_temp_dir_name ()) "no_such_dir/p.s"
   in
-  (match r.Resp.result with
-  | Error { Resp.code = Resp.Usage; message; _ } ->
-    Alcotest.(check bool) "names the kernel" true
-      (contains message "unknown kernel")
-  | _ -> Alcotest.fail "expected a usage error");
-  Alcotest.(check int) "exit 2" 2 (Resp.exit_code r)
+  List.iter
+    (fun (s, names) ->
+      List.iter
+        (fun env ->
+          let r = H.handle ?env (Req.make ~spec:s Req.Verify) in
+          (match r.Resp.result with
+          | Error { Resp.code = Resp.Usage; message; _ } ->
+            Alcotest.(check bool) ("names " ^ names) true
+              (contains message names)
+          | _ -> Alcotest.fail ("expected a usage error naming " ^ names));
+          Alcotest.(check int) "exit 2" 2 (Resp.exit_code r))
+        [ None; Some (H.create_env ()) ])
+    [
+      ({ (spec MS.Dlx5) with Req.kernel = Some "nosuch" }, "unknown kernel");
+      (* An unreadable program file, like an unparsable one. *)
+      ({ (spec MS.Dlx5) with Req.program_file = Some missing }, missing);
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Verdict cache and shape reuse                                      *)
@@ -403,6 +412,155 @@ let test_campaign_not_cached () =
   Alcotest.(check bool) "never cached" false (r1.Resp.cached || r2.Resp.cached);
   Alcotest.(check string) "still deterministic" (payload_bytes r1)
     (payload_bytes r2)
+
+(* The verdict-cache key digests the request's inputs — kind and
+   parameters, machine shape, resolved program — so every route to
+   the same inputs shares an entry and any change to them misses. *)
+
+let key_kinds =
+  [
+    Req.Verify;
+    Req.Stats;
+    Req.Proof;
+    Req.Transform { verilog = false };
+    Req.Transform { verilog = true };
+  ]
+
+let test_key_hits_bit_identical () =
+  let env = H.create_env () in
+  let specs =
+    { (spec MS.Dlx5) with Req.interlock_only = true }
+    :: List.concat_map
+         (fun m ->
+           List.map
+             (fun impl -> { (spec m) with Req.impl })
+             [ Hw.Circuits.Chain; Hw.Circuits.Tree ])
+         MS.all
+  in
+  List.iter
+    (fun s ->
+      List.iter
+        (fun kind ->
+          let req = Req.make ~spec:s kind in
+          let what = Req.to_string req in
+          let first = H.handle ~env req in
+          let again = H.handle ~env req in
+          Alcotest.(check bool) ("cold, " ^ what) false first.Resp.cached;
+          Alcotest.(check bool) ("hit, " ^ what) true again.Resp.cached;
+          Alcotest.(check string) ("hit = env-less answer, " ^ what)
+            (payload_bytes (H.handle req))
+            (payload_bytes again))
+        key_kinds)
+    specs
+
+let write_file path text =
+  let oc = open_out_bin path in
+  output_string oc text;
+  close_out oc
+
+(* Two programs of one length and dynamic count that differ in one
+   operand: only the words tell them apart, and B has no load-use
+   stall. *)
+let body_a = "  lw r1, 0(r0)\n  add r2, r1, r1\n  halt\n"
+let body_b = "  lw r1, 0(r0)\n  add r2, r3, r3\n  halt\n"
+
+let test_key_routes () =
+  let env = H.create_env () in
+  let cached req = (H.handle ~env req).Resp.cached in
+  let stats s = Req.make ~spec:s Req.Stats in
+  let kernel k = { (spec MS.Dlx5) with Req.kernel = Some k } in
+  Alcotest.(check bool) "fib_10 cold" false (cached (stats (kernel "fib_10")));
+  Alcotest.(check bool) "fib after fib_10 hits" true
+    (cached (stats (kernel "fib")));
+  let path = Filename.temp_file "key_route" ".s"
+  and other = Filename.temp_file "key_route_other" ".s" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path; Sys.remove other)
+    (fun () ->
+      let file p = stats { (spec MS.Dlx5) with Req.program_file = Some p } in
+      write_file path body_a;
+      let r_a = H.handle ~env (file path) in
+      Alcotest.(check bool) "file cold" false r_a.Resp.cached;
+      Alcotest.(check bool) "file again hits" true (cached (file path));
+      write_file other body_a;
+      Alcotest.(check bool) "same body, other path hits" true
+        (cached (file other));
+      write_file path body_b;
+      let r_b = H.handle ~env (file path) in
+      Alcotest.(check bool) "rewritten file misses" false r_b.Resp.cached;
+      Alcotest.(check string) "answers the new program"
+        (payload_bytes (H.handle (file path)))
+        (payload_bytes r_b);
+      Alcotest.(check bool) "new program, new answer" true
+        (payload_bytes r_a <> payload_bytes r_b))
+
+let test_key_misses () =
+  let env = H.create_env () in
+  let base = { (spec MS.Dlx5) with Req.kernel = Some "memcpy_8" } in
+  let sweep ?(axis = Req.Dependency) ?(points = [ 0.5 ]) ?(length = 8)
+      ?(seed = 1) ?(lanes = false) () =
+    Req.Sweep { axis; points; length; seed; lanes }
+  in
+  let cached s kind = (H.handle ~env (Req.make ~spec:s kind)).Resp.cached in
+  Alcotest.(check bool) "cold" false (cached base Req.Verify);
+  Alcotest.(check bool) "repeat hits" true (cached base Req.Verify);
+  List.iter
+    (fun (what, s, kind) ->
+      Alcotest.(check bool) (what ^ " misses") false (cached s kind))
+    [
+      ("impl", { base with Req.impl = Hw.Circuits.Tree }, Req.Verify);
+      ("interlock_only", { base with Req.interlock_only = true }, Req.Verify);
+      ("kind", base, Req.Stats);
+      ("kernel", { base with Req.kernel = Some "fib_10" }, Req.Verify);
+      ("machine", { base with Req.machine = MS.Dlx5_bp }, Req.Verify);
+    ];
+  Alcotest.(check bool) "sweep cold" false (cached base (sweep ()));
+  Alcotest.(check bool) "lanes alone hits" true
+    (cached base (sweep ~lanes:true ()));
+  List.iter
+    (fun (what, kind) ->
+      Alcotest.(check bool) ("sweep " ^ what ^ " misses") false
+        (cached base kind))
+    [
+      ("axis", sweep ~axis:Req.Branch ());
+      ("points", sweep ~points:[ 0.25 ] ());
+      ("length", sweep ~length:9 ());
+      ("seed", sweep ~seed:2 ());
+    ]
+
+(* A hit builds nothing: no transform, reference trace, rebind or
+   compile — only the program lookup, one digest and one table probe,
+   a few hundred minor words.  Selecting a machine on a warm shape
+   allocates 4,700 (toy3) to 38,000 (dlx5_intr), so the bound catches
+   a hit that builds one.  Minor words allocated in this domain are
+   deterministic: the bound is a count, not a timing.  A sweep on a
+   machine without one is refused before anything is built. *)
+let test_hit_builds_nothing () =
+  let env = H.create_env () in
+  let sweep =
+    Req.Sweep
+      { axis = Req.Dependency; points = [ 0.5 ]; length = 8; seed = 1;
+        lanes = false }
+  in
+  List.iter
+    (fun m ->
+      List.iter
+        (fun kind ->
+          let req = Req.make ~spec:(spec m) kind in
+          ignore (H.handle ~env req);
+          let before = Gc.minor_words () in
+          let r = H.handle ~env req in
+          let words = Gc.minor_words () -. before in
+          let what = Req.to_string req in
+          (match (r.Resp.result, Option.is_some (MS.variant m), kind) with
+          | Error { Resp.code = Resp.Usage; _ }, false, Req.Sweep _ -> ()
+          | _ -> Alcotest.(check bool) ("hit, " ^ what) true r.Resp.cached);
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: %.0f minor words < 4000" what words)
+            true (words < 4_000.))
+        [ Req.Verify; Req.Stats; Req.Proof; Req.Transform { verilog = false };
+          sweep ])
+    MS.all
 
 (* ------------------------------------------------------------------ *)
 (* Cancellation is a typed result                                     *)
@@ -880,6 +1038,14 @@ let () =
           Alcotest.test_case "shape reuse sound" `Quick test_shape_reuse_sound;
           Alcotest.test_case "campaign not cached" `Slow
             test_campaign_not_cached;
+          Alcotest.test_case "key: hits bit-identical" `Quick
+            test_key_hits_bit_identical;
+          Alcotest.test_case "key: routes to one program" `Quick
+            test_key_routes;
+          Alcotest.test_case "key: changed inputs miss" `Quick
+            test_key_misses;
+          Alcotest.test_case "hit builds nothing" `Quick
+            test_hit_builds_nothing;
         ] );
       ( "cancellation",
         [
