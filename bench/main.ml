@@ -1212,9 +1212,10 @@ let perf_opt ~jobs () =
 (* A deterministic fault-injection campaign on the 3-stage toy
    machine: ~20 mutants sampled with a fixed seed, plus the
    deliberately wedged engine, which must be timed out and classified
-   without aborting the run.  The classification counts become a
-   breakdown in the export and regress like CPI: any drift in
-   detection coverage fails @check, and the counts must be
+   without aborting the run.  The classification counts and the
+   sampled mutants' simulated cycles become a breakdown in the export
+   and regress like CPI: any drift in detection coverage or in the
+   cycles a livelocked mutant costs fails @check, and both must be
    bit-identical at every pool size. *)
 let campaign_smoke ~jobs () =
   section "CAMPAIGN"
@@ -1224,29 +1225,40 @@ let campaign_smoke ~jobs () =
        jobs);
   let tr = Core.Toy.transform ~program:Core.Toy.default_program () in
   let seed = 42 in
-  let mutants =
+  let sampled =
     Fault.Mutate.sample ~seed ~count:19
       (Fault.Mutate.enumerate ~transients:6 ~seed tr)
-    @ [ Fault.Mutate.apply (Fault.Mutate.Hang { at_cycle = 5 }) tr ]
   in
+  let hang = Fault.Mutate.apply (Fault.Mutate.Hang { at_cycle = 5 }) tr in
   let target =
     Fault.Campaign.make_target
       ~instructions:(List.length Core.Toy.default_program) tr
   in
   (* The wedged-engine mutant spins until the wall-clock timeout trips,
-     so the cycles it burns vary with host speed: counters off, or the
-     WORK totals would be nondeterministic. *)
-  let outcomes, summary =
-    Obs.Counters.with_disabled @@ fun () ->
+     so the cycles it burns vary with host speed: it runs with counters
+     off, the sampled mutants with counters on.  The COUNTERS section
+     reports the counts from before the mutants ran. *)
+  let counters = Obs.Counters.(work_snapshot (), sched_snapshot ()) in
+  let outcomes, sim_cycles =
     Exec.Pool.with_pool ~size:jobs @@ fun pool ->
-    Fault.Campaign.run ~pool ~timeout_s:2.0 target mutants
+    let run mutants =
+      fst (Fault.Campaign.run ~pool ~timeout_s:2.0 target mutants)
+    in
+    let before = Obs.Counters.get Obs.Counters.Sim_cycles in
+    let sampled = run sampled in
+    let sim_cycles = Obs.Counters.get Obs.Counters.Sim_cycles - before in
+    (sampled @ Obs.Counters.with_disabled (fun () -> run [ hang ]), sim_cycles)
   in
+  let summary = Fault.Campaign.summarize outcomes in
   List.iter (fun o -> Format.printf "  %a@." Fault.Campaign.pp_outcome o)
     outcomes;
   Format.printf "  %a@." Fault.Campaign.pp_summary summary;
+  Format.printf "  sampled mutants simulated %d cycles@." sim_cycles;
   add_entry
     (Obs.Export.entry
-       ~breakdown:(Fault.Campaign.breakdown summary)
+       ~breakdown:
+         (Fault.Campaign.breakdown summary
+         @ [ ("sim_cycles", float_of_int sim_cycles) ])
        "CAMPAIGN.toy3_smoke");
   if not (Fault.Campaign.ok summary) then begin
     Format.printf "CAMPAIGN FAILED: missed or aborted mutants@.";
@@ -1256,26 +1268,26 @@ let campaign_smoke ~jobs () =
     Format.printf
       "CAMPAIGN FAILED: the wedged-engine mutant was not timed out@.";
     exit 1
-  end
+  end;
+  counters
 
 (* ------------------------------------------------------------------ *)
 (* COUNTERS: the deterministic work scores of this run                 *)
 (* ------------------------------------------------------------------ *)
 
-(* Everything above ran with counting on (except the repetition-timing
-   loops, the campaign and bechamel, whose iteration counts are
-   wall-clock dependent): the WORK totals are a deterministic score of
-   the run — bit-identical at -j 1 and -j max, batched or rebuild —
-   and regress exactly, both against the committed baseline and
-   against the per-commit history.  The SCHED totals describe how the
-   work was placed (pool tasks, session binds, queue depth) and are
-   informational. *)
-let counters_section () =
+(* The counters as they stood before the campaign's mutants ran (the
+   campaign gates its own cycle count).  Everything before them ran
+   with counting on (except the repetition-timing loops, whose
+   iteration counts are wall-clock dependent): the WORK totals are a
+   deterministic score of the run — bit-identical at -j 1 and -j max,
+   batched or rebuild — and regress exactly, both against the
+   committed baseline and against the per-commit history.  The SCHED
+   totals describe how the work was placed (pool tasks, session binds,
+   queue depth) and are informational. *)
+let counters_section (work, sched) =
   section "COUNTERS"
     "Deterministic work counters (WORK.*: gated exactly; SCHED.*: \
      informational)";
-  let work = Obs.Counters.work_snapshot () in
-  let sched = Obs.Counters.sched_snapshot () in
   let table title rows =
     Format.printf "  %-20s %14s@." title "count";
     List.iter (fun (n, v) -> Format.printf "  %-20s %14d@." n v) rows
@@ -1639,8 +1651,8 @@ let smoke ~jobs () =
   perf_bmc ~jobs ();
   perf_bmc_lanes ~jobs ();
   perf_opt ~jobs ();
-  campaign_smoke ~jobs ();
-  counters_section ();
+  let counters = campaign_smoke ~jobs () in
+  counters_section counters;
   serve_robustness ();
   write_export ();
   Format.printf "@.smoke ok.@."
@@ -1666,9 +1678,9 @@ let full ~jobs () =
   perf_bmc ~jobs ();
   perf_bmc_lanes ~jobs ();
   perf_opt ~jobs ();
-  campaign_smoke ~jobs ();
+  let counters = campaign_smoke ~jobs () in
   run_bechamel ();
-  counters_section ();
+  counters_section counters;
   serve_robustness ();
   write_export ();
   Format.printf "@.all experiments reproduced.@."

@@ -421,7 +421,8 @@ let symbolic_cmd =
   Cmd.v
     (Cmd.info "symbolic"
        ~doc:
-         "Prove data consistency for all initial register-file contents at           once (symbolic co-simulation).")
+         "Prove data consistency for all initial register-file contents at \
+          once (symbolic co-simulation).")
     Term.(
       ret
         (const run $ machine_arg $ kernel_arg $ program_arg $ interlock_arg

@@ -7,6 +7,14 @@ type t = {
 
 let program t = Asm.assemble t.items
 
+exception Runaway of string
+
+(* One golden-model state per domain, refilled for every count: the
+   kernels below are counted at module initialisation, and a fresh
+   state is two 4K-word memories. *)
+let counting_state =
+  Domain.DLS.new_key (fun () -> Refmodel.create ~program:[] ())
+
 (* Dynamic instruction count: run the golden model until it reaches the
    halt loop (the "$halt" label sits right after the body). *)
 let dyn_count ?(config = Refmodel.default_config) ~items ~data () =
@@ -19,13 +27,16 @@ let dyn_count ?(config = Refmodel.default_config) ~items ~data () =
       :: rest -> body_words (acc + 1) rest
   in
   let halt_addr = body_words 0 items * 4 in
-  let s = Refmodel.create ~data ~program:(Asm.assemble items) () in
+  let s = Domain.DLS.get counting_state in
+  Refmodel.reset ~data ~program:(Asm.assemble items) s;
   let limit = 200_000 in
   let rec go () =
     if s.Refmodel.dpc = halt_addr then s.Refmodel.instret
     else if s.Refmodel.instret >= limit then
-      failwith
-        "Progs: the program did not reach the halt loop within 200k          instructions (runaway control flow?)"
+      raise
+        (Runaway
+           "the program did not reach the halt loop within 200k \
+            instructions (runaway control flow?)")
     else begin
       Refmodel.step ~config s;
       go ()

@@ -16,13 +16,19 @@ type t = {
 val program : t -> int list
 (** Assembled instruction words. *)
 
+exception Runaway of string
+(** A program did not reach its halt loop within 200k instructions
+    (the payload says so). *)
+
 val make :
   ?config:Refmodel.config -> ?data:(int * int) list -> string ->
   Asm.item list -> t
 (** [make name body] appends the halt idiom and measures the dynamic
     instruction count on the golden model ([config] selects the
     interrupt behaviour).  The body must not already contain the
-    ["$halt"] label. *)
+    ["$halt"] label.
+    @raise Runaway when the body does not reach the halt loop.
+    @raise Asm.Asm_error on an undefined or duplicate label. *)
 
 val fib : int -> t
 (** Iterative Fibonacci of [n]; result in r3. *)

@@ -25,25 +25,41 @@ let mask32 v = v land 0xFFFFFFFF
 let signed v = if v land 0x80000000 <> 0 then v - 0x100000000 else v
 let word_index addr = (addr lsr 2) land (mem_words - 1)
 
-let create ?(data = []) ~program () =
-  let imem = Array.make mem_words Isa.nop_word in
-  List.iteri (fun i w -> if i < mem_words then imem.(i) <- mask32 w) program;
-  let mem = Array.make mem_words 0 in
-  List.iter (fun (i, v) -> mem.(i land (mem_words - 1)) <- mask32 v) data;
-  {
-    pc = 4;
-    dpc = 0;
-    gpr = Array.make 32 0;
-    mem;
-    imem;
-    sr = 1;
-    epc = 0;
-    edpc = 0;
-    eca = 0;
-    instret = 0;
-    gpr_written = -1;
-    stored = -1;
-  }
+let reset ?(data = []) ~program s =
+  Array.fill s.imem 0 mem_words Isa.nop_word;
+  List.iteri (fun i w -> if i < mem_words then s.imem.(i) <- mask32 w) program;
+  Array.fill s.mem 0 mem_words 0;
+  List.iter (fun (i, v) -> s.mem.(i land (mem_words - 1)) <- mask32 v) data;
+  Array.fill s.gpr 0 32 0;
+  s.pc <- 4;
+  s.dpc <- 0;
+  s.sr <- 1;
+  s.epc <- 0;
+  s.edpc <- 0;
+  s.eca <- 0;
+  s.instret <- 0;
+  s.gpr_written <- -1;
+  s.stored <- -1
+
+let create ?data ~program () =
+  let s =
+    {
+      pc = 4;
+      dpc = 0;
+      gpr = Array.make 32 0;
+      mem = Array.make mem_words 0;
+      imem = Array.make mem_words Isa.nop_word;
+      sr = 1;
+      epc = 0;
+      edpc = 0;
+      eca = 0;
+      instret = 0;
+      gpr_written = -1;
+      stored = -1;
+    }
+  in
+  reset ?data ~program s;
+  s
 
 let add_overflows a b =
   let s = signed a + signed b in

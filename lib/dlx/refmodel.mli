@@ -44,6 +44,10 @@ val mem_words : int
 val create : ?data:(int * int) list -> program:int list -> unit -> state
 (** Program loaded at word 0; [data] is [(word_index, value)]. *)
 
+val reset : ?data:(int * int) list -> program:int list -> state -> unit
+(** Refill a state in place to what [create ?data ~program ()]
+    returns, without allocating. *)
+
 val step : ?config:config -> state -> unit
 (** Execute one instruction (the one at [dpc]). *)
 

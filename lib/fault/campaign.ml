@@ -63,7 +63,8 @@ let class_of_label = function
   | _ -> None
 
 (* The first piece of failure evidence in a verification: a failed
-   obligation, a consistency violation, or the liveness verdict. *)
+   obligation or a consistency violation.  (A run that fails liveness
+   did not complete, so its co-simulation is not consistent.) *)
 let failure_evidence (v : Core.verification) =
   match
     List.find_opt
@@ -83,10 +84,6 @@ let failure_evidence (v : Core.verification) =
   | None ->
     if not (Proof_engine.Consistency.ok v.Core.consistency) then
       "data-consistency violations on the co-simulation"
-    else if not (Proof_engine.Liveness.ok v.Core.liveness) then
-      Printf.sprintf "liveness: max gap %d > bound %d"
-        v.Core.liveness.Proof_engine.Liveness.max_gap
-        v.Core.liveness.Proof_engine.Liveness.bound
     else "verification failed"
 
 (* Classify one mutant: verification stack first; if everything is

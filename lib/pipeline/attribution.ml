@@ -101,10 +101,8 @@ let finalize t =
   flush t;
   Obs.Hazard.summary t.hazard
 
-let run ?ext ?max_cycles ?compiled ~stop_after tr =
+let run ?ext ?compiled ~stop_after tr =
   let t = create tr in
   let c = match compiled with Some c -> c | None -> Pipesem.compile tr in
-  let result =
-    Pipesem.run_compiled ?ext ~callbacks:t.cbs ?max_cycles ~stop_after c
-  in
+  let result = Pipesem.run_compiled ?ext ~callbacks:t.cbs ~stop_after c in
   (result, finalize t)

@@ -35,7 +35,6 @@ val source_label : Transform.source -> string
 
 val run :
   ?ext:Pipesem.ext_model ->
-  ?max_cycles:int ->
   ?compiled:Pipesem.compiled ->
   stop_after:int ->
   Transform.t ->

@@ -81,6 +81,21 @@ let no_injection =
   }
 
 (* ------------------------------------------------------------------ *)
+(* What ends a run.  Besides completing, a run stops at the first sign
+   that it cannot satisfy liveness (paper 6.3): [deadlock_window]
+   consecutive cycles in which nothing moves, or — checked after it —
+   the end of a cycle after which any later retirement would be a gap
+   wider than the liveness bound.  Gaps count both end cycles, from
+   reset (cycle 0) for the first retirement; {!Proof_engine.Liveness}
+   measures them with [retirement_gap] too, so a completed run is
+   always within the bound and nothing else needs a cycle budget.      *)
+(* ------------------------------------------------------------------ *)
+
+let liveness_bound ~n_stages = (8 * n_stages) + 64
+let deadlock_window ~n_stages = (4 * n_stages) + 64
+let retirement_gap ~last ~cycle = cycle - last + 1
+
+(* ------------------------------------------------------------------ *)
 (* The cycle driver, generic over how a cycle's combinational values
    are produced.  Both the compiled (plan) and the reference (closure)
    engines drive exactly this loop, so their schedules, statistics and
@@ -99,7 +114,7 @@ type engine = {
 
 let run_loop ~engine ~state ?(ext = fun ~stage:_ ~cycle:_ -> false)
     ?(callbacks = no_callbacks) ?inject ?(cancel = Exec.Cancel.never)
-    ?max_cycles ~stop_after (t : Transform.t) =
+    ~stop_after (t : Transform.t) =
   (* Under injection the control invariants the unfaulted engine
      guarantees (a firing stage holds an instruction) no longer hold;
      the loop degrades to "no tag, no retirement" instead of
@@ -108,25 +123,25 @@ let run_loop ~engine ~state ?(ext = fun ~stage:_ ~cycle:_ -> false)
   let inject = match inject with Some i -> i | None -> no_injection in
   let m = t.Transform.machine in
   let n = m.Machine.Spec.n_stages in
-  let max_cycles =
-    match max_cycles with
-    | Some c -> c
-    | None -> (stop_after * 4 * n) + 10_000
-  in
-  let deadlock_window = (4 * n) + 64 in
+  let bound = liveness_bound ~n_stages:n in
+  let deadlock_window = deadlock_window ~n_stages:n in
   let fullb = Array.make n false in
   let tags = Array.make n None in
   tags.(0) <- Some 0;
   let retired = ref 0 in
   let cycle = ref 0 in
   let idle = ref 0 in
+  let last_retire = ref 0 in
   let outcome = ref Out_of_cycles in
   let fetch_stall_cycles = ref 0 in
   let dhaz_cycles = ref 0 in
   let ext_cycles = ref 0 in
   let rollbacks = ref 0 in
   let squashed = ref 0 in
-  (while !retired < stop_after && !cycle < max_cycles && !outcome <> Deadlocked
+  (while
+     !retired < stop_after
+     && !outcome <> Deadlocked
+     && retirement_gap ~last:!last_retire ~cycle:!cycle <= bound
    do
      Exec.Cancel.check cancel;
      (* Bind the free inputs (full and ext per stage) and evaluate the
@@ -251,6 +266,7 @@ let run_loop ~engine ~state ?(ext = fun ~stage:_ ~cycle:_ -> false)
          incr retired;
          callbacks.on_retire ~tag ~kind state)
        (List.sort compare !retirements);
+     if !retirements <> [] then last_retire := !cycle;
      if Array.exists (fun b -> b) s.ue || !retirements <> [] then idle := 0
      else begin
        incr idle;
@@ -522,14 +538,13 @@ let session c =
   let state = State.create c.c_tr.Transform.machine in
   { s_c = c; s_state = state; s_engine = plan_engine c state }
 
-let run_session ?ext ?callbacks ?inject ?cancel ?max_cycles ?init ~stop_after
-    s =
+let run_session ?ext ?callbacks ?inject ?cancel ?init ~stop_after s =
   Obs.Span.with_span "pipesem.run" @@ fun () ->
   (* The reset also repairs state left dirty by a cancelled, faulted
      or raising previous run on this session. *)
   State.reset ?init s.s_c.c_tr.Transform.machine s.s_state;
   run_loop ~engine:s.s_engine ~state:s.s_state ?ext ?callbacks ?inject
-    ?cancel ?max_cycles ~stop_after s.s_c.c_tr
+    ?cancel ~stop_after s.s_c.c_tr
 
 (* Per-domain session cache, keyed by physical equality on the
    compiled machine: pool workers allocate (and plan-bind) one
@@ -551,9 +566,8 @@ let local_session c =
     cache := take 8 ((c, s) :: !cache);
     s
 
-let run_compiled ?ext ?callbacks ?inject ?cancel ?max_cycles ~stop_after c =
-  run_session ?ext ?callbacks ?inject ?cancel ?max_cycles ~stop_after
-    (session c)
+let run_compiled ?ext ?callbacks ?inject ?cancel ~stop_after c =
+  run_session ?ext ?callbacks ?inject ?cancel ~stop_after (session c)
 
 (* ------------------------------------------------------------------ *)
 (* Bit-parallel lane loop: the same cycle driver, advancing a whole
@@ -666,8 +680,8 @@ let run_lanes_session ?(ext = fun ~stage:_ ~cycle:_ -> false)
   let gated = Hw.Plan.is_segmented plan in
   let ctrl_len = Hw.Plan.n_ctrl_instrs plan in
   let rb_index = List.mapi (fun i (sp, _) -> (sp, i)) c.c_rollbacks in
-  let deadlock_window = (4 * n) + 64 in
-  let maxc = Array.map (fun stop -> (stop * 4 * n) + 10_000) stop_afters in
+  let bound = liveness_bound ~n_stages:n in
+  let deadlock_window = deadlock_window ~n_stages:n in
   let fullb = Array.make n 0 in
   let tags = Array.init n (fun _ -> Array.make act (-1)) in
   Array.fill tags.(0) 0 act 0;
@@ -676,6 +690,7 @@ let run_lanes_session ?(ext = fun ~stage:_ ~cycle:_ -> false)
   let cycle = ref 0 in
   let retired = Array.make act 0 in
   let idle = Array.make act 0 in
+  let last_retire = Array.make act 0 in
   let out = Array.make act Out_of_cycles in
   let out_cycles = Array.make act 0 in
   let fetch_stall = Array.make act 0 in
@@ -691,244 +706,238 @@ let run_lanes_session ?(ext = fun ~stage:_ ~cycle:_ -> false)
   let deactivate l oc =
     running := Hw.Lanes.clear !running l;
     out.(l) <- oc;
-    out_cycles.(l) <- (match oc with Out_of_cycles -> maxc.(l) | _ -> !cycle);
+    out_cycles.(l) <- !cycle;
     Obs.Counters.ledger_add ledger Obs.Counters.Sim_cycles out_cycles.(l);
     Obs.Counters.ledger_add ledger Obs.Counters.Sim_retired retired.(l)
   in
   (* stop_after <= 0 completes without entering the loop, like the
      scalar while condition *)
   for l = 0 to act - 1 do
-    if stop_afters.(l) <= 0 then begin
-      deactivate l Completed;
-      out_cycles.(l) <- 0
-    end
+    if stop_afters.(l) <= 0 then deactivate l Completed
   done;
   while !running <> 0 do
     Exec.Cancel.check cancel;
-    for l = 0 to act - 1 do
-      if Hw.Lanes.test !running l && !cycle >= maxc.(l) then
-        deactivate l Out_of_cycles
+    let run_mask = !running in
+    let n_running = Hw.Lanes.popcount run_mask in
+    (* ---- begin: bind free inputs, evaluate the pack's signals ---- *)
+    State.load_lanes ls.lns_bound;
+    let ext_now = Array.init n (fun k -> ext ~stage:k ~cycle:!cycle) in
+    for k = 0 to n - 1 do
+      Hw.Plan.lanes_set_word inst c.c_full_slots.(k)
+        (if k = 0 then all else fullb.(k));
+      Hw.Plan.lanes_set_word inst c.c_ext_slots.(k)
+        (if ext_now.(k) then all else 0)
     done;
-    if !running <> 0 then begin
-      let run_mask = !running in
-      let n_running = Hw.Lanes.popcount run_mask in
-      (* ---- begin: bind free inputs, evaluate the pack's signals ---- *)
-      State.load_lanes ls.lns_bound;
-      let ext_now = Array.init n (fun k -> ext ~stage:k ~cycle:!cycle) in
-      for k = 0 to n - 1 do
-        Hw.Plan.lanes_set_word inst c.c_full_slots.(k)
-          (if k = 0 then all else fullb.(k));
-        Hw.Plan.lanes_set_word inst c.c_ext_slots.(k)
-          (if ext_now.(k) then all else 0)
-      done;
-      if gated then Hw.Plan.run_lanes_control inst
-      else Hw.Plan.run_lanes inst;
-      Obs.Counters.ledger_add ledger Obs.Counters.Plan_runs n_running;
-      Obs.Counters.ledger_add ledger Obs.Counters.Plan_ops
-        ((if gated then ctrl_len else tape_len) * n_running);
-      let dhaz =
-        Array.init n (fun k ->
-            word_of_slot inst ~act c.c_dhaz_slots.(k) land run_mask)
-      in
-      let extw =
-        Array.init n (fun k -> if ext_now.(k) then run_mask else 0)
-      in
-      let spec_words =
-        List.map
-          (fun (sp, slot) -> (sp, word_of_slot inst ~act slot land run_mask))
-          c.c_spec_slots
-      in
-      let misp = Array.make n 0 in
-      List.iter
+    if gated then Hw.Plan.run_lanes_control inst
+    else Hw.Plan.run_lanes inst;
+    Obs.Counters.ledger_add ledger Obs.Counters.Plan_runs n_running;
+    Obs.Counters.ledger_add ledger Obs.Counters.Plan_ops
+      ((if gated then ctrl_len else tape_len) * n_running);
+    let dhaz =
+      Array.init n (fun k ->
+          word_of_slot inst ~act c.c_dhaz_slots.(k) land run_mask)
+    in
+    let extw =
+      Array.init n (fun k -> if ext_now.(k) then run_mask else 0)
+    in
+    let spec_words =
+      List.map
+        (fun (sp, slot) -> (sp, word_of_slot inst ~act slot land run_mask))
+        c.c_spec_slots
+    in
+    let misp = Array.make n 0 in
+    List.iter
+      (fun ((sp : Fwd_spec.speculation), w) ->
+        misp.(sp.Fwd_spec.resolve_stage) <-
+          misp.(sp.Fwd_spec.resolve_stage) lor w)
+      spec_words;
+    let s =
+      Stall_engine.compute_lanes ~mask:run_mask ~fullb ~dhaz ~ext:extw
+        ~mispredict:misp
+    in
+    (* ---- divergence mask: lanes leaving the pack's majority ---- *)
+    let flag w =
+      let wr = w land run_mask in
+      if wr <> 0 && wr <> run_mask then
+        Hw.Lanes.iter ~mask:(Hw.Lanes.minority ~mask:run_mask w) (fun l ->
+            if diverged.(l) < 0 then diverged.(l) <- !cycle)
+    in
+    for k = 0 to n - 1 do
+      flag s.Stall_engine.l_stall.(k);
+      flag s.Stall_engine.l_rollback.(k)
+    done;
+    obs.lob_pre_edge ~cycle:!cycle s ~tags ~running:run_mask;
+    (* ---- deepest rollback and firing speculation per lane ---- *)
+    Array.fill deep 0 act (-1);
+    Array.fill fspec 0 act None;
+    Array.fill deepw 0 n 0;
+    Array.fill taken 0 n 0;
+    for k = 0 to n - 1 do
+      let w = s.Stall_engine.l_rollback.(k) in
+      if w <> 0 then
+        for l = 0 to act - 1 do
+          if Hw.Lanes.test w l then deep.(l) <- k
+        done
+    done;
+    for l = 0 to act - 1 do
+      if deep.(l) >= 0 then deepw.(deep.(l)) <- Hw.Lanes.set deepw.(deep.(l)) l
+    done;
+    let fires =
+      List.map
         (fun ((sp : Fwd_spec.speculation), w) ->
-          misp.(sp.Fwd_spec.resolve_stage) <-
-            misp.(sp.Fwd_spec.resolve_stage) lor w)
-        spec_words;
-      let s =
-        Stall_engine.compute_lanes ~mask:run_mask ~fullb ~dhaz ~ext:extw
-          ~mispredict:misp
-      in
-      (* ---- divergence mask: lanes leaving the pack's majority ---- *)
-      let flag w =
-        let wr = w land run_mask in
-        if wr <> 0 && wr <> run_mask then
-          Hw.Lanes.iter ~mask:(Hw.Lanes.minority ~mask:run_mask w) (fun l ->
-              if diverged.(l) < 0 then diverged.(l) <- !cycle)
-      in
-      for k = 0 to n - 1 do
-        flag s.Stall_engine.l_stall.(k);
-        flag s.Stall_engine.l_rollback.(k)
-      done;
-      obs.lob_pre_edge ~cycle:!cycle s ~tags ~running:run_mask;
-      (* ---- deepest rollback and firing speculation per lane ---- *)
-      Array.fill deep 0 act (-1);
-      Array.fill fspec 0 act None;
-      Array.fill deepw 0 n 0;
-      Array.fill taken 0 n 0;
-      for k = 0 to n - 1 do
-        let w = s.Stall_engine.l_rollback.(k) in
-        if w <> 0 then
-          for l = 0 to act - 1 do
-            if Hw.Lanes.test w l then deep.(l) <- k
-          done
-      done;
-      for l = 0 to act - 1 do
-        if deep.(l) >= 0 then deepw.(deep.(l)) <- Hw.Lanes.set deepw.(deep.(l)) l
-      done;
-      let fires =
-        List.map
-          (fun ((sp : Fwd_spec.speculation), w) ->
-            let k = sp.Fwd_spec.resolve_stage in
-            let f = deepw.(k) land w land lnot taken.(k) in
-            taken.(k) <- taken.(k) lor f;
-            Hw.Lanes.iter ~mask:f (fun l -> fspec.(l) <- Some sp);
-            (sp, f))
-          spec_words
-      in
-      (* ---- on-demand groups, all before any commit: register-file
-         reads dispatch through the live state rows, so every group
-         the edge consumes must evaluate while state is still
-         pre-edge.  The ledger mirrors the scalar gated engine: each
-         lane pays for exactly the groups its own stages fired. ---- *)
-      if gated then begin
-        for k = 0 to n - 1 do
-          let mask = s.Stall_engine.l_ue.(k) in
-          if mask <> 0 then begin
-            Hw.Plan.run_lanes_group inst k;
-            Obs.Counters.ledger_add ledger Obs.Counters.Plan_ops
-              (Hw.Plan.group_instrs plan k * Hw.Lanes.popcount mask)
-          end
-        done;
-        List.iter
-          (fun (sp, f) ->
-            if f <> 0 then begin
-              let g = n + List.assq sp rb_index in
-              Hw.Plan.run_lanes_group inst g;
-              Obs.Counters.ledger_add ledger Obs.Counters.Plan_ops
-                (Hw.Plan.group_instrs plan g * Hw.Lanes.popcount f)
-            end)
-          fires
-      end;
-      (* ---- clock edge: stage writes then rollback writes ---- *)
+          let k = sp.Fwd_spec.resolve_stage in
+          let f = deepw.(k) land w land lnot taken.(k) in
+          taken.(k) <- taken.(k) lor f;
+          Hw.Lanes.iter ~mask:f (fun l -> fspec.(l) <- Some sp);
+          (sp, f))
+        spec_words
+    in
+    (* ---- on-demand groups, all before any commit: register-file
+       reads dispatch through the live state rows, so every group
+       the edge consumes must evaluate while state is still
+       pre-edge.  The ledger mirrors the scalar gated engine: each
+       lane pays for exactly the groups its own stages fired. ---- *)
+    if gated then begin
       for k = 0 to n - 1 do
         let mask = s.Stall_engine.l_ue.(k) in
-        if mask <> 0 then
-          Obs.Counters.ledger_add ledger Obs.Counters.Cells_written
-            (Machine.Commit.lanes_stage_updates inst ls.lns_state ~mask
-               c.c_stages.(k))
+        if mask <> 0 then begin
+          Hw.Plan.run_lanes_group inst k;
+          Obs.Counters.ledger_add ledger Obs.Counters.Plan_ops
+            (Hw.Plan.group_instrs plan k * Hw.Lanes.popcount mask)
+        end
       done;
       List.iter
         (fun (sp, f) ->
-          if f <> 0 then
-            Obs.Counters.ledger_add ledger Obs.Counters.Cells_written
-              (Machine.Commit.lanes_writes_updates inst ls.lns_state ~mask:f
-                 (List.assq sp c.c_rollbacks)))
-        fires;
-      obs.lob_post_edge ~cycle:!cycle s ~tags ~running:run_mask;
-      (* ---- retirements (kept per lane for the sorted callbacks) ---- *)
-      let rets : (int * string option) list array = Array.make act [] in
-      for l = 0 to act - 1 do
-        if Hw.Lanes.test run_mask l then begin
-          if Hw.Lanes.test s.Stall_engine.l_ue.(n - 1) l then begin
-            let tag = tags.(n - 1).(l) in
-            if tag >= 0 then rets.(l) <- (tag, None) :: rets.(l)
-            else if not faulty then
-              invalid_arg "Pipesem.run_lanes_session: retiring stage lost its tag"
-          end;
-          (match fspec.(l) with
-          | Some sp when sp.Fwd_spec.retires ->
-            let tag = tags.(deep.(l)).(l) in
-            if tag >= 0 then
-              rets.(l) <- (tag, Some sp.Fwd_spec.spec_label) :: rets.(l)
-            else if not faulty then
-              invalid_arg "Pipesem.run_lanes_session: rollback lost its tag"
-          | Some _ | None -> ());
-          (* Normal before Via_rollback at equal tags, like the scalar
-             [List.sort compare] on retire kinds. *)
-          rets.(l) <-
-            List.sort
-              (fun (t1, k1) (t2, k2) ->
-                if t1 <> t2 then compare t1 t2 else compare k1 k2)
-              rets.(l)
-        end
-      done;
-      (* ---- squashed (evicted, non-retiring) instructions ---- *)
-      for l = 0 to act - 1 do
-        if Hw.Lanes.test run_mask l && deep.(l) >= 0 then begin
-          rollbacks.(l) <- rollbacks.(l) + 1;
-          for j = 0 to deep.(l) do
-            let tg = tags.(j).(l) in
-            if
-              tg >= 0
-              && (not (List.exists (fun (t', _) -> t' = tg) rets.(l)))
-              && Hw.Lanes.test s.Stall_engine.l_full.(j) l
-            then squashed.(l) <- squashed.(l) + 1
-          done
-        end
-      done;
-      (* ---- tag shift ---- *)
-      for st = 0 to n - 1 do
-        Array.blit tags.(st) 0 old_tags.(st) 0 act
-      done;
-      for st = n - 1 downto 1 do
-        let rbup = s.Stall_engine.l_rollback_up.(st) in
-        let ue1 = s.Stall_engine.l_ue.(st - 1) in
-        let stf = s.Stall_engine.l_stall.(st) land s.Stall_engine.l_full.(st) in
-        let cur = tags.(st) in
-        let prev = old_tags.(st - 1) in
-        let self = old_tags.(st) in
-        for l = 0 to act - 1 do
-          if Hw.Lanes.test run_mask l then
-            cur.(l) <-
-              (if Hw.Lanes.test rbup l then -1
-               else if Hw.Lanes.test ue1 l then prev.(l)
-               else if Hw.Lanes.test stf l then self.(l)
-               else -1)
+          if f <> 0 then begin
+            let g = n + List.assq sp rb_index in
+            Hw.Plan.run_lanes_group inst g;
+            Obs.Counters.ledger_add ledger Obs.Counters.Plan_ops
+              (Hw.Plan.group_instrs plan g * Hw.Lanes.popcount f)
+          end)
+        fires
+    end;
+    (* ---- clock edge: stage writes then rollback writes ---- *)
+    for k = 0 to n - 1 do
+      let mask = s.Stall_engine.l_ue.(k) in
+      if mask <> 0 then
+        Obs.Counters.ledger_add ledger Obs.Counters.Cells_written
+          (Machine.Commit.lanes_stage_updates inst ls.lns_state ~mask
+             c.c_stages.(k))
+    done;
+    List.iter
+      (fun (sp, f) ->
+        if f <> 0 then
+          Obs.Counters.ledger_add ledger Obs.Counters.Cells_written
+            (Machine.Commit.lanes_writes_updates inst ls.lns_state ~mask:f
+               (List.assq sp c.c_rollbacks)))
+      fires;
+    obs.lob_post_edge ~cycle:!cycle s ~tags ~running:run_mask;
+    (* ---- retirements (kept per lane for the sorted callbacks) ---- *)
+    let rets : (int * string option) list array = Array.make act [] in
+    for l = 0 to act - 1 do
+      if Hw.Lanes.test run_mask l then begin
+        if Hw.Lanes.test s.Stall_engine.l_ue.(n - 1) l then begin
+          let tag = tags.(n - 1).(l) in
+          if tag >= 0 then rets.(l) <- (tag, None) :: rets.(l)
+          else if not faulty then
+            invalid_arg "Pipesem.run_lanes_session: retiring stage lost its tag"
+        end;
+        (match fspec.(l) with
+        | Some sp when sp.Fwd_spec.retires ->
+          let tag = tags.(deep.(l)).(l) in
+          if tag >= 0 then
+            rets.(l) <- (tag, Some sp.Fwd_spec.spec_label) :: rets.(l)
+          else if not faulty then
+            invalid_arg "Pipesem.run_lanes_session: rollback lost its tag"
+        | Some _ | None -> ());
+        (* Normal before Via_rollback at equal tags, like the scalar
+           [List.sort compare] on retire kinds. *)
+        rets.(l) <-
+          List.sort
+            (fun (t1, k1) (t2, k2) ->
+              if t1 <> t2 then compare t1 t2 else compare k1 k2)
+            rets.(l)
+      end
+    done;
+    (* ---- squashed (evicted, non-retiring) instructions ---- *)
+    for l = 0 to act - 1 do
+      if Hw.Lanes.test run_mask l && deep.(l) >= 0 then begin
+        rollbacks.(l) <- rollbacks.(l) + 1;
+        for j = 0 to deep.(l) do
+          let tg = tags.(j).(l) in
+          if
+            tg >= 0
+            && (not (List.exists (fun (t', _) -> t' = tg) rets.(l)))
+            && Hw.Lanes.test s.Stall_engine.l_full.(j) l
+          then squashed.(l) <- squashed.(l) + 1
         done
-      done;
+      end
+    done;
+    (* ---- tag shift ---- *)
+    for st = 0 to n - 1 do
+      Array.blit tags.(st) 0 old_tags.(st) 0 act
+    done;
+    for st = n - 1 downto 1 do
+      let rbup = s.Stall_engine.l_rollback_up.(st) in
+      let ue1 = s.Stall_engine.l_ue.(st - 1) in
+      let stf = s.Stall_engine.l_stall.(st) land s.Stall_engine.l_full.(st) in
+      let cur = tags.(st) in
+      let prev = old_tags.(st - 1) in
+      let self = old_tags.(st) in
       for l = 0 to act - 1 do
         if Hw.Lanes.test run_mask l then
-          if deep.(l) >= 0 then (
-            match fspec.(l) with
-            | Some sp ->
-              let b = old_tags.(deep.(l)).(l) in
-              let base = if b >= 0 then b else 0 in
-              tags.(0).(l) <-
-                base + (if sp.Fwd_spec.retires then 1 else 0)
-            | None -> (* cannot happen; keep the fetch tag *) ())
-          else if Hw.Lanes.test s.Stall_engine.l_ue.(0) l then begin
-            let b = old_tags.(0).(l) in
-            tags.(0).(l) <- (if b >= 0 then b else 0) + 1
-          end
-      done;
-      let fb' = Stall_engine.next_fullb_lanes ~mask:run_mask s in
-      Array.blit fb' 0 fullb 0 n;
-      (* ---- statistics, retire callbacks, liveness ---- *)
-      let stall0 = s.Stall_engine.l_stall.(0) in
-      let anyd = Array.fold_left ( lor ) 0 dhaz in
-      let any_ext = Array.exists (fun b -> b) ext_now in
-      let ue_any = Array.fold_left ( lor ) 0 s.Stall_engine.l_ue in
-      for l = 0 to act - 1 do
-        if Hw.Lanes.test run_mask l then begin
-          if Hw.Lanes.test stall0 l then fetch_stall.(l) <- fetch_stall.(l) + 1;
-          if Hw.Lanes.test anyd l then dhaz_c.(l) <- dhaz_c.(l) + 1;
-          if any_ext then ext_c.(l) <- ext_c.(l) + 1;
-          List.iter
-            (fun (tag, rb) ->
-              retired.(l) <- retired.(l) + 1;
-              obs.lob_retire ~cycle:!cycle ~lane:l ~tag ~rollback:rb)
-            rets.(l);
-          if Hw.Lanes.test ue_any l || rets.(l) <> [] then idle.(l) <- 0
-          else idle.(l) <- idle.(l) + 1
-        end
-      done;
-      incr cycle;
-      for l = 0 to act - 1 do
-        if Hw.Lanes.test run_mask l then
-          if retired.(l) >= stop_afters.(l) then deactivate l Completed
-          else if idle.(l) > deadlock_window then deactivate l Deadlocked
+          cur.(l) <-
+            (if Hw.Lanes.test rbup l then -1
+             else if Hw.Lanes.test ue1 l then prev.(l)
+             else if Hw.Lanes.test stf l then self.(l)
+             else -1)
       done
-    end
+    done;
+    for l = 0 to act - 1 do
+      if Hw.Lanes.test run_mask l then
+        if deep.(l) >= 0 then (
+          match fspec.(l) with
+          | Some sp ->
+            let b = old_tags.(deep.(l)).(l) in
+            let base = if b >= 0 then b else 0 in
+            tags.(0).(l) <-
+              base + (if sp.Fwd_spec.retires then 1 else 0)
+          | None -> (* cannot happen; keep the fetch tag *) ())
+        else if Hw.Lanes.test s.Stall_engine.l_ue.(0) l then begin
+          let b = old_tags.(0).(l) in
+          tags.(0).(l) <- (if b >= 0 then b else 0) + 1
+        end
+    done;
+    let fb' = Stall_engine.next_fullb_lanes ~mask:run_mask s in
+    Array.blit fb' 0 fullb 0 n;
+    (* ---- statistics, retire callbacks, liveness ---- *)
+    let stall0 = s.Stall_engine.l_stall.(0) in
+    let anyd = Array.fold_left ( lor ) 0 dhaz in
+    let any_ext = Array.exists (fun b -> b) ext_now in
+    let ue_any = Array.fold_left ( lor ) 0 s.Stall_engine.l_ue in
+    for l = 0 to act - 1 do
+      if Hw.Lanes.test run_mask l then begin
+        if Hw.Lanes.test stall0 l then fetch_stall.(l) <- fetch_stall.(l) + 1;
+        if Hw.Lanes.test anyd l then dhaz_c.(l) <- dhaz_c.(l) + 1;
+        if any_ext then ext_c.(l) <- ext_c.(l) + 1;
+        List.iter
+          (fun (tag, rb) ->
+            retired.(l) <- retired.(l) + 1;
+            obs.lob_retire ~cycle:!cycle ~lane:l ~tag ~rollback:rb)
+          rets.(l);
+        if rets.(l) <> [] then last_retire.(l) <- !cycle;
+        if Hw.Lanes.test ue_any l || rets.(l) <> [] then idle.(l) <- 0
+        else idle.(l) <- idle.(l) + 1
+      end
+    done;
+    incr cycle;
+    for l = 0 to act - 1 do
+      if Hw.Lanes.test run_mask l then
+        if retired.(l) >= stop_afters.(l) then deactivate l Completed
+        else if idle.(l) > deadlock_window then deactivate l Deadlocked
+        else if retirement_gap ~last:last_retire.(l) ~cycle:!cycle > bound
+        then deactivate l Out_of_cycles
+    done
   done;
   Array.init act (fun l ->
       {
@@ -946,9 +955,8 @@ let run_lanes_session ?(ext = fun ~stage:_ ~cycle:_ -> false)
         lr_divergence = diverged.(l);
       })
 
-let run ?ext ?callbacks ?inject ?cancel ?max_cycles ~stop_after t =
-  run_compiled ?ext ?callbacks ?inject ?cancel ?max_cycles ~stop_after
-    (compile t)
+let run ?ext ?callbacks ?inject ?cancel ~stop_after t =
+  run_compiled ?ext ?callbacks ?inject ?cancel ~stop_after (compile t)
 
 (* ------------------------------------------------------------------ *)
 (* Reference engine: the original tree-walking interpreter with its
@@ -1008,11 +1016,11 @@ let reference_engine (t : Transform.t) state =
           ~env state);
   }
 
-let run_reference ?ext ?callbacks ?inject ?cancel ?max_cycles ~stop_after
+let run_reference ?ext ?callbacks ?inject ?cancel ~stop_after
     (t : Transform.t) =
   Obs.Span.with_span "pipesem.run_reference" @@ fun () ->
   let state = State.create t.Transform.machine in
   run_loop ~engine:(reference_engine t state) ~state ?ext ?callbacks ?inject
-    ?cancel ?max_cycles ~stop_after t
+    ?cancel ~stop_after t
 
 let cpi s = if s.retired = 0 then infinity else float_of_int s.cycles /. float_of_int s.retired

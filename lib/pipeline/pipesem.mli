@@ -87,10 +87,40 @@ type injection = {
 val no_injection : injection
 (** The identity injection ([run ?inject:None] behaves identically). *)
 
+(** {1 What ends a run}
+
+    A run ends when [stop_after] instructions have retired, or at the
+    first sign that it cannot satisfy liveness (paper §6.3):
+
+    - {e deadlock}: [4 * n_stages + 64] consecutive cycles in which no
+      stage updates and nothing retires (checked first);
+    - {e liveness bound}: the end of a cycle after which any later
+      retirement would close a gap wider than {!liveness_bound}.  A
+      machine that keeps its stages busy without retiring anything (a
+      livelock) stops here: a 3-stage machine that never retires
+      stops after 88 cycles.
+
+    Every run therefore ends: a run that keeps retiring within the
+    bound completes.  There is no other cycle budget. *)
+
 type outcome =
   | Completed       (** the requested number of instructions retired *)
-  | Deadlocked      (** liveness violation: no progress within the bound *)
-  | Out_of_cycles   (** [max_cycles] reached first *)
+  | Deadlocked      (** nothing moved for the deadlock window *)
+  | Out_of_cycles
+      (** stopped at the liveness bound: no retirement can come soon
+          enough any more *)
+
+val liveness_bound : n_stages:int -> int
+(** [8 * n_stages + 64]: the widest gap between consecutive
+    retirements (and from reset to the first) that a run may take,
+    comfortably above any legitimate stall run of the machines in this
+    repository.  {!Proof_engine.Liveness} reports against it. *)
+
+val retirement_gap : last:int -> cycle:int -> int
+(** The gap a retirement in cycle [cycle] closes after the previous
+    one, in cycle [last] ([0] before the first retirement): both end
+    cycles count.  The cycle drivers stop a run once the gap of any
+    later retirement would exceed {!liveness_bound}. *)
 
 type stats = {
   cycles : int;
@@ -174,15 +204,12 @@ val run_compiled :
   ?callbacks:callbacks ->
   ?inject:injection ->
   ?cancel:Exec.Cancel.token ->
-  ?max_cycles:int ->
   stop_after:int ->
   compiled ->
   result
 (** Simulate a precompiled machine from the initial state until
-    [stop_after] instructions have retired.  [max_cycles] defaults to
-    a generous bound derived from [stop_after].  Deadlock is declared
-    when no stage updates for [4 * n_stages + 64] consecutive cycles
-    while work remains.
+    [stop_after] instructions have retired, or until it deadlocks or
+    reaches the liveness bound (see {!outcome}).
 
     [cancel] is polled once per cycle; a tripped token aborts the run
     by raising {!Exec.Cancel.Cancelled} — the campaign driver's
@@ -223,7 +250,6 @@ val run_session :
   ?callbacks:callbacks ->
   ?inject:injection ->
   ?cancel:Exec.Cancel.token ->
-  ?max_cycles:int ->
   ?init:(string * Machine.Value.t) list ->
   stop_after:int ->
   session ->
@@ -239,7 +265,6 @@ val run :
   ?callbacks:callbacks ->
   ?inject:injection ->
   ?cancel:Exec.Cancel.token ->
-  ?max_cycles:int ->
   stop_after:int ->
   Transform.t ->
   result
@@ -250,7 +275,6 @@ val run_reference :
   ?callbacks:callbacks ->
   ?inject:injection ->
   ?cancel:Exec.Cancel.token ->
-  ?max_cycles:int ->
   stop_after:int ->
   Transform.t ->
   result
@@ -330,8 +354,8 @@ val run_lanes_session :
   lane_session ->
   lane_result array
 (** Reset lane [l] from [inits.(l)] and simulate until it retires
-    [stop_afters.(l)] instructions (per-lane cycle budget and deadlock
-    window as in the scalar loop); finished lanes are peeled from the
+    [stop_afters.(l)] instructions (per-lane deadlock window and
+    liveness bound as in the scalar loop); finished lanes are peeled from the
     pack while the rest keep running.  [faulty] relaxes the
     missing-retire-tag asserts exactly like the scalar loop's
     [inject <> None].  Raises on any width/shape problem — callers

@@ -9,6 +9,14 @@
     retirements (and from reset to the first retirement) of a run of
     the pipelined machine, and compares it against the bound.
 
+    The bound B is defined once, {!Pipeline.Pipesem.liveness_bound},
+    and the cycle drivers enforce it: a run stops as
+    [Out_of_cycles] at the end of the first cycle after which any
+    later retirement would exceed B (gaps measured by
+    {!Pipeline.Pipesem.retirement_gap}, as here).  So a run that
+    completed is within the bound, and one that did not complete
+    fails liveness whether it deadlocked or was stopped.
+
     The measurement is {!gaps}, fed from a run's [on_cycle] and
     [on_retire] callbacks.  The data-consistency co-simulation feeds
     one too ({!Consistency.report}[.liveness]), so verification reads
@@ -27,12 +35,10 @@ type report = {
 }
 
 val ok : report -> bool
-(** Completed within the bound. *)
+(** The run completed, hence within the bound. *)
 
 val default_bound : n_stages:int -> int
-(** [8 * n_stages + 64], comfortably above any legitimate stall run
-    for the machines in this repository; ext models that stall longer
-    need an explicit bound. *)
+(** {!Pipeline.Pipesem.liveness_bound}: [8 * n_stages + 64]. *)
 
 (** {1 Gap accounting} *)
 
@@ -47,16 +53,14 @@ val on_cycle : gaps -> Pipeline.Pipesem.cycle_record -> unit
 val on_retire : gaps -> unit
 (** Call from the run's [on_retire] callback, once per retirement. *)
 
-val of_run :
-  ?bound:int -> n_stages:int -> gaps -> Pipeline.Pipesem.result -> report
-(** The report of the finished run the gaps were fed from; [bound]
-    defaults to {!default_bound}. *)
+val of_run : n_stages:int -> gaps -> Pipeline.Pipesem.result -> report
+(** The report of the finished run the gaps were fed from, against
+    {!default_bound}. *)
 
 (** {1 Standalone check} *)
 
 val check :
   ?ext:Pipeline.Pipesem.ext_model ->
-  ?bound:int ->
   ?compiled:Pipeline.Pipesem.compiled ->
   ?inject:Pipeline.Pipesem.injection ->
   ?cancel:Exec.Cancel.token ->
@@ -64,7 +68,7 @@ val check :
   Pipeline.Transform.t ->
   report
 (** Run the pipelined machine until [stop_after] instructions retire
-    and account its gaps.  [bound] defaults to {!default_bound}.
+    and account its gaps.
     [inject] runs the checker against a faulted machine; [cancel] is
     polled per cycle (see {!Pipeline.Pipesem.run_compiled}).  Given the
     same plan, [ext], [inject] and [stop_after], the report equals the

@@ -126,7 +126,11 @@ let load_file variant path =
       | Dlx.Seq_dlx.Base | Dlx.Seq_dlx.Branch_predict ->
         Dlx.Refmodel.default_config
     in
-    Dlx.Progs.make ~config (Filename.basename path) (drop_halt items)
+    (* An undefined label or a program that never halts is the
+       caller's error too. *)
+    (try Dlx.Progs.make ~config (Filename.basename path) (drop_halt items)
+     with Dlx.Asm.Asm_error msg | Dlx.Progs.Runaway msg ->
+       invalid "%s: %s" path msg)
   | exception Sys_error msg -> invalid "%s" msg
   | exception Dlx.Asm_parser.Parse_error { line; message } ->
     invalid "%s:%d: %s" path line message
@@ -472,12 +476,15 @@ let handle ?env ?pool ?cancel ?(cache_only = false) ?checkpoint ?resume
 
 (* Warm-start the verdict cache from a journaled (request, payload)
    pair: install the payload under the key the ordinary path would
-   use.  Campaigns are never cached, and any failure to resolve the
-   program (the kernel disappeared, the assembly file moved) just
-   skips the warm — replay correctness does not depend on it, only
-   cache hit rates do. *)
+   use.  Campaigns are never cached, a request that reads an assembly
+   file is skipped (the file may have been rewritten since its payload
+   was journaled, and the old answer would land under the new
+   program's key), and any failure to resolve the program (the kernel
+   disappeared) just skips the warm — replay correctness does not
+   depend on it, only cache hit rates do. *)
 let warm ~env (req : Request.t) payload =
-  match cache_key req (resolve req.Request.spec) with
-  | Some k -> Cache.add env.env_verdicts k payload
-  | None -> ()
-  | exception _ -> ()
+  if req.Request.spec.Request.program_file = None then
+    match cache_key req (resolve req.Request.spec) with
+    | Some k -> Cache.add env.env_verdicts k payload
+    | None -> ()
+    | exception _ -> ()

@@ -22,12 +22,12 @@ let compiled t = Lazy.force t.sim_compiled
 
 let stop t = function Some n -> n | None -> t.sim_instructions
 
-let run ?ext ?callbacks ?inject ?cancel ?max_cycles ?stop_after t =
-  Pipeline.Pipesem.run_compiled ?ext ?callbacks ?inject ?cancel ?max_cycles
+let run ?ext ?callbacks ?inject ?cancel ?stop_after t =
+  Pipeline.Pipesem.run_compiled ?ext ?callbacks ?inject ?cancel
     ~stop_after:(stop t stop_after) (compiled t)
 
-let run_interpreted ?ext ?callbacks ?max_cycles ?stop_after t =
-  Pipeline.Pipesem.run_reference ?ext ?callbacks ?max_cycles
+let run_interpreted ?ext ?callbacks ?stop_after t =
+  Pipeline.Pipesem.run_reference ?ext ?callbacks
     ~stop_after:(stop t stop_after) t.sim_tr
 
 let attribute ?ext ?stop_after t =

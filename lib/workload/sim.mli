@@ -47,7 +47,6 @@ val run :
   ?callbacks:Pipeline.Pipesem.callbacks ->
   ?inject:Pipeline.Pipesem.injection ->
   ?cancel:Exec.Cancel.token ->
-  ?max_cycles:int ->
   ?stop_after:int ->
   t ->
   Pipeline.Pipesem.result
@@ -57,7 +56,6 @@ val run :
 val run_interpreted :
   ?ext:Pipeline.Pipesem.ext_model ->
   ?callbacks:Pipeline.Pipesem.callbacks ->
-  ?max_cycles:int ->
   ?stop_after:int ->
   t ->
   Pipeline.Pipesem.result

@@ -118,6 +118,44 @@ let test_toy_campaign_no_misses () =
           (o.Campaign.out_class = Campaign.Detected))
     outcomes
 
+(* [pipegen campaign toy3 --seed s] class counts (detected, masked) for
+   seeds 0-15, recorded when livelocked mutants still ran to a
+   10,000-cycle cap; --bmc reads the same.  Stopping those runs at the
+   liveness bound moves no mutant to another class. *)
+let toy3_classes =
+  [| (20, 13); (19, 14); (20, 13); (21, 12); (20, 13); (21, 12); (22, 11);
+     (22, 11); (21, 12); (20, 13); (21, 12); (20, 13); (20, 13); (25, 8);
+     (21, 12); (20, 13) |]
+
+let test_toy3_campaign_classes () =
+  List.iter
+    (fun bmc ->
+      Array.iteri
+        (fun seed (detected, masked) ->
+          let req =
+            Service.Request.make
+              ~spec:
+                {
+                  Service.Request.default_spec with
+                  Service.Request.machine = Service.Machine_spec.Toy3;
+                }
+              (Service.Request.Campaign
+                 { seed; mutants = None; transients = 8; hang = false;
+                   timeout_s = 30.0; bmc })
+          in
+          let name =
+            Printf.sprintf "seed %d%s" seed (if bmc then " --bmc" else "")
+          in
+          match (Service.Handler.handle req).Service.Response.result with
+          | Ok (Service.Response.Campaign_report { summary = s; _ }) ->
+            Alcotest.(check (list int)) name
+              [ 33; detected; masked; 0; 0; 0 ]
+              [ s.Campaign.mutants; s.Campaign.detected; s.Campaign.masked;
+                s.Campaign.missed; s.Campaign.timed_out; s.Campaign.aborted ]
+          | Ok _ | Error _ -> Alcotest.failf "%s: no campaign report" name)
+        toy3_classes)
+    [ false; true ]
+
 let test_campaign_deterministic_across_pools () =
   let mutants =
     Mutate.sample ~seed:5 ~count:8
@@ -285,6 +323,8 @@ let () =
         [
           Alcotest.test_case "toy campaign: no misses" `Quick
             test_toy_campaign_no_misses;
+          Alcotest.test_case "toy3 class counts, seeds 0-15" `Quick
+            test_toy3_campaign_classes;
           Alcotest.test_case "deterministic across pool sizes" `Quick
             test_campaign_deterministic_across_pools;
           Alcotest.test_case "hang times out without aborting" `Quick

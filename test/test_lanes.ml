@@ -433,6 +433,61 @@ let test_store_against_image_lanes () =
   Alcotest.(check (list bool)) "lane verdicts" expected
     (Array.to_list (Array.map (fun v -> v.C.lv_ok) verdicts))
 
+(* ------------------------------------------------------------------ *)
+(* The liveness bound ends a lane's run where it ends a scalar run     *)
+(* ------------------------------------------------------------------ *)
+
+(* A hook-free livelock: dlx5_intr with its interrupt check tied to
+   "taken" and made non-retiring squashes and refetches the instruction
+   in stage 4 on every cycle it gets there, so fetch stays busy and
+   nothing retires.  Lanes that must retire stop at the liveness bound
+   (104 cycles on five stages), exactly like the scalar run of each. *)
+let test_liveness_bound_lanes () =
+  let p = Dlx.Progs.fib 5 in
+  let tr =
+    Dlx.Seq_dlx.transform
+      (Dlx.Seq_dlx.With_interrupts { sisr = 8 })
+      ~program:(Dlx.Progs.program p)
+  in
+  let tr =
+    {
+      tr with
+      Pipeline.Transform.speculations =
+        List.map
+          (fun (sp : Pipeline.Fwd_spec.speculation) ->
+            { sp with Pipeline.Fwd_spec.mispredict = Hw.Expr.tru;
+                      retires = false })
+          tr.Pipeline.Transform.speculations;
+    }
+  in
+  let c = Pipeline.Pipesem.compile tr in
+  let stop_afters = [| 0; 1; p.Dlx.Progs.dyn_instructions |] in
+  let ledger = Obs.Counters.ledger () in
+  let lanes =
+    Pipeline.Pipesem.run_lanes_session ~ledger
+      ~inits:(Array.map (fun _ -> []) stop_afters)
+      ~stop_afters
+      (Pipeline.Pipesem.lanes_session c)
+  in
+  Alcotest.(check int) "B on five stages" 104
+    (Pipeline.Pipesem.liveness_bound ~n_stages:5);
+  Array.iteri
+    (fun l stop_after ->
+      let scalar = Pipeline.Pipesem.run_compiled ~stop_after c in
+      let lane = lanes.(l) in
+      let name = Printf.sprintf "lane %d (stop_after %d)" l stop_after in
+      Alcotest.(check bool) (name ^ ": outcome = scalar") true
+        (lane.Pipeline.Pipesem.lr_outcome = scalar.Pipeline.Pipesem.outcome);
+      Alcotest.(check bool) (name ^ ": stats = scalar") true
+        (lane.Pipeline.Pipesem.lr_stats = scalar.Pipeline.Pipesem.stats);
+      if stop_after > 0 then begin
+        Alcotest.(check bool) (name ^ ": out of cycles") true
+          (lane.Pipeline.Pipesem.lr_outcome = Pipeline.Pipesem.Out_of_cycles);
+        Alcotest.(check int) (name ^ ": stopped at cycle 104") 104
+          lane.Pipeline.Pipesem.lr_stats.Pipeline.Pipesem.cycles
+      end)
+    stop_afters
+
 let () =
   Alcotest.run "lanes"
     [
@@ -451,6 +506,8 @@ let () =
             test_dlx_speculating_sweep_lanes;
           Alcotest.test_case "store against an untouched image" `Quick
             test_store_against_image_lanes;
+          Alcotest.test_case "stops at the liveness bound" `Quick
+            test_liveness_bound_lanes;
         ] );
       ("properties", List.map to_alcotest [ prop_lanes_equal_scalar ]);
     ]

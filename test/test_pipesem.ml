@@ -60,11 +60,37 @@ let test_deadlock_detection () =
   let r = P.run ~ext ~stop_after:6 (toy_tr ()) in
   Alcotest.(check bool) "deadlocked" true (r.P.outcome = P.Deadlocked)
 
-let test_max_cycles () =
-  let ext ~stage ~cycle:_ = stage = 2 in
-  let r = P.run ~ext ~max_cycles:10 ~stop_after:6 (toy_tr ()) in
-  Alcotest.(check bool) "out of cycles" true (r.P.outcome = P.Out_of_cycles);
-  Alcotest.(check int) "stopped at bound" 10 r.P.stats.P.cycles
+let test_liveness_bound_stop () =
+  (* A stall wire stuck at 1 in stage 1 keeps fetch busy while nothing
+     retires (a livelock, not a deadlock).  The run stops at the end of
+     cycle B - 1 from reset, after which any retirement would close a
+     gap of B + 1 cycles: 88 cycles on the 3-stage toy machine, on both
+     engines. *)
+  let tr = toy_tr () in
+  let inject () =
+    Option.get
+      (Fault.Inject.injection_of_mutant
+         (Fault.Mutate.apply
+            (Fault.Mutate.Stuck_wire
+               { wire = Fault.Mutate.Stall; stage = 1; value = true })
+            tr))
+  in
+  Alcotest.(check int) "B on toy3" 88 (P.liveness_bound ~n_stages:3);
+  List.iter
+    (fun (engine, r) ->
+      Alcotest.(check bool) (engine ^ ": out of cycles") true
+        (r.P.outcome = P.Out_of_cycles);
+      Alcotest.(check int) (engine ^ ": nothing retired") 0 r.P.stats.P.retired;
+      Alcotest.(check int) (engine ^ ": stopped at cycle 88") 88
+        r.P.stats.P.cycles)
+    [
+      ("compiled", P.run ~inject:(inject ()) ~stop_after:6 tr);
+      ("reference", P.run_reference ~inject:(inject ()) ~stop_after:6 tr);
+    ];
+  Alcotest.(check int) "the next retirement would be over B" 89
+    (P.retirement_gap ~last:0 ~cycle:88);
+  Alcotest.(check int) "the last allowed one was not" 88
+    (P.retirement_gap ~last:0 ~cycle:87)
 
 let test_callbacks_and_tags () =
   let retired = ref [] in
@@ -221,7 +247,8 @@ let () =
             test_interlock_only_slower;
           Alcotest.test_case "ext stalls" `Quick test_ext_stall_injection;
           Alcotest.test_case "deadlock detection" `Quick test_deadlock_detection;
-          Alcotest.test_case "max cycles" `Quick test_max_cycles;
+          Alcotest.test_case "stops at the liveness bound" `Quick
+            test_liveness_bound_stop;
           Alcotest.test_case "callbacks and tags" `Quick test_callbacks_and_tags;
           Alcotest.test_case "fetch tag monotone" `Quick test_fetch_tag_monotone;
           Alcotest.test_case "cpi" `Quick test_cpi;

@@ -199,8 +199,7 @@ let test_liveness_evidence () =
         (Format.asprintf "%a" Proof_engine.Liveness.pp_report v.Core.liveness))
     [
       ( "stall@1=1",
-        "run out of cycles after 0 retirements, none in the last 10072 cycles"
-      );
+        "run out of cycles after 0 retirements, none in the last 88 cycles" );
       ("stall@0=1", "run deadlocked after 0 retirements, none in the last 77 cycles");
     ];
   (* Completed runs keep their text. *)
@@ -211,11 +210,56 @@ let test_liveness_evidence () =
   Alcotest.(check string) "completed report"
     "liveness: 6 retirements, max inter-retirement gap 3 cycles (bound 88): \
      ok\n"
-    (Format.asprintf "%a" Proof_engine.Liveness.pp_report v.Core.liveness);
-  let tight = Proof_engine.Liveness.check ~bound:2 ~stop_after:6 tr in
-  Alcotest.(check string) "completed over the bound"
-    "liveness bound exceeded: max gap 3 > bound 2"
-    (Proof_engine.Liveness.evidence tight)
+    (Format.asprintf "%a" Proof_engine.Liveness.pp_report v.Core.liveness)
+
+let test_lv_iff_incomplete () =
+  (* Every toy3 campaign mutant of seeds 0-15, verified the way the
+     campaign does it: the drivers stop a run at its first gap over
+     the bound, so LV fails exactly when the run did not complete, and
+     a completed run is within the bound. *)
+  let tr = toy_tr () in
+  let compiled = Pipeline.Pipesem.compile tr in
+  let verified = ref 0 and incomplete = ref 0 in
+  for seed = 0 to 15 do
+    List.iter
+      (fun (m : Fault.Mutate.mutant) ->
+        let id = Printf.sprintf "seed %d %s" seed m.Fault.Mutate.mut_id in
+        let inject =
+          match Fault.Inject.injection_of_mutant m with
+          | Some i -> i
+          | None -> Pipeline.Pipesem.no_injection
+        in
+        let compiled =
+          if m.Fault.Mutate.mut_tr == tr then Some compiled else None
+        in
+        match
+          Core.verify_result ?compiled ~max_instructions:6 ~inject
+            m.Fault.Mutate.mut_tr
+        with
+        | Error e -> Alcotest.failf "%s: %s" id e.Core.message
+        | Ok v ->
+          incr verified;
+          let live = v.Core.liveness in
+          let completed =
+            live.Proof_engine.Liveness.outcome = Pipeline.Pipesem.Completed
+          in
+          if not completed then incr incomplete;
+          let lv_failed =
+            match status_of v.Core.obligations "LV" with
+            | O.Failed _ -> true
+            | O.Discharged _ | O.Pending -> false
+          in
+          Alcotest.(check bool) (id ^ ": LV fails iff incomplete")
+            (not completed) lv_failed;
+          if completed then
+            Alcotest.(check bool) (id ^ ": within the bound") true
+              (live.Proof_engine.Liveness.max_gap
+              <= live.Proof_engine.Liveness.bound))
+      (Fault.Mutate.enumerate ~transients:8 ~seed ~hang:false tr)
+  done;
+  Alcotest.(check int) "33 x 16 verifications" 528 !verified;
+  (* Per seed, five stuck wires deadlock and six livelock. *)
+  Alcotest.(check int) "incomplete runs" 176 !incomplete
 
 (* An injection whose edge hook raises in cycle 3 of every run. *)
 let upset =
@@ -572,8 +616,8 @@ let test_lemma1_total_reported () =
   Alcotest.(check bool) "40 violations reported" true
     (contains (text { report with C.lemma1 = C.Lemma_failed e })
        "lemma 1: 40 violations;");
-  (* A stuck stall wire fails lemma 1 in nearly every one of its 10,072
-     cycles. *)
+  (* A stuck stall wire fails lemma 1 twice in each of cycles 2..87 of
+     its run, which stops at the liveness bound after 88 cycles. *)
   let tr, mutants = toy_mutants () in
   let m =
     List.find
@@ -585,7 +629,8 @@ let test_lemma1_total_reported () =
   in
   match report.C.lemma1 with
   | C.Lemma_failed e ->
-    Alcotest.(check bool) "far more than 16" true (e.Pipeline.Evidence.total > 1000);
+    Alcotest.(check int) "every violation counted" 172
+      e.Pipeline.Evidence.total;
     Alcotest.(check int) "17 entries" 17 (List.length e.Pipeline.Evidence.messages);
     Alcotest.(check string) "the tail counts the rest"
       (Printf.sprintf "… and %d more" (e.Pipeline.Evidence.total - 16))
@@ -630,6 +675,8 @@ let () =
             test_mutants_simulate_once;
           Alcotest.test_case "liveness evidence of incomplete runs" `Quick
             test_liveness_evidence;
+          Alcotest.test_case "LV fails iff the run did not complete" `Quick
+            test_lv_iff_incomplete;
           Alcotest.test_case "raising run keeps its error" `Quick
             test_verify_error_unchanged;
           Alcotest.test_case "raising run keeps its backtrace" `Quick

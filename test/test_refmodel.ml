@@ -155,6 +155,47 @@ let test_wraparound_without_interrupts () =
   R.run s ~steps:3;
   Alcotest.(check int) "wraps" 0x80000000 s.R.gpr.(2)
 
+(* [Progs.make] counts on one golden-model state per domain, refilled
+   for each program.  A count taken right after a kernel that stores to
+   MEM (memcpy, to words 128-135) must equal one taken on a fresh
+   state — for every kernel, and for a probe that branches on word
+   128. *)
+let test_counts_on_reused_state () =
+  let intr = { R.with_interrupts = true; sisr = 8 } in
+  let fresh config (p : P.t) =
+    let s = R.create ~data:p.P.data ~program:(P.program p) () in
+    let halt = 4 * (Dlx.Asm.words_of p.P.items - 2) in
+    while s.R.dpc <> halt do
+      R.step ~config s
+    done;
+    s.R.instret
+  in
+  List.iter
+    (fun (config, (p : P.t)) ->
+      let body =
+        List.filteri (fun i _ -> i < List.length p.P.items - 3) p.P.items
+      in
+      ignore (P.memcpy 8);
+      let again = P.make ~config ~data:p.P.data p.P.prog_name body in
+      Alcotest.(check int) p.P.prog_name (fresh config p)
+        again.P.dyn_instructions;
+      Alcotest.(check int) (p.P.prog_name ^ " at start-up")
+        again.P.dyn_instructions p.P.dyn_instructions)
+    (List.map (fun p -> (R.default_config, p)) P.all_kernels
+    @ [
+        (intr, P.overflow_trap);
+        ( R.default_config,
+          P.make "probe"
+            Dlx.Asm.
+              [
+                Insn (I.Lw (1, 0, 512));
+                Beqz_l (1, "done");
+                Insn I.Nop;
+                Insn (I.Addi (2, 0, 1));
+                Label "done";
+              ] );
+      ])
+
 let () =
   Alcotest.run "refmodel"
     [
@@ -167,6 +208,8 @@ let () =
           Alcotest.test_case "subword loads" `Quick test_subword_loads;
           Alcotest.test_case "strlen" `Quick test_strlen;
           Alcotest.test_case "checksum" `Quick test_checksum;
+          Alcotest.test_case "counts on a reused state" `Quick
+            test_counts_on_reused_state;
         ] );
       ( "control",
         [

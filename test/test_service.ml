@@ -316,10 +316,23 @@ let test_handler_stats_matches_cli () =
         (handle_text (Req.make ~spec:(spec m) Req.Stats)))
     [ MS.Toy3; MS.Dlx5 ]
 
+let write_file path text =
+  let oc = open_out_bin path in
+  output_string oc text;
+  close_out oc
+
 let test_handler_usage_errors () =
   let missing =
     Filename.concat (Filename.get_temp_dir_name ()) "no_such_dir/p.s"
   in
+  let unknown_label = Filename.temp_file "usage_label" ".s"
+  and runaway = Filename.temp_file "usage_runaway" ".s" in
+  write_file unknown_label "  j nolabel\n  nop\n";
+  write_file runaway "loop:\n  addi r1, r1, 1\n  j loop\n  nop\n";
+  let file path = { (spec MS.Dlx5) with Req.program_file = Some path } in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove unknown_label; Sys.remove runaway)
+  @@ fun () ->
   List.iter
     (fun (s, names) ->
       List.iter
@@ -335,7 +348,12 @@ let test_handler_usage_errors () =
     [
       ({ (spec MS.Dlx5) with Req.kernel = Some "nosuch" }, "unknown kernel");
       (* An unreadable program file, like an unparsable one. *)
-      ({ (spec MS.Dlx5) with Req.program_file = Some missing }, missing);
+      (file missing, missing);
+      (* A file that assembles to nothing runnable. *)
+      (file unknown_label, unknown_label ^ ": unknown label nolabel");
+      ( file runaway,
+        runaway ^ ": the program did not reach the halt loop within 200k \
+                   instructions" );
     ]
 
 (* ------------------------------------------------------------------ *)
@@ -452,11 +470,6 @@ let test_key_hits_bit_identical () =
             (payload_bytes again))
         key_kinds)
     specs
-
-let write_file path text =
-  let oc = open_out_bin path in
-  output_string oc text;
-  close_out oc
 
 (* Two programs of one length and dynamic count that differ in one
    operand: only the words tell them apart, and B has no load-use
@@ -671,7 +684,29 @@ let test_warm_start () =
   let r2 = H.handle ~env:env2 req in
   Alcotest.(check bool) "warmed key hits" true r2.Resp.cached;
   Alcotest.(check string) "warmed payload bit-identical" (payload_bytes r1)
-    (payload_bytes r2)
+    (payload_bytes r2);
+  (* A request that reads an assembly file is not warmed: the file
+     may have been rewritten since its payload was journaled. *)
+  let path = Filename.temp_file "warm_file" ".s" in
+  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+  let req =
+    Req.make ~spec:{ (spec MS.Dlx5) with Req.program_file = Some path }
+      Req.Stats
+  in
+  write_file path body_a;
+  let payload_a =
+    match (H.handle req).Resp.result with
+    | Ok p -> p
+    | Error e -> Alcotest.fail (Resp.error_message e)
+  in
+  write_file path body_b;
+  let env3 = H.create_env () in
+  H.warm ~env:env3 req payload_a;
+  let r3 = H.handle ~env:env3 req in
+  Alcotest.(check bool) "rewritten file misses" false r3.Resp.cached;
+  Alcotest.(check string) "answers the file as it is now"
+    (payload_bytes (H.handle req))
+    (payload_bytes r3)
 
 (* ------------------------------------------------------------------ *)
 (* Admission control                                                  *)
