@@ -65,7 +65,10 @@ let shift_right_arith a n =
   let n = min n (a.w - 1) in
   make ~width:a.w (s asr n)
 
-let of_bool b = if b then one 1 else zero 1
+(* Interned like the zeros: the compiled simulators load a full and an
+   ext bit per stage every cycle. *)
+let one_bit = { w = 1; v = 1 }
+let of_bool b = if b then one_bit else zeros.(1)
 let to_bool t = t.v <> 0
 let eq a b = check "eq" a b; of_bool (a.v = b.v)
 let lt_unsigned a b = check "ltu" a b; of_bool (a.v < b.v)

@@ -105,7 +105,7 @@ let run_plan c env =
       try Plan.set inst slot v with Plan.Run_error m -> err "%s" m);
   Plan.iter_files c.plan (fun name ~index:_ ~width:_ ->
       Plan.bind_file inst name (fun addr ->
-          try env.lookup_file name addr
+          try env.lookup_file name (Bitvec.make ~width:Bitvec.max_width addr)
           with Not_found -> err "unknown register file %s" name));
   (try Plan.run inst with Plan.Run_error m -> err "%s" m);
   Array.map (Plan.get inst) c.roots

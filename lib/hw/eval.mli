@@ -72,4 +72,6 @@ val run_plan : compiled -> env -> Bitvec.t array
 (** Evaluate a compiled plan against a closure environment: inputs are
     fetched by name once per call, the tape runs, and the root values
     are returned in order.  Errors are reported as {!Eval_error} with
-    the same messages as {!eval}. *)
+    the same messages as {!eval}.  The tape carries raw addresses, so
+    [lookup_file] receives each address boxed at {!Bitvec.max_width}
+    bits: the same unsigned value {!eval} passes, at full width. *)

@@ -69,10 +69,15 @@ type t = {
          slots.  [[||]] for unsegmented plans. *)
 }
 
+(* Scalar slots hold raw ints, each masked to its slot's width (the
+   representation the lane engine uses for its wide slots).  Values
+   are boxed as [Bitvec.t] only where they cross the API: [set] unboxes
+   (with its width check), [get] and [read_name] box, file readers take
+   a raw address and return a checked entry. *)
 type instance = {
   plan : t;
-  slots : Bitvec.t array;
-  files : (Bitvec.t -> Bitvec.t) array;
+  slots : int array;
+  files : (int -> Bitvec.t) array;
 }
 
 let alloc b w =
@@ -307,18 +312,21 @@ let slot_name p s =
 
 let unbound_reader p i _ = rerr "unbound register file %s" p.file_names.(i)
 
+let load_consts inst =
+  Array.iter (fun (s, v) -> inst.slots.(s) <- Bitvec.to_int v) inst.plan.consts
+
 let instance p =
-  let slots = Array.make (max p.p_n_slots 1) (Bitvec.zero 1) in
-  Array.iter (fun (s, v) -> slots.(s) <- v) p.consts;
   let files =
     Array.init (Array.length p.file_names) (fun i -> unbound_reader p i)
   in
-  { plan = p; slots; files }
+  let inst = { plan = p; slots = Array.make (max p.p_n_slots 1) 0; files } in
+  load_consts inst;
+  inst
 
 let reset inst =
   let p = inst.plan in
-  Array.fill inst.slots 0 (Array.length inst.slots) (Bitvec.zero 1);
-  Array.iter (fun (s, v) -> inst.slots.(s) <- v) p.consts;
+  Array.fill inst.slots 0 (Array.length inst.slots) 0;
+  load_consts inst;
   for i = 0 to Array.length inst.files - 1 do
     inst.files.(i) <- unbound_reader p i
   done
@@ -334,7 +342,7 @@ let set inst s v =
     rerr "input %s: stored width %d, expression expects %d"
       (match slot_name inst.plan s with Some n -> n | None -> string_of_int s)
       (Bitvec.width v) w;
-  inst.slots.(s) <- v
+  inst.slots.(s) <- Bitvec.to_int v
 
 let apply_unop op a =
   match op with
@@ -360,26 +368,68 @@ let apply_binop op a b =
   | Expr.Shr -> Bitvec.shift_right_logical a (Bitvec.to_int b)
   | Expr.Sra -> Bitvec.shift_right_arith a (Bitvec.to_int b)
 
+(* Raw-int mirrors of the Bitvec primitives, shared by the scalar and
+   lane interpreters.  These must agree with bitvec.ml bit for bit,
+   including the width-62 special cases (all-ones mask [max_int]; a
+   62-bit value reads as non-negative). *)
+let maskw w = if w = Bitvec.max_width then max_int else (1 lsl w) - 1
+
+let signedw w v =
+  if w = Bitvec.max_width then v
+  else if v land (1 lsl (w - 1)) <> 0 then v - (1 lsl w)
+  else v
+
+(* Every operand is already masked to its slot's width, so only ops
+   that can carry, borrow or smear ones upward mask their result. *)
 let run_range inst lo hi =
   let s = inst.slots in
-  let tape = inst.plan.tape in
+  let p = inst.plan in
+  let widths = p.p_widths in
+  let tape = p.tape in
   for i = lo to hi - 1 do
     let { dst; op } = Array.unsafe_get tape i in
     let v =
       match op with
-      | O_unop (o, a) -> apply_unop o s.(a)
-      | O_binop (o, a, b) -> apply_binop o s.(a) s.(b)
-      | O_mux (c, a, b) -> if Bitvec.to_bool s.(c) then s.(a) else s.(b)
-      | O_concat (a, b) -> Bitvec.concat s.(a) s.(b)
-      | O_slice (a, hi, lo) -> Bitvec.slice s.(a) ~hi ~lo
-      | O_zext (a, w) -> Bitvec.zero_extend s.(a) w
-      | O_sext (a, w) -> Bitvec.sign_extend s.(a) w
+      | O_unop (o, a) -> (
+        let va = s.(a) in
+        match o with
+        | Expr.Not -> lnot va land maskw widths.(dst)
+        | Expr.Neg -> -va land maskw widths.(dst)
+        | Expr.Reduce_or -> Bool.to_int (va <> 0)
+        | Expr.Reduce_and -> Bool.to_int (va = maskw widths.(a)))
+      | O_binop (o, a, b) -> (
+        let va = s.(a) and vb = s.(b) in
+        match o with
+        | Expr.Add -> (va + vb) land maskw widths.(dst)
+        | Expr.Sub -> (va - vb) land maskw widths.(dst)
+        | Expr.Mul -> va * vb land maskw widths.(dst)
+        | Expr.And -> va land vb
+        | Expr.Or -> va lor vb
+        | Expr.Xor -> va lxor vb
+        | Expr.Eq -> Bool.to_int (va = vb)
+        | Expr.Ne -> Bool.to_int (va <> vb)
+        | Expr.Ltu -> Bool.to_int (va < vb)
+        | Expr.Lts ->
+          let w = widths.(a) in
+          Bool.to_int (signedw w va < signedw w vb)
+        | Expr.Shl ->
+          let w = widths.(dst) in
+          if vb >= w then 0 else (va lsl vb) land maskw w
+        | Expr.Shr -> if vb >= widths.(dst) then 0 else va lsr vb
+        | Expr.Sra ->
+          let w = widths.(dst) in
+          (signedw w va asr min vb (w - 1)) land maskw w)
+      | O_mux (c, a, b) -> if s.(c) <> 0 then s.(a) else s.(b)
+      | O_concat (a, b) -> (s.(a) lsl widths.(b)) lor s.(b)
+      | O_slice (a, hi, lo) -> (s.(a) lsr lo) land maskw (hi - lo + 1)
+      | O_zext (a, _) -> s.(a)
+      | O_sext (a, w) -> signedw widths.(a) s.(a) land maskw w
       | O_file_read (f, a, w) ->
         let v = inst.files.(f) s.(a) in
         if Bitvec.width v <> w then
           rerr "file %s: stored width %d, expression expects %d"
-            inst.plan.file_names.(f) (Bitvec.width v) w;
-        v
+            p.file_names.(f) (Bitvec.width v) w;
+        Bitvec.to_int v
     in
     s.(dst) <- v
   done
@@ -401,12 +451,13 @@ let run_group inst g =
   Obs.Counters.add Obs.Counters.Plan_ops (hi - lo);
   run_range inst lo hi
 
-let get inst slot = inst.slots.(slot)
-let get_bool inst slot = Bitvec.to_bool inst.slots.(slot)
+let get inst slot = Bitvec.make ~width:inst.plan.p_widths.(slot) inst.slots.(slot)
+let get_raw inst slot = inst.slots.(slot)
+let get_bool inst slot = inst.slots.(slot) <> 0
 
 let read_name inst name =
   match slot_of_name inst.plan name with
-  | Some s -> Some inst.slots.(s)
+  | Some s -> Some (get inst s)
   | None -> None
 
 let slot_width p s = p.p_widths.(s)
@@ -492,15 +543,6 @@ let lanes_bind_file ln name rows =
   match Hashtbl.find_opt ln.l_plan.p_files name with
   | None -> ()
   | Some (i, _) -> ln.l_files.(i) <- rows
-
-(* Raw-int mirrors of the Bitvec primitives.  These must agree with
-   bitvec.ml bit for bit, including the width-62 special cases. *)
-let maskw w = if w = Bitvec.max_width then max_int else (1 lsl w) - 1
-
-let signedw w v =
-  if w = Bitvec.max_width then v
-  else if v land (1 lsl (w - 1)) <> 0 then v - (1 lsl w)
-  else v
 
 let run_lanes_range ln lo hi =
   let p = ln.l_plan in

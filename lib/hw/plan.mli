@@ -31,6 +31,14 @@
     ({!set}), then {!run} executes the tape; read results with {!get}.
     A plan is immutable and can back any number of instances.
 
+    Slots hold raw [int]s, each masked to its slot's compile-time width
+    (the representation {!lanes} uses for wide slots), so a {!run}
+    allocates nothing.  Values are boxed as {!Bitvec.t} only at the
+    boundary: {!set} unboxes after its width check, {!get} and
+    {!read_name} box on read, and a file reader receives the raw
+    address and returns a {!Bitvec.t} entry whose width {!run} checks.
+    {!get_raw} and {!get_bool} read without boxing.
+
     {2 Instance reuse}
 
     Instances are designed to be reused across evaluation contexts
@@ -115,7 +123,8 @@ val build : builder -> t
     {!optimize} runs a semantics-preserving pass pipeline over a built
     tape: constant folding and propagation (any step whose operands
     are constants — including mux-with-constant-select collapse — is
-    evaluated now through the same {!Bitvec} semantics {!run} uses),
+    evaluated now through {!Bitvec}, whose semantics {!run}'s raw-int
+    ops mirror bit for bit),
     algebraic identities ([x & 0], [x | 0], [x ^ x], [eq x x],
     width-identity [zext]/[sext]/[slice], shifts by zero, ...),
     dead-code elimination by backward liveness, and tape compaction
@@ -260,10 +269,11 @@ val reset : instance -> unit
     instance with [instance (plan of inst)] but without allocation;
     see the instance-reuse contract above. *)
 
-val bind_file : instance -> string -> (Bitvec.t -> Bitvec.t) -> unit
+val bind_file : instance -> string -> (int -> Bitvec.t) -> unit
 (** Bind a register-file reader.  Unknown names are ignored (the plan
     never reads them).  Readers are consulted on every [File_read]
-    executed by {!run}; results are width-checked ({!Run_error}). *)
+    executed by {!run} with the raw (unsigned) address; results are
+    width-checked ({!Run_error}). *)
 
 val set : instance -> int -> Bitvec.t -> unit
 (** Load an input slot.  @raise Run_error on width mismatch. *)
@@ -285,7 +295,14 @@ val run_group : instance -> int -> unit
     {!run_control}. *)
 
 val get : instance -> int -> Bitvec.t
+(** A slot's value, boxed at the slot's width. *)
+
+val get_raw : instance -> int -> int
+(** A slot's raw value (unsigned, masked to the slot's width), unboxed:
+    what the resolved commit path ({!Machine.Commit.commit}) reads. *)
+
 val get_bool : instance -> int -> bool
+(** [get_raw <> 0]. *)
 
 val read_name : instance -> string -> Bitvec.t option
 (** Name-based lookup over defines and inputs (callback compatibility

@@ -170,39 +170,68 @@ let cstage_slots (cs : cstage) =
     (fun acc cw -> cwrite_slots cw acc)
     (List.map snd cs.cs_shifts) cs.cs_writes
 
-let cwrite_updates inst (cw : cwrite) =
-  let enabled =
-    match cw.cw_guard with
-    | None -> true
-    | Some g -> Hw.Plan.get_bool inst g
+(* ---- resolved path: compiled writes bound to one state's cells ---- *)
+
+(* A [cwrite] or shift with its destination cell looked up once per
+   session.  [rw_guard] / [rw_pass] are [-1] when absent; a shift is an
+   unguarded plain write of the previous instance's slot. *)
+type rwrite = {
+  rw_cell : State.cell;
+  rw_file : bool;
+  rw_value : int;
+  rw_guard : int;
+  rw_addr : int;
+  rw_pass : int;
+}
+
+type resolved = rwrite array
+
+let slot_or_none = function Some s -> s | None -> -1
+
+let resolve_write state (cw : cwrite) =
+  {
+    rw_cell = State.cell state cw.cw_dst;
+    rw_file = cw.cw_file;
+    rw_value = cw.cw_value;
+    rw_guard = slot_or_none cw.cw_guard;
+    rw_addr = slot_or_none cw.cw_addr;
+    rw_pass = slot_or_none cw.cw_pass;
+  }
+
+let resolve_writes state cws = Array.of_list (List.map (resolve_write state) cws)
+
+let resolve_stage state (cs : cstage) =
+  let shift (dst, slot) =
+    {
+      rw_cell = State.cell state dst;
+      rw_file = false;
+      rw_value = slot;
+      rw_guard = -1;
+      rw_addr = -1;
+      rw_pass = -1;
+    }
   in
-  if cw.cw_file then
-    if enabled then
-      [
-        Write_file
-          ( cw.cw_dst,
-            Hw.Plan.get inst (Option.get cw.cw_addr),
-            Hw.Plan.get inst cw.cw_value );
-      ]
-    else []
-  else
-    match cw.cw_pass with
-    | None ->
-      if enabled then [ Set_scalar (cw.cw_dst, Hw.Plan.get inst cw.cw_value) ]
-      else []
-    | Some p ->
-      [
-        Set_scalar
-          (cw.cw_dst, Hw.Plan.get inst (if enabled then cw.cw_value else p));
-      ]
+  Array.of_list
+    (List.map (resolve_write state) cs.cs_writes @ List.map shift cs.cs_shifts)
 
-let stage_updates_compiled inst (cs : cstage) =
-  List.concat_map (cwrite_updates inst) cs.cs_writes
-  @ List.map
-      (fun (dst, slot) -> Set_scalar (dst, Hw.Plan.get inst slot))
-      cs.cs_shifts
-
-let writes_updates_compiled inst cws = List.concat_map (cwrite_updates inst) cws
+let commit inst (r : resolved) =
+  let cells = ref 0 in
+  for i = 0 to Array.length r - 1 do
+    let rw = Array.unsafe_get r i in
+    if rw.rw_guard < 0 || Hw.Plan.get_bool inst rw.rw_guard then begin
+      incr cells;
+      if rw.rw_file then
+        State.cell_write_file rw.rw_cell
+          ~addr:(Hw.Plan.get_raw inst rw.rw_addr)
+          ~data:(Hw.Plan.get inst rw.rw_value)
+      else State.cell_set_scalar rw.rw_cell (Hw.Plan.get inst rw.rw_value)
+    end
+    else if rw.rw_pass >= 0 then begin
+      incr cells;
+      State.cell_set_scalar rw.rw_cell (Hw.Plan.get inst rw.rw_pass)
+    end
+  done;
+  Obs.Counters.add Obs.Counters.Cells_written !cells
 
 let apply state updates =
   Obs.Counters.add Obs.Counters.Cells_written (List.length updates);
@@ -215,13 +244,13 @@ let apply state updates =
 
 (* ---- lane path: one compiled write applied across a lane mask ---- *)
 
-(* The lane mirror of [cwrite_updates] + [apply], fused: values come
-   straight from the lane slots and land in the lane cells, no update
-   list is materialised.  [mask] selects the lanes this commit applies
-   to (the stage's update-enable word).  The return value is the exact
-   scalar [Cells_written] equivalent: one per enabled file or plain
-   scalar write per lane, one per pass-through or shift write per
-   masked lane — the caller stages it into its ledger.
+(* The lane mirror of [commit]: values come straight from the lane
+   slots and land in the lane cells.  [mask] selects the lanes this
+   commit applies to (the stage's update-enable word).  The return
+   value is the exact scalar [Cells_written] equivalent: one per
+   enabled file or plain scalar write per lane, one per pass-through
+   or shift write per masked lane — the caller stages it into its
+   ledger.
 
    Width discipline: the value/pass slots were compiled from the same
    spec that sized the lane cells, so widths agree by construction;

@@ -23,20 +23,31 @@ val stage_updates :
   Spec.t -> stage:int -> env:Hw.Eval.env -> State.t -> update list
 (** Evaluate stage [stage]'s writes (and instance shifts) in [env];
     [State.t] supplies the previous-instance values for pass-through.
-    Raises [Hw.Eval.Eval_error] on evaluation failure.  Closure-path
-    compatibility shim; the simulators use the compiled path below. *)
+    Raises [Hw.Eval.Eval_error] on evaluation failure.  The
+    tree-walking path: the reference engine
+    ({!Pipeline.Pipesem.run_reference}) and {!Seqsem.step_stage} use
+    it, and it is the oracle the compiled path below is tested
+    against. *)
 
 val writes_updates :
   Spec.t -> writes:Spec.write list -> env:Hw.Eval.env -> State.t -> update list
 (** Like {!stage_updates} but for an explicit write list (used for the
     speculation rollback writes, paper §5); instance pass-through is
     not applied — only listed writes commit, under their guards.
-    Closure-path compatibility shim. *)
+    Tree-walking path. *)
+
+val apply : State.t -> update list -> unit
+(** Commit an update list in order, counting its length into
+    [Cells_written]. *)
 
 (** {1 Compiled path}
 
-    Stage writes compiled once into a {!Hw.Plan} builder; per cycle
-    the simulator runs the plan and materializes updates from slots. *)
+    Stage writes compiled once into a {!Hw.Plan} builder ({!cwrite},
+    {!cstage}), then resolved once per session against the session's
+    {!State.t} ({!resolved}): each write's destination cell is looked
+    up by name at resolution, never per cycle.  Per cycle the
+    simulator runs the plan and {!commit}s straight from the slots —
+    no update list is built. *)
 
 type cwrite
 (** One compiled register write: value / guard / address / instance
@@ -74,19 +85,37 @@ val cstage_slots : cstage -> int list
 (** Every plan slot a stage's commit reads: {!cwrite_slots} over its
     writes plus the shift sources. *)
 
-val stage_updates_compiled : Hw.Plan.instance -> cstage -> update list
-(** Read the updates of a stage from an evaluated plan instance.
-    Equivalent to {!stage_updates} against the same pre-edge values. *)
+type resolved
+(** A stage's writes and shifts (or a rollback write list) bound to the
+    cells of one {!State.t}. *)
 
-val writes_updates_compiled : Hw.Plan.instance -> cwrite list -> update list
+val resolve_stage : State.t -> cstage -> resolved
+(** Resolve a stage's writes, then its shifts, in that order.
+    @raise Invalid_argument for a destination the state lacks. *)
 
-val apply : State.t -> update list -> unit
+val resolve_writes : State.t -> cwrite list -> resolved
+(** Resolve an explicit (rollback) write list. *)
+
+val commit : Hw.Plan.instance -> resolved -> unit
+(** Apply the writes from an evaluated plan instance, in resolution
+    order: an enabled write stores its value (a file write one entry at
+    its address), a disabled write with a pass-through stores the
+    previous instance's value, any other disabled write does nothing.
+    Counts the stores into [Cells_written].  Equivalent to {!apply} of
+    {!stage_updates} (or {!writes_updates}) against the same pre-edge
+    values.
+
+    Two-phase discipline: values and addresses are read from the
+    instance's slots, which a commit never changes, so a caller that
+    evaluates every firing stage's plan group first and then commits
+    them one after another commits one clock edge against the pre-edge
+    state (where two writes hit one register, the later commit
+    wins, as with {!apply}). *)
 
 (** {1 Lane path}
 
-    The lane mirror of [stage_updates_compiled] + [apply], fused:
-    values flow straight from lane slots into lane cells under a lane
-    mask, with no update list.  Both functions return the scalar
+    The lane mirror of {!commit}: values flow straight from lane slots
+    into lane cells under a lane mask.  Both functions return the scalar
     [Cells_written] equivalent of what they committed (one per enabled
     plain write per lane, one per pass-through/shift per masked lane)
     for the caller's {!Obs.Counters.ledger} — nothing is counted

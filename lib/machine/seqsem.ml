@@ -38,13 +38,14 @@ let compile ?(optimize = Hw.Plan.optimize_default ()) (m : Spec.t) =
 let spec cm = cm.cm_spec
 
 (* A session: one persistent state with the per-stage plans bound to
-   it once.  [run_session] resets the state (cells mutate in place, so
-   the bindings stay wired) and replays the machine on new initial
+   it once and each stage's writes resolved to its cells.
+   [run_session] resets the state (cells mutate in place, so the
+   bindings stay wired) and replays the machine on new initial
    contents. *)
 type session = {
   ss_cm : compiled;
   ss_state : State.t;
-  ss_stages : (State.bound * Commit.cstage) array;
+  ss_stages : (State.bound * Commit.resolved) array;
   mutable ss_arena : (string * Value.t) list list;
       (* last run's trace snapshots, recycled by the next run — this
          is what invalidates a session's previous trace *)
@@ -55,7 +56,8 @@ let session cm =
   let state = State.create cm.cm_spec in
   let stages =
     Array.map
-      (fun (plan, cs) -> (State.bind_plan state plan, cs))
+      (fun (plan, cs) ->
+        (State.bind_plan state plan, Commit.resolve_stage state cs))
       cm.cm_stages
   in
   { ss_cm = cm; ss_state = state; ss_stages = stages; ss_arena = [] }
@@ -66,11 +68,11 @@ let run_session ?(halt = fun _ -> false) ?init ~max_instructions s =
   let stages = s.ss_stages in
   State.reset ?init m state;
   let step k =
-    let bound, cs = stages.(k) in
+    let bound, writes = stages.(k) in
     State.load bound;
-    Hw.Plan.run (State.bound_instance bound);
-    Commit.apply state
-      (Commit.stage_updates_compiled (State.bound_instance bound) cs)
+    let inst = State.bound_instance bound in
+    Hw.Plan.run inst;
+    Commit.commit inst writes
   in
   let arena = ref s.ss_arena in
   s.ss_arena <- [];

@@ -101,21 +101,30 @@ let get t name = (cell t name).v
    commit loop's hot path, never hold one. *)
 let forget_image c = match c.src with Some _ -> c.src <- None | None -> ()
 
+let store c v =
+  c.v <- v;
+  forget_image c
+
 let set t name v =
   match Hashtbl.find_opt t name with
-  | Some c ->
-    c.v <- v;
-    forget_image c
+  | Some c -> store c v
   | None -> Hashtbl.replace t name { v; src = None }
+
+(* The write paths of a resolved cell (looked up once by the compiled
+   commit path).  Cells are never replaced — [reset] refills them in
+   place — so a resolved cell stays the register's. *)
+let cell_set_scalar c v = store c (Value.Scalar v)
+
+let cell_write_file c ~addr ~data =
+  forget_image c;
+  Value.write_entry c.v addr data
 
 let get_scalar t name = Value.read_scalar (get t name)
 let set_scalar t name v = set t name (Value.Scalar v)
 let read_file t name addr = Value.read_file (get t name) addr
 
 let write_file t name ~addr ~data =
-  let c = cell t name in
-  forget_image c;
-  Value.write_file c.v addr data
+  cell_write_file (cell t name) ~addr:(Hw.Bitvec.to_int addr) ~data
 
 let holds_image t name image =
   match image with
@@ -163,7 +172,7 @@ let bind_plan ?(extern = fun _ -> false) t plan =
   Hw.Plan.iter_files plan (fun name ~index:_ ~width:_ ->
       match Hashtbl.find_opt t name with
       | Some ({ v = Value.File _; _ } as c) ->
-        Hw.Plan.bind_file instance name (fun addr -> Value.read_file c.v addr)
+        Hw.Plan.bind_file instance name (fun addr -> Value.read_entry c.v addr)
       | Some { v = Value.Scalar _; _ } ->
         raise (Hw.Eval.Eval_error (name ^ " is a scalar, not a register file"))
       | None ->

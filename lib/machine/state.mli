@@ -63,6 +63,27 @@ val eval_env : t -> Hw.Eval.env
     {!Hw.Eval.eval}; the simulators bind plans instead
     ({!bind_plan}). *)
 
+(** {1 Resolved cells}
+
+    A register's storage, looked up by name once.  Cells are refilled
+    in place by {!reset} and never replaced, so a resolved cell stays
+    valid for the state's lifetime — the compiled commit path
+    ({!Commit.resolve_stage}) resolves every write's destination once
+    per session instead of hashing its name every cycle. *)
+
+type cell
+
+val cell : t -> string -> cell
+(** @raise Invalid_argument for unknown registers. *)
+
+val cell_set_scalar : cell -> Hw.Bitvec.t -> unit
+(** {!set_scalar} through a resolved cell. *)
+
+val cell_write_file : cell -> addr:int -> data:Hw.Bitvec.t -> unit
+(** {!write_file} through a resolved cell, at a raw (unsigned) address
+    masked to the file's size.
+    @raise Invalid_argument if the register currently holds a scalar. *)
+
 (** {1 Plan binding} *)
 
 type bound

@@ -51,15 +51,18 @@ let read_scalar = function
   | Scalar v -> v
   | File _ -> invalid_arg "Value.read_scalar: register file"
 
-let read_file t addr =
+let read_entry t addr =
   match t with
   | Scalar _ -> invalid_arg "Value.read_file: scalar"
-  | File arr -> arr.(Hw.Bitvec.to_int addr land (Array.length arr - 1))
+  | File arr -> arr.(addr land (Array.length arr - 1))
 
-let write_file t addr data =
+let write_entry t addr data =
   match t with
   | Scalar _ -> invalid_arg "Value.write_file: scalar"
-  | File arr -> arr.(Hw.Bitvec.to_int addr land (Array.length arr - 1)) <- data
+  | File arr -> arr.(addr land (Array.length arr - 1)) <- data
+
+let read_file t addr = read_entry t (Hw.Bitvec.to_int addr)
+let write_file t addr data = write_entry t (Hw.Bitvec.to_int addr) data
 
 let pp ppf = function
   | Scalar v -> Hw.Bitvec.pp ppf v

@@ -31,4 +31,11 @@ val read_file : t -> Hw.Bitvec.t -> Hw.Bitvec.t
 val write_file : t -> Hw.Bitvec.t -> Hw.Bitvec.t -> unit
 (** [write_file v addr data] mutates the entry. *)
 
+val read_entry : t -> int -> Hw.Bitvec.t
+(** {!read_file} at a raw (unsigned) address: the compiled simulators'
+    file readers. *)
+
+val write_entry : t -> int -> Hw.Bitvec.t -> unit
+(** {!write_file} at a raw address: the resolved commit path. *)
+
 val pp : Format.formatter -> t -> unit

@@ -102,9 +102,10 @@ let collector (tr : Transform.t) =
   in
   (callbacks, read)
 
-let measure ?ext ~stop_after tr =
+let measure ?ext ?compiled ~stop_after tr =
   let callbacks, read = collector tr in
-  ignore (Pipesem.run ?ext ~callbacks ~stop_after tr);
+  let c = match compiled with Some c -> c | None -> Pipesem.compile tr in
+  ignore (Pipesem.run_compiled ?ext ~callbacks ~stop_after c);
   read ()
 
 let merge a b =

@@ -34,8 +34,15 @@ val collector : Transform.t -> Pipesem.callbacks * (unit -> t)
     if needed) and a function to read the collected coverage. *)
 
 val measure :
-  ?ext:Pipesem.ext_model -> stop_after:int -> Transform.t -> t
-(** Run the machine and collect. *)
+  ?ext:Pipesem.ext_model ->
+  ?compiled:Pipesem.compiled ->
+  stop_after:int ->
+  Transform.t ->
+  t
+(** Run the machine and collect.  [compiled] reuses an existing
+    evaluation plan for the machine instead of compiling it again; the
+    collector reads signals by name, so it must have been compiled
+    with [observe] on (the {!Pipesem.compile} default). *)
 
 val merge : t -> t -> t
 (** Pointwise union (for accumulating over several programs).

@@ -108,8 +108,11 @@ type engine = {
   eng_lookup : string -> Hw.Bitvec.t option;  (* on_signals view *)
   eng_dhaz : int -> bool;
   eng_mispredict : Fwd_spec.speculation -> bool;
-  eng_stage_updates : int -> Machine.Commit.update list;
-  eng_rollback_updates : Fwd_spec.speculation -> Machine.Commit.update list;
+  eng_edge : ue:bool array -> firing:Fwd_spec.speculation option -> unit;
+      (* the clock edge: evaluate the writes of every stage with [ue]
+         and of the firing speculation's rollback against the pre-edge
+         state, then commit them all — stages in order, the rollback
+         last *)
 }
 
 let run_loop ~engine ~state ?(ext = fun ~stage:_ ~cycle:_ -> false)
@@ -196,19 +199,11 @@ let run_loop ~engine ~state ?(ext = fun ~stage:_ ~cycle:_ -> false)
              sp.Fwd_spec.resolve_stage = k && engine.eng_mispredict sp)
            t.Transform.speculations
      in
-     (* Collect all register updates against the pre-edge state. *)
-     let updates = ref [] in
-     for k = 0 to n - 1 do
-       if s.ue.(k) then updates := engine.eng_stage_updates k :: !updates
-     done;
-     (match firing_spec with
-     | None -> ()
-     | Some sp -> updates := engine.eng_rollback_updates sp :: !updates);
      (* Clock edge: registers, tags, full bits.  A transient fault
         (single-event upset) flips its bit right after the edge, so
         the consistency checker observes the corrupted state exactly
         as downstream hardware would. *)
-     List.iter (Machine.Commit.apply state) (List.rev !updates);
+     engine.eng_edge ~ue:s.ue ~firing:firing_spec;
      inject.inj_edge ~cycle:!cycle state;
      callbacks.on_edge record state;
      let retirements = ref [] in
@@ -485,11 +480,16 @@ let plan_engine c state =
   let inst = State.bound_instance bound in
   let n = Array.length c.c_full_slots in
   (* Segmented plans evaluate the control prefix every cycle and a
-     stage's (or rollback's) group only when its updates are read —
-     always before [run_loop] applies any update, so group evaluation
-     sees pre-edge state. *)
+     stage's (or rollback's) group only on the cycles it commits.  All
+     of a cycle's groups run before its first commit: register-file
+     reads go to the live state, so every group must see it pre-edge. *)
   let gated = Hw.Plan.is_segmented c.c_plan in
-  let rb_index = List.mapi (fun i (sp, _) -> (sp, i)) c.c_rollbacks in
+  let stages = Array.map (Machine.Commit.resolve_stage state) c.c_stages in
+  let rollbacks =
+    List.mapi
+      (fun i (sp, ws) -> (sp, (n + i, Machine.Commit.resolve_writes state ws)))
+      c.c_rollbacks
+  in
   let eng_begin ~cycle:_ ~fullb ~ext_now =
     State.load bound;
     for k = 0 to n - 1 do
@@ -513,14 +513,19 @@ let plan_engine c state =
     eng_dhaz = (fun k -> Hw.Plan.get_bool inst c.c_dhaz_slots.(k));
     eng_mispredict =
       (fun sp -> Hw.Plan.get_bool inst (List.assq sp c.c_spec_slots));
-    eng_stage_updates =
-      (fun k ->
-        if gated then Hw.Plan.run_group inst k;
-        Machine.Commit.stage_updates_compiled inst c.c_stages.(k));
-    eng_rollback_updates =
-      (fun sp ->
-        if gated then Hw.Plan.run_group inst (n + List.assq sp rb_index);
-        Machine.Commit.writes_updates_compiled inst (List.assq sp c.c_rollbacks));
+    eng_edge =
+      (fun ~ue ~firing ->
+        let rollback = Option.map (fun sp -> List.assq sp rollbacks) firing in
+        if gated then begin
+          for k = 0 to n - 1 do
+            if ue.(k) then Hw.Plan.run_group inst k
+          done;
+          Option.iter (fun (g, _) -> Hw.Plan.run_group inst g) rollback
+        end;
+        for k = 0 to n - 1 do
+          if ue.(k) then Machine.Commit.commit inst stages.(k)
+        done;
+        Option.iter (fun (_, ws) -> Machine.Commit.commit inst ws) rollback);
   }
 
 (* A session: one persistent state with the plan bound to it once.
@@ -1008,12 +1013,21 @@ let reference_engine (t : Transform.t) state =
         Hw.Bitvec.to_bool (Hashtbl.find overlay t.Transform.stage_dhaz.(k)));
     eng_mispredict =
       (fun sp -> Hw.Eval.eval_bool env sp.Fwd_spec.mispredict);
-    eng_stage_updates =
-      (fun k -> Machine.Commit.stage_updates m ~stage:k ~env state);
-    eng_rollback_updates =
-      (fun sp ->
-        Machine.Commit.writes_updates m ~writes:sp.Fwd_spec.rollback_writes
-          ~env state);
+    eng_edge =
+      (fun ~ue ~firing ->
+        (* every update list is evaluated before the first is applied *)
+        let stages =
+          List.filter (fun k -> ue.(k)) (List.init n Fun.id)
+          |> List.map (fun k -> Machine.Commit.stage_updates m ~stage:k ~env state)
+        in
+        let rollback =
+          Option.map
+            (fun (sp : Fwd_spec.speculation) ->
+              Machine.Commit.writes_updates m
+                ~writes:sp.Fwd_spec.rollback_writes ~env state)
+            firing
+        in
+        List.iter (Machine.Commit.apply state) (stages @ Option.to_list rollback));
   }
 
 let run_reference ?ext ?callbacks ?inject ?cancel ~stop_after

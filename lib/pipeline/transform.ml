@@ -728,38 +728,6 @@ let digest (t : t) =
     t.speculations;
   Digest.to_hex (Digest.string (Buffer.contents buf))
 
-let optimize (t : t) =
-  let sw (w : Spec.write) =
-    {
-      w with
-      Spec.value = Hw.Opt.simplify w.Spec.value;
-      guard = Option.map Hw.Opt.simplify w.Spec.guard;
-      wr_addr = Option.map Hw.Opt.simplify w.Spec.wr_addr;
-    }
-  in
-  {
-    t with
-    signals = List.map (fun (n, e) -> (n, Hw.Opt.simplify e)) t.signals;
-    machine =
-      {
-        t.machine with
-        Spec.stages =
-          List.map
-            (fun (s : Spec.stage) ->
-              { s with Spec.writes = List.map sw s.Spec.writes })
-            t.machine.Spec.stages;
-      };
-    speculations =
-      List.map
-        (fun (sp : Fwd_spec.speculation) ->
-          {
-            sp with
-            Fwd_spec.mispredict = Hw.Opt.simplify sp.Fwd_spec.mispredict;
-            rollback_writes = List.map sw sp.Fwd_spec.rollback_writes;
-          })
-        t.speculations;
-  }
-
 let find_rule t ~stage ~operand =
   List.find_opt
     (fun r ->

@@ -96,13 +96,6 @@ val digest : t -> string
     through a rolling hash, so digesting costs far less than one
     state reset. *)
 
-val optimize : t -> t
-(** Apply {!Hw.Opt.simplify} to every synthesized signal, every stage
-    write of the pipelined machine, and the speculation expressions.
-    Semantics-preserving (the optimizer's contract); reduces the
-    priced gate count of the generated networks, which contain many
-    constant guards and dead candidate arms. *)
-
 val full_signal : int -> string
 val ext_signal : int -> string
 

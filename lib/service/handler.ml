@@ -224,7 +224,8 @@ let run_verification ?pool ?cancel s =
 let eval_verify ?pool ?cancel s =
   let v = run_verification ?pool ?cancel s in
   let cov =
-    Pipeline.Coverage.measure ~stop_after:(sel_instructions s) (sel_tr s)
+    Pipeline.Coverage.measure ~compiled:(Workload.Sim.compiled s.sim)
+      ~stop_after:(sel_instructions s) (sel_tr s)
   in
   let holes = Pipeline.Coverage.holes cov in
   let verified = Core.verified v in
@@ -406,6 +407,13 @@ let cache_key (req : Request.t) prog =
         Printf.sprintf "length=%d" length;
         Printf.sprintf "seed=%d" seed;
       ]
+
+(* Any failure to resolve means no key: [handle] reports it on its own
+   path, so the request must keep its own evaluation. *)
+let verdict_key (req : Request.t) =
+  match resolve req.Request.spec with
+  | prog -> cache_key req prog
+  | exception _ -> None
 
 let handle ?env ?pool ?cancel ?(cache_only = false) ?checkpoint ?resume
     (req : Request.t) =

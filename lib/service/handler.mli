@@ -98,6 +98,14 @@ val handle :
     answered [Overloaded] instead of evaluated, before anything is
     built. *)
 
+val verdict_key : Request.t -> string option
+(** The verdict-cache key {!handle} looks up for this request: kind,
+    parameters, machine shape and resolved program, so two spellings
+    of one question (a kernel prefix and its full name, toy3 under
+    two kernels, a scalar and a [lanes] sweep) share it.  [None] for
+    campaigns (never cached) and for requests whose program does not
+    resolve.  Nothing is built; serve coalesces a batch on it. *)
+
 val warm : env:env -> Request.t -> Response.payload -> unit
 (** Install a journaled payload into the verdict cache under the key
     the ordinary path would compute for this request; nothing is

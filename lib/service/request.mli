@@ -72,9 +72,8 @@ type t = {
           wait already exceeds it, and otherwise evaluates under a
           cancellation deadline of this budget (a trip is a [Timeout]
           response).  [None] = the server's [--timeout] policy alone.
-          Note duplicate coalescing keys on the full canonical
-          encoding, so requests differing only in deadline do not
-          coalesce. *)
+          Serve's duplicate coalescing keys on the deadline too, so
+          requests differing only in deadline do not coalesce. *)
 }
 
 val make : ?id:string -> ?deadline_s:float -> ?spec:spec -> kind -> t

@@ -61,6 +61,20 @@ type role =
   | Leader of Request.t
   | Follower of int * Request.t  (* index of the leader *)
 
+(* Requests coalesce when they ask one question: the same verdict-cache
+   key (so the same payload) and the same deadline (so the same
+   admission and timeout fate).  A request without a key (a campaign,
+   a program that does not resolve) coalesces only with its own wire
+   form and answers its own error. *)
+let coalescing_key (req : Request.t) =
+  match Handler.verdict_key req with
+  | Some k ->
+    Printf.sprintf "key %s %s" k
+      (match req.Request.deadline_s with
+      | Some d -> Printf.sprintf "%h" d
+      | None -> "-")
+  | None -> "wire " ^ Request.to_string { req with Request.id = None }
+
 let process_batch ~env ~pool ?timeout_s ?cancel ?latency ?admission lines =
   let n = List.length lines in
   Obs.Counters.record_max Obs.Counters.Serve_queue_hwm n;
@@ -71,7 +85,7 @@ let process_batch ~env ~pool ?timeout_s ?cancel ?latency ?admission lines =
         match Request.of_string line with
         | Error e -> Malformed e
         | Ok req -> (
-          let canonical = Request.to_string { req with Request.id = None } in
+          let canonical = coalescing_key req in
           match Hashtbl.find_opt seen canonical with
           | None ->
             Hashtbl.add seen canonical i;

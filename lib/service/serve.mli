@@ -10,10 +10,15 @@
     Admission per batch:
 
     {ul
-    {- {e Coalescing} — requests identical up to their [id] (same
-       canonical {!Request.to_json}) collapse into one evaluation; the
-       followers are answered with the leader's payload, marked
-       [cached], and counted in [serve_coalesced].}
+    {- {e Coalescing} — requests that ask one question (the same
+       {!Handler.verdict_key} and the same [deadline_s]: a kernel
+       prefix and its full name, toy3 under two kernels, a scalar and
+       a [lanes] sweep) collapse into one evaluation, the first in
+       input order leading; the followers are answered with the
+       leader's payload, marked [cached], and counted in
+       [serve_coalesced].  Requests without a key (campaigns, programs
+       that do not resolve) coalesce only with their own canonical
+       wire form ({!Request.to_json} up to [id]).}
     {- {e Backpressure} — leaders beyond [max_queue], and leaders
        whose projected queue wait (an EWMA of recent service time)
        already exceeds their request [deadline_s], are shed with typed

@@ -237,6 +237,39 @@ let test_compile_reuse () =
   Alcotest.(check bool) "deterministic" true (a.P.stats = b.P.stats);
   Alcotest.(check int) "cycles" 8 a.P.stats.P.cycles
 
+(* The scalar engine's allocation per simulated cycle on the
+   verification hot path: a warm session ([observe = false], as
+   Consistency compiles it) replaying a DLX kernel.  Slots hold raw
+   ints and commits write straight into resolved state cells, so what
+   is left is the cycle driver's own bookkeeping and the boxes of the
+   values committed. *)
+let words_per_cycle machine kernel =
+  let spec =
+    { Service.Request.default_spec with Service.Request.machine; kernel = Some kernel }
+  in
+  let sel = Service.Handler.select spec in
+  let sim = sel.Service.Handler.sim in
+  let stop_after = Workload.Sim.instructions sim in
+  let s = P.session (P.compile ~observe:false (Workload.Sim.transform sim)) in
+  let first = P.run_session ~stop_after s in
+  let before = Gc.minor_words () in
+  let r = P.run_session ~stop_after s in
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check bool) "completed" true (r.P.outcome = P.Completed);
+  Alcotest.(check bool) "warm run repeats the cold one" true
+    (r.P.stats = first.P.stats);
+  words /. float_of_int r.P.stats.P.cycles
+
+let test_alloc_per_cycle () =
+  List.iter
+    (fun (machine, kernel) ->
+      let w = words_per_cycle machine kernel in
+      if w > 500. then
+        Alcotest.failf "%s %s: %.0f minor words per cycle (bound 500)"
+          (Service.Machine_spec.to_string machine) kernel w)
+    Service.Machine_spec.
+      [ (Dlx5, "fib_10"); (Dlx5_intr, "fib_10"); (Dlx6, "strlen_25") ]
+
 let () =
   Alcotest.run "pipesem"
     [
@@ -261,6 +294,8 @@ let () =
             test_compiled_matches_reference_dlx;
           Alcotest.test_case "compile once, run many" `Quick
             test_compile_reuse;
+          Alcotest.test_case "allocation per cycle" `Quick
+            test_alloc_per_cycle;
         ] );
       ( "properties",
         List.map to_alcotest [ prop_engines_agree_random_ext ] );

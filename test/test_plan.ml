@@ -23,7 +23,8 @@ let bv ~width v = B.make ~width (v land ((1 lsl width) - 1))
 
 (* A deterministic register file shared by every evaluation path. *)
 let mem_width = 8
-let mem_fun addr = bv ~width:mem_width ((B.to_int addr * 37) + 11)
+let mem_at a = bv ~width:mem_width ((a * 37) + 11)  (* plan readers: raw address *)
+let mem_fun addr = mem_at (B.to_int addr)
 
 let legacy_env bindings =
   let base = Hw.Eval.env_of_assoc bindings in
@@ -139,16 +140,21 @@ let bindings_of e seed =
     (fun (name, w) -> (name, bv ~width:w (Hashtbl.hash (name, seed))))
     (E.inputs e)
 
-(* Evaluate [e] through the direct Plan API. *)
-let plan_value e bindings =
+(* Evaluate [e] through the direct Plan API: the instance and the
+   result slot. *)
+let plan_run e bindings =
   let b = P.create ~auto:true ~files:[ ("mem", mem_width) ] () in
   let slot = P.root b e in
   let plan = P.build b in
   let inst = P.instance plan in
-  P.bind_file inst "mem" mem_fun;
+  P.bind_file inst "mem" mem_at;
   P.iter_inputs plan (fun name ~slot ~width:_ ->
       P.set inst slot (List.assoc name bindings));
   P.run inst;
+  (inst, slot)
+
+let plan_value e bindings =
+  let inst, slot = plan_run e bindings in
   P.get inst slot
 
 (* Evaluate [e] through the Eval.compile bridge (closure env in, plan
@@ -170,6 +176,267 @@ let prop_plan_matches_interpreter =
       let reference = Hw.Eval.eval (legacy_env bindings) e in
       B.equal reference (plan_value e bindings)
       && B.equal reference (bridge_value e bindings))
+
+(* Optimized ≡ unoptimized over the same random expression space the
+   interpreter property uses — the differential oracle for the whole
+   rewrite catalogue. *)
+let opt_value e bindings =
+  let b = P.create ~auto:true ~files:[ ("mem", mem_width) ] () in
+  let slot = P.root b e in
+  let plan, remap = P.optimize_remap (P.build b) in
+  let inst = P.instance plan in
+  P.bind_file inst "mem" mem_at;
+  P.iter_inputs plan (fun name ~slot ~width:_ ->
+      P.set inst slot (List.assoc name bindings));
+  P.run inst;
+  P.get inst remap.(slot)
+
+(* ------------------------------------------------------------------ *)
+(* The 62-bit edges.  Widths 1..62 biased to the word boundaries,      *)
+(* operands biased to 0, 1, all-ones and the lone sign bit, shift      *)
+(* amounts at and past the width, and Add/Sub/Mul that wrap at 62      *)
+(* bits — checked through the scalar tape ([run]) and the lane tape    *)
+(* ([run_lanes]) against the tree-walking interpreter.                 *)
+(* ------------------------------------------------------------------ *)
+
+let mask w = if w = B.max_width then max_int else (1 lsl w) - 1
+
+let edge_values w =
+  let m = mask w and sign = 1 lsl (w - 1) in
+  List.map (fun v -> v land m) [ 0; 1; m; sign; m - 1; sign - 1; sign + 1 ]
+
+let arb_edge_expr =
+  let open QCheck.Gen in
+  let width =
+    frequency [ (3, oneofl [ 1; 2; 31; 32; 33; 61; 62 ]); (2, int_range 1 62) ]
+  in
+  let value w =
+    frequency [ (3, oneofl (edge_values w)); (1, int >|= fun v -> v land mask w) ]
+  in
+  let leaf w =
+    oneof
+      [
+        (value w >|= fun v -> E.Const (B.make ~width:w v));
+        (int_bound 2 >|= fun i -> E.input (Printf.sprintf "e%d_%d" w i) w);
+      ]
+  in
+  (* A shift amount of 1..8 bits holding the width, just past it, or
+     anything else. *)
+  let amount w sub =
+    int_range 1 8 >>= fun wb ->
+    frequency
+      [
+        ( 2,
+          oneofl [ w - 1; w; w + 1; w + 5; 0; 1; mask wb ] >|= fun v ->
+          E.Const (B.make ~width:wb (min v (mask wb))) );
+        (1, sub wb);
+      ]
+  in
+  let rec gen depth w =
+    if depth = 0 then leaf w
+    else
+      let sub = gen (depth - 1) in
+      let ops =
+        [
+          ( 4,
+            oneofl [ E.Add; E.Sub; E.Mul; E.And; E.Or; E.Xor ] >>= fun op ->
+            sub w >>= fun a ->
+            sub w >|= fun b -> E.Binop (op, a, b) );
+          ( 3,
+            oneofl [ E.Shl; E.Shr; E.Sra ] >>= fun op ->
+            sub w >>= fun a ->
+            amount w sub >|= fun b -> E.Binop (op, a, b) );
+          ( 1,
+            sub 1 >>= fun c ->
+            sub w >>= fun a ->
+            sub w >|= fun b -> E.Mux (c, a, b) );
+          ( 2,
+            oneofl [ E.Not; E.Neg ] >>= fun op ->
+            sub w >|= fun a -> E.Unop (op, a) );
+          ( 1,
+            int_range w 62 >>= fun wa ->
+            int_range 0 (wa - w) >>= fun lo ->
+            sub wa >|= fun a -> E.Slice (a, lo + w - 1, lo) );
+          (1, leaf w);
+        ]
+      in
+      let wide =
+        if w = 1 then []
+        else
+          [
+            ( 1,
+              int_range 1 w >>= fun wa ->
+              oneofl [ (fun a -> E.Zext (a, w)); (fun a -> E.Sext (a, w)) ]
+              >>= fun mk -> sub wa >|= mk );
+            ( 1,
+              int_range 1 (w - 1) >>= fun w1 ->
+              sub w1 >>= fun hi ->
+              sub (w - w1) >|= fun lo -> E.Concat (hi, lo) );
+          ]
+      in
+      let one_bit =
+        if w > 1 then []
+        else
+          [
+            ( 3,
+              oneofl [ E.Eq; E.Ne; E.Ltu; E.Lts ] >>= fun op ->
+              width >>= fun wa ->
+              sub wa >>= fun a ->
+              sub wa >|= fun b -> E.Binop (op, a, b) );
+            ( 1,
+              oneofl [ E.Reduce_or; E.Reduce_and ] >>= fun op ->
+              width >>= fun wa ->
+              sub wa >|= fun a -> E.Unop (op, a) );
+          ]
+      in
+      let file =
+        if w <> mem_width then []
+        else
+          [
+            ( 1,
+              int_range 1 8 >>= fun wa ->
+              sub wa >|= fun addr ->
+              E.File_read { file = "mem"; data_width = mem_width; addr } );
+          ]
+      in
+      frequency (ops @ wide @ one_bit @ file)
+  in
+  QCheck.make
+    ~print:(fun (e, seed) ->
+      Printf.sprintf "QCHECK_SEED=%d value seed %d: %s" qcheck_seed seed
+        (E.to_string e))
+    QCheck.Gen.(pair (width >>= gen 3) (int_bound 1_000_000))
+
+(* Input values from the seed, biased to the same edges. *)
+let edge_bindings e seed =
+  List.map
+    (fun (name, w) ->
+      let h = Hashtbl.hash (name, seed) in
+      let edges = edge_values w in
+      let v =
+        if h mod 4 = 0 then (h * 0x9E3779B9) land mask w
+        else List.nth edges (h mod List.length edges)
+      in
+      (name, B.make ~width:w v))
+    (E.inputs e)
+
+(* [lanes] programs at once through the lane tape: lane [l] binds the
+   inputs of seed [seed + l].  Returns each lane's raw result. *)
+let lanes_values e seed ~lanes =
+  let b = P.create ~auto:true ~files:[ ("mem", mem_width) ] () in
+  let slot = P.root b e in
+  let plan = P.build b in
+  let ln = P.lanes ~capacity:lanes plan in
+  let binds = Array.init lanes (fun l -> edge_bindings e (seed + l)) in
+  P.lanes_bind_file ln "mem"
+    (Array.init lanes (fun _ -> Array.init 256 (fun a -> B.to_int (mem_at a))));
+  P.iter_inputs plan (fun name ~slot ~width:_ ->
+      let v l = B.to_int (List.assoc name binds.(l)) in
+      if P.lanes_is_bool ln slot then begin
+        let w = ref 0 in
+        for l = 0 to lanes - 1 do
+          w := !w lor (v l lsl l)
+        done;
+        P.lanes_set_word ln slot !w
+      end
+      else
+        let row = P.lanes_ints ln slot in
+        for l = 0 to lanes - 1 do
+          row.(l) <- v l
+        done);
+  P.run_lanes ln;
+  Array.init lanes (fun l -> P.lanes_get ln slot l)
+
+(* The scalar tape's raw result: a slot must hold its value masked to
+   the slot's width, which [get]'s boxing would otherwise hide. *)
+let plan_raw e bindings =
+  let inst, slot = plan_run e bindings in
+  P.get_raw inst slot
+
+(* Every operator on every pair of boundary operands, at the widths
+   around the word edges: one lane per pair through [run_lanes], the
+   same pairs one by one through [run].  Shift amounts are 8 bits wide
+   and hold 0, 1, the width and either side of it, and amounts of 64
+   and more (a raw shift by those is undefined in OCaml). *)
+let test_edge_table () =
+  let check_expr ~what e inputs rows =
+    let b = P.create ~auto:true () in
+    let slot = P.root b e in
+    let plan = P.build b in
+    let inst = P.instance plan in
+    let ln = P.lanes ~capacity:(Array.length rows) plan in
+    List.iteri
+      (fun i (name, _) ->
+        let s = Option.get (P.input_slot plan name) in
+        if P.lanes_is_bool ln s then
+          P.lanes_set_word ln s
+            (Array.fold_left ( lor ) 0
+               (Array.mapi (fun l r -> List.nth r i lsl l) rows))
+        else Array.iteri (fun l r -> (P.lanes_ints ln s).(l) <- List.nth r i) rows)
+      inputs;
+    P.run_lanes ln;
+    Array.iteri
+      (fun l r ->
+        let bindings =
+          List.map2 (fun (name, w) v -> (name, B.make ~width:w v)) inputs r
+        in
+        let reference = B.to_int (Hw.Eval.eval (Hw.Eval.env_of_assoc bindings) e) in
+        List.iter
+          (fun (name, v) -> P.set inst (Option.get (P.input_slot plan name)) v)
+          bindings;
+        P.run inst;
+        let show = String.concat "," (List.map string_of_int r) in
+        Alcotest.(check int) (Printf.sprintf "%s run (%s)" what show) reference
+          (P.get_raw inst slot);
+        Alcotest.(check int) (Printf.sprintf "%s run_lanes (%s)" what show)
+          reference (P.lanes_get ln slot l))
+      rows
+  in
+  List.iter
+    (fun w ->
+      let edges = edge_values w in
+      List.iter
+        (fun op ->
+          let shift = match op with E.Shl | E.Shr | E.Sra -> true | _ -> false in
+          let wb, bvals =
+            if shift then (8, [ 0; 1; w - 1; w; w + 1; 64; 65; 255 ]) else (w, edges)
+          in
+          let rows =
+            Array.of_list
+              (List.concat_map (fun a -> List.map (fun b -> [ a; b ]) bvals) edges)
+          in
+          let e = E.Binop (op, E.input "a" w, E.input "b" wb) in
+          check_expr ~what:(E.to_string e) e [ ("a", w); ("b", wb) ] rows)
+        E.[ Add; Sub; Mul; And; Or; Xor; Eq; Ne; Ltu; Lts; Shl; Shr; Sra ];
+      let a = E.input "a" w in
+      let rows = Array.of_list (List.map (fun v -> [ v ]) edges) in
+      List.iter
+        (fun e -> check_expr ~what:(E.to_string e) e [ ("a", w) ] rows)
+        ([
+           E.Unop (E.Not, a);
+           E.Unop (E.Neg, a);
+           E.Unop (E.Reduce_or, a);
+           E.Unop (E.Reduce_and, a);
+           E.Slice (a, w - 1, w - 1);
+         ]
+        @
+        if w < B.max_width then
+          [ E.Sext (a, B.max_width); E.Zext (a, B.max_width);
+            E.Concat (a, E.Slice (a, 0, 0)) ]
+        else []))
+    [ 1; 2; 31; 32; 61; 62 ]
+
+let prop_plan_edges =
+  QCheck.Test.make ~name:"plan = tree-walking eval (62-bit edges)" ~count:1000
+    arb_edge_expr (fun (e, seed) ->
+      let reference seed = Hw.Eval.eval (legacy_env (edge_bindings e seed)) e in
+      let r = reference seed in
+      plan_raw e (edge_bindings e seed) = B.to_int r
+      && B.equal r (opt_value e (edge_bindings e seed))
+      && Array.for_all Fun.id
+           (Array.mapi
+              (fun l v -> v = B.to_int (reference (seed + l)))
+              (lanes_values e seed ~lanes:3)))
 
 (* ------------------------------------------------------------------ *)
 (* Compile-time width checking                                         *)
@@ -240,7 +507,7 @@ let test_run_errors () =
   | () -> Alcotest.fail "expected Run_error on unbound file"
   | exception P.Run_error _ -> ());
   (* Bound: runs, and the name view resolves. *)
-  P.bind_file inst "mem" mem_fun;
+  P.bind_file inst "mem" mem_at;
   P.run inst;
   Alcotest.(check bool) "result" true (B.width (P.get inst slot) = 8);
   Alcotest.(check bool) "read_name input" true
@@ -266,7 +533,7 @@ let test_reset_rebind () =
   let a_slot = Option.get (P.input_slot plan "a") in
   let inst = P.instance plan in
   P.set inst a_slot (bv ~width:8 2);
-  P.bind_file inst "mem" mem_fun;
+  P.bind_file inst "mem" mem_at;
   P.run inst;
   Alcotest.(check bool) "first run" true
     (P.get inst sum = B.add (bv ~width:8 2) (mem_fun (bv ~width:8 2)));
@@ -283,17 +550,17 @@ let test_reset_rebind () =
   | () -> Alcotest.fail "expected Run_error on stale file after reset"
   | exception P.Run_error _ -> ());
   (* Rebinding restores the full contract. *)
-  P.bind_file inst "mem" mem_fun;
+  P.bind_file inst "mem" mem_at;
   P.run inst;
   Alcotest.(check bool) "rebound run" true
     (P.get inst sum = B.add (bv ~width:8 3) (mem_fun (bv ~width:8 3)));
   (* bind_file without a reset replaces the reader in place — the
      rebind-only session path (new file table, same slots). *)
-  let shifted addr = B.add (mem_fun addr) (bv ~width:8 1) in
+  let shifted a = B.add (mem_at a) (bv ~width:8 1) in
   P.bind_file inst "mem" shifted;
   P.run inst;
   Alcotest.(check bool) "replaced reader" true
-    (P.get inst sum = B.add (bv ~width:8 3) (shifted (bv ~width:8 3)))
+    (P.get inst sum = B.add (bv ~width:8 3) (shifted 3))
 
 let test_hash_consing () =
   (* (a + b) used three times: one add on the tape, not three. *)
@@ -344,7 +611,7 @@ let plan_of es =
 
 let run_get plan bindings slot =
   let inst = P.instance plan in
-  P.bind_file inst "mem" mem_fun;
+  P.bind_file inst "mem" mem_at;
   P.iter_inputs plan (fun name ~slot ~width:_ ->
       P.set inst slot (List.assoc name bindings));
   P.run inst;
@@ -484,20 +751,6 @@ let test_segment_gating () =
   Alcotest.(check int) "every executed instr counted" (P.n_instrs plan)
     (Obs.Counters.get Obs.Counters.Plan_ops - ops0)
 
-(* Optimized ≡ unoptimized over the same random expression space the
-   interpreter property uses — the differential oracle for the whole
-   rewrite catalogue. *)
-let opt_value e bindings =
-  let b = P.create ~auto:true ~files:[ ("mem", mem_width) ] () in
-  let slot = P.root b e in
-  let plan, remap = P.optimize_remap (P.build b) in
-  let inst = P.instance plan in
-  P.bind_file inst "mem" mem_fun;
-  P.iter_inputs plan (fun name ~slot ~width:_ ->
-      P.set inst slot (List.assoc name bindings));
-  P.run inst;
-  P.get inst remap.(slot)
-
 let prop_optimize_matches =
   QCheck.Test.make ~name:"optimized plan = unoptimized (all ops)" ~count:500
     arb_expr_seed (fun (e, seed) ->
@@ -532,6 +785,7 @@ let () =
             test_define_resolution;
           Alcotest.test_case "env_of_assoc semantics" `Quick
             test_env_of_assoc_semantics;
+          Alcotest.test_case "62-bit edge table" `Quick test_edge_table;
         ] );
       ( "optimizer",
         [
@@ -545,5 +799,5 @@ let () =
         ] );
       ( "properties",
         List.map to_alcotest
-          [ prop_plan_matches_interpreter; prop_optimize_matches ] );
+          [ prop_plan_matches_interpreter; prop_plan_edges; prop_optimize_matches ] );
     ]

@@ -651,6 +651,76 @@ let test_process_batch () =
       (payload_bytes rb)
   | rs -> Alcotest.fail (Printf.sprintf "expected 3 responses, got %d" (List.length rs))
 
+(* Two spellings of one question in one batch — a kernel prefix and
+   its full name, a scalar sweep and its [lanes] twin — share a
+   verdict key, so the batch evaluates each pair once: the first in
+   input order leads, the second follows with the leader's payload
+   bytes and [cached:true].  At -j 2 the two forms would otherwise
+   evaluate concurrently and which one answered [cached] would be a
+   race, so the whole output must also repeat exactly. *)
+let test_coalesce_on_verdict_key () =
+  let sweep id lanes =
+    Printf.sprintf
+      {|{"pipegen":1,"id":"%s","kind":"sweep","machine":"dlx5","axis":"dependency","points":[0.25,0.75],"length":8,"seed":1%s}|}
+      id
+      (if lanes then {|,"lanes":true|} else "")
+  in
+  let lines =
+    [
+      {|{"pipegen":1,"id":"k1","kind":"verify","machine":"dlx5","kernel":"fib"}|};
+      sweep "s1" false;
+      {|{"pipegen":1,"id":"k2","kind":"verify","machine":"dlx5","kernel":"fib_10"}|};
+      sweep "s2" true;
+    ]
+  in
+  Exec.Pool.with_pool ~size:2 @@ fun pool ->
+  let run () =
+    let env = H.create_env () in
+    let rs = Service.Serve.process_batch ~env ~pool lines in
+    Alcotest.(check int) "one evaluation per pair" 2
+      (Service.Cache.misses (H.verdicts env));
+    (match rs with
+    | [ k1; s1; k2; s2 ] ->
+      List.iter
+        (fun (leader, follower) ->
+          Alcotest.(check bool) "leader evaluated" false leader.Resp.cached;
+          Alcotest.(check bool) "follower cached" true follower.Resp.cached;
+          Alcotest.(check string) "follower carries the leader's payload"
+            (payload_bytes leader) (payload_bytes follower))
+        [ (k1, k2); (s1, s2) ];
+      Alcotest.(check (list (option string))) "input order"
+        [ Some "k1"; Some "s1"; Some "k2"; Some "s2" ]
+        (List.map (fun r -> r.Resp.id) rs)
+    | rs -> Alcotest.failf "expected 4 responses, got %d" (List.length rs));
+    List.map Resp.to_string rs
+  in
+  let first = run () in
+  for _ = 2 to 20 do
+    Alcotest.(check (list string)) "same output every run" first (run ())
+  done
+
+(* A verify's coverage report runs on the selection's compiled plan:
+   one request compiles its machine once, with or without the serve
+   shape cache. *)
+let test_verify_compiles_once () =
+  let compiles f =
+    Obs.Span.reset ();
+    Obs.Span.set_enabled true;
+    Fun.protect ~finally:(fun () -> Obs.Span.set_enabled false) @@ fun () ->
+    let r = f () in
+    (match r.Resp.result with
+    | Ok _ -> ()
+    | Error e -> Alcotest.fail (Resp.error_message e));
+    List.length
+      (List.filter
+         (fun (s : Obs.Span.record) -> s.Obs.Span.span_name = "pipesem.compile")
+         (Obs.Span.records ()))
+  in
+  let req = Req.make ~spec:(spec MS.Dlx5) Req.Verify in
+  Alcotest.(check int) "one-shot" 1 (compiles (fun () -> H.handle req));
+  Alcotest.(check int) "shape cache" 1
+    (compiles (fun () -> H.handle ~env:(H.create_env ()) req))
+
 (* ------------------------------------------------------------------ *)
 (* Degraded mode and journal warm-start (handler level)               *)
 (* ------------------------------------------------------------------ *)
@@ -1091,6 +1161,10 @@ let () =
       ( "serve",
         [
           Alcotest.test_case "batch admission" `Quick test_process_batch;
+          Alcotest.test_case "coalesce on the verdict key" `Quick
+            test_coalesce_on_verdict_key;
+          Alcotest.test_case "verify compiles once" `Quick
+            test_verify_compiles_once;
           Alcotest.test_case "shed past max-queue" `Quick test_admission_shed;
           Alcotest.test_case "deadline early reject" `Quick
             test_admission_deadline_reject;
