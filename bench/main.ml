@@ -533,19 +533,6 @@ let time_ns_per_run ?(budget = 0.2) ?(min_runs = 3) f =
   done;
   (Sys.time () -. t0) *. 1e9 /. float_of_int !runs
 
-(* Wall-clock variant for parallel work: [Sys.time] sums the processor
-   time of every domain, which hides any parallel speedup, so the
-   pool-vs-serial comparison uses [Unix.gettimeofday]. *)
-let time_wall_ns ?(budget = 0.2) ?(min_runs = 2) f =
-  Obs.Counters.with_disabled @@ fun () ->
-  let t0 = Unix.gettimeofday () in
-  let runs = ref 0 in
-  while !runs < min_runs || Unix.gettimeofday () -. t0 < budget do
-    ignore (f ());
-    incr runs
-  done;
-  (Unix.gettimeofday () -. t0) *. 1e9 /. float_of_int !runs
-
 (* Interleaved wall-clock timing of two alternatives, for ratios: single
    runs of [a] and [b] alternate (which goes first alternates too) until
    [budget] seconds have passed and at least [min_pairs] pairs ran; each
@@ -1044,168 +1031,6 @@ let perf_bmc_lanes ~jobs () =
     (Obs.Export.entry ~ns_per_run:(ns_s /. ns_l) "PERF.sweep_lanes_speedup")
 
 (* ------------------------------------------------------------------ *)
-(* PERF-OPT: the plan optimizer vs the raw tape                        *)
-(* ------------------------------------------------------------------ *)
-
-(* The optimizer (Hw.Plan.optimize: fold/kill/compact, then Pipesem's
-   commit-group segmentation) is a pure compile-time transformation,
-   and its result is the one tape of a shape: the scalar and the lanes
-   engine both run it.  This section checks it on the same dlx BMC
-   workload as PERF-BMC/PERF-BMC-LANES, over precompiled shapes:
-
-   - Correctness (the @check guard): the full sweep with the optimizer
-     on and off, serially and under the pool.  Outcomes and every WORK
-     counter except [plan_ops] (whose shrink is the optimizer's entire
-     point) must match bit for bit.
-
-   - Work (the gate): the optimized tape must execute strictly fewer
-     [plan_ops] than the raw tape on both rows.  A count, so the gate
-     is deterministic.
-
-   Timings here are informational: whether the optimizer pays end to
-   end is measured where compile is included (perfbench cli_cold and
-   batch_sweep), not on micro-rows.
-
-   The [optimize]/[shape] arguments are explicit, so these rows are
-   identical whether or not the process runs under [--no-opt]. *)
-let perf_opt ~jobs () =
-  section "PERF-OPT"
-    (Printf.sprintf "Plan optimizer (fold + segmentation) vs raw tape (-j %d)"
-       jobs);
-  let build program = Dlx.Seq_dlx.transform Dlx.Seq_dlx.Base ~program in
-  let load program = Dlx.Seq_dlx.image ~program () in
-  let alphabet =
-    Dlx.Isa.
-      [
-        encode (Add (1, 1, 2));
-        encode (Addi (2, 1, 1));
-        encode (Sub (1, 2, 1));
-        encode (Xor (3, 1, 2));
-      ]
-  in
-  (* One shape per optimizer setting, compiled once: the timed legs
-     measure the sweep, not the compile (the PERF.opt_compile_* rows
-     below report the compile cost separately). *)
-  let t0 = build (List.init 3 (fun _ -> List.hd alphabet)) in
-  let sh_opt = Proof_engine.Consistency.shape ~optimize:true t0 in
-  let sh_raw = Proof_engine.Consistency.shape ~optimize:false t0 in
-  let bmc ?pool ?(lanes = false) shape =
-    Proof_engine.Bmc.exhaustive ?pool ~lanes ~shape ~load ~build ~alphabet
-      ~length:3 ()
-  in
-  let counted f =
-    let before = Obs.Counters.work_snapshot () in
-    let r = f () in
-    ( r,
-      List.map2
-        (fun (n, b) (_, a) -> (n, a - b))
-        before
-        (Obs.Counters.work_snapshot ()) )
-  in
-  let sans_plan_ops = List.filter (fun (n, _) -> n <> "plan_ops") in
-  let check_row name ~lanes =
-    let opt, w_opt = counted (fun () -> bmc ~lanes sh_opt) in
-    let raw, w_raw = counted (fun () -> bmc ~lanes sh_raw) in
-    let opt_par, w_par =
-      counted (fun () ->
-          Exec.Pool.with_pool ~size:jobs @@ fun pool ->
-          bmc ~pool ~lanes sh_opt)
-    in
-    if opt <> raw || opt_par <> raw then begin
-      Format.printf
-        "OPTIMIZED BMC DIVERGES from the unoptimized tape on %s (-j %d)!@."
-        name jobs;
-      exit 1
-    end;
-    if
-      sans_plan_ops w_opt <> sans_plan_ops w_raw
-      || sans_plan_ops w_par <> sans_plan_ops w_raw
-    then begin
-      Format.printf
-        "OPTIMIZED BMC WORK COUNTERS (beyond plan_ops) DIVERGE on %s (-j \
-         %d)!@."
-        name jobs;
-      exit 1
-    end;
-    let po_opt = List.assoc "plan_ops" w_opt in
-    let po_raw = List.assoc "plan_ops" w_raw in
-    if po_opt >= po_raw then begin
-      Format.printf
-        "OPTIMIZED TAPE DOES NO LESS WORK on %s: plan_ops %d optimized vs %d \
-         raw@."
-        name po_opt po_raw;
-      exit 1
-    end;
-    let programs = opt.Proof_engine.Bmc.programs in
-    let per shape =
-      time_ns_per_run (fun () -> bmc ~lanes shape) /. float_of_int programs
-    in
-    let np_o = per sh_opt in
-    let np_r = per sh_raw in
-    Format.printf
-      "  %-14s %4d programs: plan_ops %d -> %d (-%.1f%%), outcomes and other \
-       WORK bit-identical at -j 1 and -j %d; full check %8.0f -> %8.0f \
-       ns/prog (%.2fx, informational)@."
-      name programs po_raw po_opt
-      (100. *. float_of_int (po_raw - po_opt) /. float_of_int (max 1 po_raw))
-      jobs np_r np_o (np_r /. np_o);
-    add_entry
-      (Obs.Export.entry ~ns_per_run:np_o
-         (Printf.sprintf "PERF.opt_%s_check_ns_per_run" name));
-    add_entry
-      (Obs.Export.entry ~ns_per_run:(np_r /. np_o)
-         (Printf.sprintf "PERF.opt_%s_check_speedup" name));
-    add_entry
-      (Obs.Export.entry
-         ~breakdown:
-           [
-             ("plan_ops_raw", float_of_int po_raw);
-             ("plan_ops_optimized", float_of_int po_opt);
-           ]
-         (Printf.sprintf "PERF.opt_%s_work" name))
-  in
-  check_row "bmc_dlx" ~lanes:false;
-  check_row "bmc_lanes_dlx" ~lanes:true;
-  (* The tape itself, as deterministic semantic fields: what the
-     optimizer removed and how segmentation split the rest. *)
-  let tr = dlx_transform (Dlx.Progs.fib 5) in
-  let raw_plan =
-    Pipeline.Pipesem.plan (Pipeline.Pipesem.compile ~optimize:false tr)
-  in
-  let hot_plan =
-    Pipeline.Pipesem.plan
-      (Pipeline.Pipesem.compile ~optimize:true ~observe:false tr)
-  in
-  add_entry
-    (Obs.Export.entry
-       ~breakdown:
-         [
-           ("raw_instrs", float_of_int (Hw.Plan.n_instrs raw_plan));
-           ("hot_instrs", float_of_int (Hw.Plan.n_instrs hot_plan));
-           ("hot_ctrl_instrs", float_of_int (Hw.Plan.n_ctrl_instrs hot_plan));
-           ("hot_groups", float_of_int (Hw.Plan.n_groups hot_plan));
-         ]
-       "PERF.opt_tape");
-  Format.printf
-    "  dlx5 tape: %d raw instrs -> %d hot-path instrs (%d control + %d \
-     groups)@."
-    (Hw.Plan.n_instrs raw_plan) (Hw.Plan.n_instrs hot_plan)
-    (Hw.Plan.n_ctrl_instrs hot_plan) (Hw.Plan.n_groups hot_plan);
-  (* Compile-time cost of the optimizer, informational. *)
-  let ns_raw =
-    time_wall_ns (fun () -> Pipeline.Pipesem.compile ~optimize:false tr)
-  in
-  let ns_opt =
-    time_wall_ns (fun () -> Pipeline.Pipesem.compile ~optimize:true tr)
-  in
-  Format.printf
-    "  compile dlx5: %.2f ms raw, %.2f ms with optimizer (informational)@."
-    (ns_raw /. 1e6) (ns_opt /. 1e6);
-  add_entry (Obs.Export.entry ~ns_per_run:ns_raw "PERF.opt_compile_raw");
-  add_entry
-    (Obs.Export.entry ~ns_per_run:ns_opt "PERF.opt_compile_optimized")
-
-(* ------------------------------------------------------------------ *)
 (* CAMPAIGN: fault-injection detection coverage (smoke campaign)       *)
 (* ------------------------------------------------------------------ *)
 
@@ -1466,7 +1291,7 @@ let serve_robustness () =
    reported but never fail the build.                                  *)
 (* ------------------------------------------------------------------ *)
 
-let compare_baseline ?(ignore_keys = []) ~path () =
+let compare_baseline ~path () =
   let entries = List.rev !export_entries in
   match Obs.Export.read_file ~path with
   | Error msg ->
@@ -1516,8 +1341,6 @@ let compare_baseline ?(ignore_keys = []) ~path () =
              let pp_f ppf = Format.fprintf ppf "%g" in
              List.iter
                (fun (k, bv) ->
-                 if List.mem k ignore_keys then ()
-                 else
                  match List.assoc_opt k e.Obs.Export.breakdown with
                  | Some ev -> check ("breakdown." ^ k) pp_f bv ev
                  | None ->
@@ -1650,7 +1473,6 @@ let smoke ~jobs () =
   perf_parallel ~jobs ();
   perf_bmc ~jobs ();
   perf_bmc_lanes ~jobs ();
-  perf_opt ~jobs ();
   let counters = campaign_smoke ~jobs () in
   counters_section counters;
   serve_robustness ();
@@ -1677,7 +1499,6 @@ let full ~jobs () =
   perf_parallel ~jobs ();
   perf_bmc ~jobs ();
   perf_bmc_lanes ~jobs ();
-  perf_opt ~jobs ();
   let counters = campaign_smoke ~jobs () in
   run_bechamel ();
   counters_section counters;
@@ -1734,7 +1555,6 @@ let () =
   let rebaseline = ref false in
   let history = ref false in
   let history_file = ref None in
-  let ignore_keys = ref [] in
   Array.iteri
     (fun i a ->
       let value () =
@@ -1748,18 +1568,6 @@ let () =
       | "--history-file" ->
         history := true;
         history_file := value ()
-      | "--no-opt" ->
-        (* The whole process compiles raw tapes; with --baseline and
-           --ignore plan_ops this proves the optimizer changes nothing
-           semantic anywhere in the smoke run. *)
-        Hw.Plan.set_optimize_default false
-      | "--ignore" -> (
-        match value () with
-        | Some ks ->
-          ignore_keys := String.split_on_char ',' ks @ !ignore_keys
-        | None ->
-          Format.printf "--ignore needs a comma-separated key list@.";
-          exit 2)
       | "-j" | "--jobs" -> (
         match value () with
         | Some "max" -> jobs := Exec.Pool.default_size ()
@@ -1791,7 +1599,7 @@ let () =
   else full ~jobs:!jobs ();
   (match !baseline with
   | None -> ()
-  | Some path -> compare_baseline ~ignore_keys:!ignore_keys ~path ());
+  | Some path -> compare_baseline ~path ());
   if !history then
     run_history
       ~path:

@@ -158,18 +158,8 @@ let verilog_cmd =
         (const run $ machine_arg $ kernel_arg $ program_arg $ interlock_arg
        $ tree_arg))
 
-let no_opt_arg =
-  let doc =
-    "Disable the plan optimizer ({!Hw.Plan.optimize}) for this process: \
-     every machine compiles to its raw tape.  Results are bit-identical \
-     either way; the flag exists for differential debugging and the bench's \
-     no-opt leg."
-  in
-  Arg.(value & flag & info [ "no-opt" ] ~doc)
-
 let verify_cmd =
-  let run machine kernel program_file interlock tree jobs no_opt =
-    if no_opt then Hw.Plan.set_optimize_default false;
+  let run machine kernel program_file interlock tree jobs =
     dispatch ~jobs
       (fun () -> spec machine kernel program_file interlock tree)
       Service.Request.Verify
@@ -180,7 +170,7 @@ let verify_cmd =
     Term.(
       ret
         (const run $ machine_arg $ kernel_arg $ program_arg $ interlock_arg
-       $ tree_arg $ jobs_arg $ no_opt_arg))
+       $ tree_arg $ jobs_arg))
 
 let proof_cmd =
   let run machine kernel program_file interlock tree jobs =
@@ -274,54 +264,26 @@ let dot_cmd =
 
 let plan_cmd =
   let dump_arg =
-    let doc = "Dump the full before/after instruction tapes." in
+    let doc = "Dump the full instruction tape." in
     Cmdliner.Arg.(value & flag & info [ "dump" ] ~doc)
   in
   let run machine kernel program_file interlock tree dump =
     guard @@ fun () ->
     let s = common machine kernel program_file interlock tree in
-    let tr = sel_tr s in
-    let before =
-      Pipeline.Pipesem.plan (Pipeline.Pipesem.compile ~optimize:false tr)
-    in
-    let after = Hw.Plan.optimize ~count:false before in
-    let hot =
-      Pipeline.Pipesem.plan
-        (Pipeline.Pipesem.compile ~optimize:true ~observe:false tr)
-    in
-    let pp_stats name p =
-      Format.printf "%s:@." name;
-      List.iter
-        (fun (k, v) -> Format.printf "  %-16s %6d@." k v)
-        (Hw.Plan.stats p)
-    in
-    pp_stats "unoptimized" before;
-    pp_stats "optimized (observable)" after;
-    pp_stats "optimized (hot path)" hot;
-    let fold name p =
-      let bi = Hw.Plan.n_instrs before and ai = Hw.Plan.n_instrs p in
-      let bs = Hw.Plan.n_slots before and as_ = Hw.Plan.n_slots p in
-      Format.printf
-        "%s: folded %d of %d instrs (%.1f%%), killed %d of %d slots@." name
-        (bi - ai) bi
-        (100. *. float_of_int (bi - ai) /. float_of_int (max 1 bi))
-        (bs - as_) bs
-    in
-    fold "observable" after;
-    fold "hot path" hot;
-    if dump then begin
-      Format.printf "@.== unoptimized tape ==@.%a" Hw.Plan.pp before;
-      Format.printf "@.== optimized tape (observable) ==@.%a" Hw.Plan.pp after;
-      Format.printf "@.== optimized tape (hot path) ==@.%a" Hw.Plan.pp hot
-    end;
+    let p = Pipeline.Pipesem.plan (Pipeline.Pipesem.compile (sel_tr s)) in
+    Format.printf "tape:@.";
+    List.iter
+      (fun (k, v) -> Format.printf "  %-16s %6d@." k v)
+      (Hw.Plan.stats p);
+    if dump then Format.printf "@.%a" Hw.Plan.pp p;
     `Ok ()
   in
   Cmd.v
     (Cmd.info "plan"
        ~doc:
-         "Show what the plan optimizer does to this machine's evaluation \
-          tape: per-opcode histograms before and after the \
-          fold/kill/compact pass, and (with --dump) both full tapes.")
+         "Show this machine's evaluation tape: slot, constant and \
+          instruction counts with a per-opcode histogram, and (with \
+          --dump) the full tape.")
     Term.(
       ret
         (const run $ machine_arg $ kernel_arg $ program_arg $ interlock_arg

@@ -24,10 +24,9 @@ let ones width = make ~width (mask width)
 let width t = t.w
 let to_int t = t.v
 
+(* At [max_width], [t.v - 2^62] is still a 63-bit int. *)
 let to_signed_int t =
-  if t.w = max_width then t.v
-  else if t.v land (1 lsl (t.w - 1)) <> 0 then t.v - (1 lsl t.w)
-  else t.v
+  if t.v land (1 lsl (t.w - 1)) <> 0 then t.v - (1 lsl t.w) else t.v
 
 let equal a b = a.w = b.w && a.v = b.v
 

@@ -83,17 +83,12 @@ type compiled = {
   roots : int array;
 }
 
-let compile ?(optimize = Plan.optimize_default ()) spec exprs =
+let compile spec exprs =
   let b =
     Plan.create ~inputs:spec.spec_inputs ~files:spec.spec_files ()
   in
   let roots = Array.of_list (List.map (Plan.root b) exprs) in
-  let plan = Plan.build b in
-  if optimize then begin
-    let plan, remap = Plan.optimize_remap plan in
-    { plan; roots = Array.map (fun s -> remap.(s)) roots }
-  end
-  else { plan; roots }
+  { plan = Plan.build b; roots }
 
 let run_plan c env =
   let inst = Plan.instance c.plan in

@@ -60,12 +60,10 @@ type compiled = {
   roots : int array;  (** result slot of each compiled expression *)
 }
 
-val compile : ?optimize:bool -> env_spec -> Expr.t list -> compiled
+val compile : env_spec -> Expr.t list -> compiled
 (** Compile an expression list against an environment spec: common
     subexpressions are shared across all roots, widths are checked
-    now, names resolve to slots.  [optimize] (default
-    {!Plan.optimize_default}) runs {!Plan.optimize} on the tape (the
-    [roots] array is already remapped).
+    now, names resolve to slots.
     @raise Plan.Compile_error on width errors or undeclared names. *)
 
 val run_plan : compiled -> env -> Bitvec.t array

@@ -41,7 +41,6 @@ type builder = {
   b_files : (string, int * int) Hashtbl.t;    (* name -> index, width *)
   mutable n_files : int;
   cse : (key, int) Hashtbl.t;
-  mutable roots_rev : int list;  (* slots returned by [root] *)
   mutable built : bool;
 }
 
@@ -54,19 +53,7 @@ type t = {
   p_defines : (string, int * int) Hashtbl.t;
   p_files : (string, int * int) Hashtbl.t;
   file_names : string array;  (* index -> name, for errors *)
-  file_widths : int array;
   names : string option array;  (* slot -> name view *)
-  p_roots : int array;
-      (* every slot handed out by [root]: liveness roots for
-         [optimize], alongside the named inputs and defines *)
-  p_ctrl : int;
-      (* control-prefix length: [tape.(0 .. p_ctrl - 1)] is the
-         always-evaluated segment.  Unsegmented plans have
-         [p_ctrl = Array.length tape]. *)
-  p_groups : (int * int) array;
-      (* on-demand segments: group [g] is [tape.(lo .. hi - 1)],
-         evaluated by [run_group] only on the cycles that consume its
-         slots.  [[||]] for unsegmented plans. *)
 }
 
 (* Scalar slots hold raw ints, each masked to its slot's width (the
@@ -133,7 +120,6 @@ let create ?(auto = false) ?(inputs = []) ?(files = []) () =
       b_files = Hashtbl.create 4;
       n_files = 0;
       cse = Hashtbl.create 256;
-      roots_rev = [];
       built = false;
     }
   in
@@ -244,9 +230,7 @@ let check_built b = if b.built then cerr "builder already built"
 
 let root b e =
   check_built b;
-  let s = compile b e in
-  b.roots_rev <- s :: b.roots_rev;
-  s
+  compile b e
 
 let define b name e =
   check_built b;
@@ -267,33 +251,22 @@ let build b =
   check_built b;
   b.built <- true;
   let file_names = Array.make b.n_files "" in
-  let file_widths = Array.make b.n_files 0 in
-  Hashtbl.iter
-    (fun n (i, w) ->
-      file_names.(i) <- n;
-      file_widths.(i) <- w)
-    b.b_files;
+  Hashtbl.iter (fun n (i, _) -> file_names.(i) <- n) b.b_files;
   let names = Array.make (max b.n_slots 1) None in
   Hashtbl.iter (fun n (s, _) -> names.(s) <- Some n) b.b_inputs;
   Hashtbl.iter (fun n (s, _) -> names.(s) <- Some n) b.b_defines;
-  let tape = Array.of_list (List.rev b.tape_rev) in
   {
     p_n_slots = b.n_slots;
     p_widths = Array.sub b.widths 0 (max b.n_slots 1);
     consts = Array.of_list (List.rev b.consts_rev);
-    tape;
+    tape = Array.of_list (List.rev b.tape_rev);
     p_inputs = b.b_inputs;
     p_defines = b.b_defines;
     p_files = b.b_files;
     file_names;
-    file_widths;
     names;
-    p_roots = Array.of_list (List.rev b.roots_rev);
-    p_ctrl = Array.length tape;
-    p_groups = [||];
   }
 
-let n_slots p = p.p_n_slots
 let n_instrs p = Array.length p.tape
 let input_slot p n = Option.map fst (Hashtbl.find_opt p.p_inputs n)
 let define_slot p n = Option.map fst (Hashtbl.find_opt p.p_defines n)
@@ -344,49 +317,24 @@ let set inst s v =
       (Bitvec.width v) w;
   inst.slots.(s) <- Bitvec.to_int v
 
-let apply_unop op a =
-  match op with
-  | Expr.Not -> Bitvec.lognot a
-  | Expr.Neg -> Bitvec.neg a
-  | Expr.Reduce_or -> Bitvec.of_bool (not (Bitvec.is_zero a))
-  | Expr.Reduce_and ->
-    Bitvec.of_bool (Bitvec.equal a (Bitvec.ones (Bitvec.width a)))
-
-let apply_binop op a b =
-  match op with
-  | Expr.Add -> Bitvec.add a b
-  | Expr.Sub -> Bitvec.sub a b
-  | Expr.Mul -> Bitvec.mul a b
-  | Expr.And -> Bitvec.logand a b
-  | Expr.Or -> Bitvec.logor a b
-  | Expr.Xor -> Bitvec.logxor a b
-  | Expr.Eq -> Bitvec.eq a b
-  | Expr.Ne -> Bitvec.lognot (Bitvec.eq a b)
-  | Expr.Ltu -> Bitvec.lt_unsigned a b
-  | Expr.Lts -> Bitvec.lt_signed a b
-  | Expr.Shl -> Bitvec.shift_left a (Bitvec.to_int b)
-  | Expr.Shr -> Bitvec.shift_right_logical a (Bitvec.to_int b)
-  | Expr.Sra -> Bitvec.shift_right_arith a (Bitvec.to_int b)
-
 (* Raw-int mirrors of the Bitvec primitives, shared by the scalar and
    lane interpreters.  These must agree with bitvec.ml bit for bit,
-   including the width-62 special cases (all-ones mask [max_int]; a
-   62-bit value reads as non-negative). *)
+   including at width 62 (all-ones mask [max_int]; [v - 2^62] still
+   fits a 63-bit int). *)
 let maskw w = if w = Bitvec.max_width then max_int else (1 lsl w) - 1
 
-let signedw w v =
-  if w = Bitvec.max_width then v
-  else if v land (1 lsl (w - 1)) <> 0 then v - (1 lsl w)
-  else v
+let signedw w v = if v land (1 lsl (w - 1)) <> 0 then v - (1 lsl w) else v
 
 (* Every operand is already masked to its slot's width, so only ops
    that can carry, borrow or smear ones upward mask their result. *)
-let run_range inst lo hi =
+let run inst =
   let s = inst.slots in
   let p = inst.plan in
   let widths = p.p_widths in
   let tape = p.tape in
-  for i = lo to hi - 1 do
+  Obs.Counters.bump Obs.Counters.Plan_runs;
+  Obs.Counters.add Obs.Counters.Plan_ops (Array.length tape);
+  for i = 0 to Array.length tape - 1 do
     let { dst; op } = Array.unsafe_get tape i in
     let v =
       match op with
@@ -433,23 +381,6 @@ let run_range inst lo hi =
     in
     s.(dst) <- v
   done
-
-let run inst =
-  let len = Array.length inst.plan.tape in
-  Obs.Counters.bump Obs.Counters.Plan_runs;
-  Obs.Counters.add Obs.Counters.Plan_ops len;
-  run_range inst 0 len
-
-let run_control inst =
-  let ctrl = inst.plan.p_ctrl in
-  Obs.Counters.bump Obs.Counters.Plan_runs;
-  Obs.Counters.add Obs.Counters.Plan_ops ctrl;
-  run_range inst 0 ctrl
-
-let run_group inst g =
-  let lo, hi = inst.plan.p_groups.(g) in
-  Obs.Counters.add Obs.Counters.Plan_ops (hi - lo);
-  run_range inst lo hi
 
 let get inst slot = Bitvec.make ~width:inst.plan.p_widths.(slot) inst.slots.(slot)
 let get_raw inst slot = inst.slots.(slot)
@@ -544,7 +475,7 @@ let lanes_bind_file ln name rows =
   | None -> ()
   | Some (i, _) -> ln.l_files.(i) <- rows
 
-let run_lanes_range ln lo hi =
+let run_lanes ln =
   let p = ln.l_plan in
   let words = ln.l_words and vals = ln.l_vals and isb = ln.l_bool in
   let widths = p.p_widths in
@@ -555,7 +486,7 @@ let run_lanes_range ln lo hi =
     else Array.unsafe_get (Array.unsafe_get vals s) l
   in
   let tape = p.tape in
-  for i = lo to hi - 1 do
+  for i = 0 to Array.length tape - 1 do
     let { dst; op } = Array.unsafe_get tape i in
     match op with
     | O_unop (o, a) ->
@@ -780,379 +711,6 @@ let run_lanes_range ln lo hi =
         done
       end
   done
-
-let run_lanes ln = run_lanes_range ln 0 (Array.length ln.l_plan.tape)
-let run_lanes_control ln = run_lanes_range ln 0 ln.l_plan.p_ctrl
-
-let run_lanes_group ln g =
-  let lo, hi = ln.l_plan.p_groups.(g) in
-  run_lanes_range ln lo hi
-
-let iter_op_operands op k =
-  match op with
-  | O_unop (_, a) | O_slice (a, _, _) | O_zext (a, _) | O_sext (a, _)
-  | O_file_read (_, a, _) ->
-    k a
-  | O_binop (_, a, b) | O_concat (a, b) ->
-    k a;
-    k b
-  | O_mux (c, a, b) ->
-    k c;
-    k a;
-    k b
-
-(* ------------------------------------------------------------------ *)
-(* Tape optimization: fold, rewrite, kill, compact                     *)
-(* ------------------------------------------------------------------ *)
-
-let optimize_flag = Atomic.make true
-let optimize_default () = Atomic.get optimize_flag
-let set_optimize_default b = Atomic.set optimize_flag b
-
-let bv_is_zero v = Bitvec.is_zero v
-let bv_is_ones v = Bitvec.equal v (Bitvec.ones (Bitvec.width v))
-
-(* Outcome of rewriting one step whose operands are already
-   representative slots: a compile-time constant, an alias to an
-   existing slot, or the (operand-resolved) step itself. *)
-type rewrite = R_const of Bitvec.t | R_alias of int | R_keep of op
-
-(* One fold pass: constant folding and propagation, algebraic
-   identities, dead-code elimination by backward liveness, and tape
-   compaction.  [optimize_remap] below runs it and does the counting. *)
-let fold_remap ?keep_define p =
-  let n = p.p_n_slots in
-  let widths = p.p_widths in
-  (* [repr.(s)]: the slot [s] evaluates to after rewriting.  Operands
-     always resolve through [repr] before a step is examined, and a
-     step only ever aliases to one of its resolved operands (or to a
-     slot already registered as holding the same constant), so every
-     representative is final by the time it is read. *)
-  let repr = Array.init (max n 1) Fun.id in
-  let cval : Bitvec.t option array = Array.make (max n 1) None in
-  Array.iter (fun (s, v) -> cval.(s) <- Some v) p.consts;
-  (* Constant slots by value: original consts first, then folded step
-     destinations promoted to constants, deduplicated as they appear. *)
-  let const_slot : (Bitvec.t, int) Hashtbl.t = Hashtbl.create 64 in
-  Array.iter
-    (fun (s, v) ->
-      if not (Hashtbl.mem const_slot v) then Hashtbl.add const_slot v s)
-    p.consts;
-  let new_consts_rev = ref [] in
-  let kept_rev = ref [] in
-  let cv s = cval.(s) in
-  let rewrite dst op =
-    let w = widths.(dst) in
-    match op with
-    | O_unop (o, a) -> (
-      match cv a with
-      | Some va -> R_const (apply_unop o va)
-      | None -> (
-        match o with
-        | (Expr.Reduce_or | Expr.Reduce_and) when widths.(a) = 1 -> R_alias a
-        | _ -> R_keep op))
-    | O_binop (o, a, b) -> (
-      match (cv a, cv b) with
-      | Some va, Some vb -> R_const (apply_binop o va vb)
-      | ca, cb ->
-        if a = b then
-          (* hash-consing gives structurally equal subtrees one slot,
-             so [x op x] is detectable as equal operand slots *)
-          match o with
-          | Expr.And | Expr.Or -> R_alias a
-          | Expr.Xor | Expr.Sub -> R_const (Bitvec.zero w)
-          | Expr.Eq -> R_const (Bitvec.of_bool true)
-          | Expr.Ne | Expr.Ltu | Expr.Lts -> R_const (Bitvec.of_bool false)
-          | Expr.Add | Expr.Mul | Expr.Shl | Expr.Shr | Expr.Sra -> R_keep op
-        else (
-          match (o, ca, cb) with
-          | Expr.And, Some z, _ when bv_is_zero z -> R_const (Bitvec.zero w)
-          | Expr.And, _, Some z when bv_is_zero z -> R_const (Bitvec.zero w)
-          | Expr.And, Some v, _ when bv_is_ones v -> R_alias b
-          | Expr.And, _, Some v when bv_is_ones v -> R_alias a
-          | Expr.Or, Some v, _ when bv_is_ones v -> R_const (Bitvec.ones w)
-          | Expr.Or, _, Some v when bv_is_ones v -> R_const (Bitvec.ones w)
-          | Expr.Or, Some z, _ when bv_is_zero z -> R_alias b
-          | Expr.Or, _, Some z when bv_is_zero z -> R_alias a
-          | Expr.Xor, Some z, _ when bv_is_zero z -> R_alias b
-          | Expr.Xor, _, Some z when bv_is_zero z -> R_alias a
-          | Expr.Add, Some z, _ when bv_is_zero z -> R_alias b
-          | Expr.Add, _, Some z when bv_is_zero z -> R_alias a
-          | Expr.Sub, _, Some z when bv_is_zero z -> R_alias a
-          | Expr.Mul, Some z, _ when bv_is_zero z -> R_const (Bitvec.zero w)
-          | Expr.Mul, _, Some z when bv_is_zero z -> R_const (Bitvec.zero w)
-          | (Expr.Shl | Expr.Shr | Expr.Sra), _, Some z when bv_is_zero z ->
-            R_alias a
-          | _ -> R_keep op))
-    | O_mux (c, a, b) -> (
-      match cv c with
-      | Some vc -> R_alias (if Bitvec.to_bool vc then a else b)
-      | None ->
-        if a = b then R_alias a
-        else (
-          match (cv a, cv b) with
-          | Some va, Some vb when w = 1 && bv_is_ones va && bv_is_zero vb ->
-            (* mux(c, 1, 0) = c; the select is width-1 by construction *)
-            R_alias c
-          | _ -> R_keep op))
-    | O_concat (a, b) -> (
-      match (cv a, cv b) with
-      | Some va, Some vb -> R_const (Bitvec.concat va vb)
-      | _ -> R_keep op)
-    | O_slice (a, hi, lo) -> (
-      match cv a with
-      | Some va -> R_const (Bitvec.slice va ~hi ~lo)
-      | None -> if lo = 0 && hi = widths.(a) - 1 then R_alias a else R_keep op)
-    | O_zext (a, wz) -> (
-      match cv a with
-      | Some va -> R_const (Bitvec.zero_extend va wz)
-      | None -> if wz = widths.(a) then R_alias a else R_keep op)
-    | O_sext (a, wz) -> (
-      match cv a with
-      | Some va -> R_const (Bitvec.sign_extend va wz)
-      | None -> if wz = widths.(a) then R_alias a else R_keep op)
-    (* Never folded: the read depends on the reader bound at run time.
-       A dead read is still killable below — readers are pure. *)
-    | O_file_read _ -> R_keep op
-  in
-  Array.iter
-    (fun { dst; op } ->
-      let op =
-        match op with
-        | O_unop (o, a) -> O_unop (o, repr.(a))
-        | O_binop (o, a, b) -> O_binop (o, repr.(a), repr.(b))
-        | O_mux (c, a, b) -> O_mux (repr.(c), repr.(a), repr.(b))
-        | O_concat (a, b) -> O_concat (repr.(a), repr.(b))
-        | O_slice (a, hi, lo) -> O_slice (repr.(a), hi, lo)
-        | O_zext (a, w) -> O_zext (repr.(a), w)
-        | O_sext (a, w) -> O_sext (repr.(a), w)
-        | O_file_read (f, a, w) -> O_file_read (f, repr.(a), w)
-      in
-      match rewrite dst op with
-      | R_const v -> (
-        match Hashtbl.find_opt const_slot v with
-        | Some s0 -> repr.(dst) <- s0
-        | None ->
-          Hashtbl.add const_slot v dst;
-          cval.(dst) <- Some v;
-          new_consts_rev := (dst, v) :: !new_consts_rev)
-      | R_alias s -> repr.(dst) <- s
-      | R_keep op -> kept_rev := { dst; op } :: !kept_rev)
-    p.tape;
-  (* Backward liveness from the observed roots: named inputs (loaded
-     by callers), named defines (readable by name), and every slot
-     handed out by [root] (commit writes, snapshot cells, mispredict
-     probes — anything a caller captured). *)
-  let kept = Array.of_list (List.rev !kept_rev) in
-  let live = Array.make (max n 1) false in
-  let mark s = live.(s) <- true in
-  Hashtbl.iter (fun _ (s, _) -> mark s) p.p_inputs;
-  (* [keep_define] narrows the define roots: a caller that knows which
-     names it will ever read back (the verification hot path reads
-     only the hazard signals — everything else it consumes came from
-     [root]) lets the rest of the signal forest die unless it feeds a
-     surviving root.  Dropped defines disappear from the name tables,
-     so a stale [define_slot]/[read_name] misses loudly instead of
-     returning a dead slot. *)
-  Hashtbl.iter
-    (fun nm (s, _) ->
-      match keep_define with
-      | None -> mark repr.(s)
-      | Some keep -> if keep nm then mark repr.(s))
-    p.p_defines;
-  Array.iter (fun s -> mark repr.(s)) p.p_roots;
-  for i = Array.length kept - 1 downto 0 do
-    let { dst; op } = kept.(i) in
-    if live.(dst) then iter_op_operands op mark
-  done;
-  (* Compact: renumber live slots in allocation order (operands keep
-     preceding their uses in tape order — aliases only ever point at
-     resolved operands or constants, and constants are preloaded). *)
-  let new_id = Array.make (max n 1) (-1) in
-  let n' = ref 0 in
-  for s = 0 to n - 1 do
-    if live.(s) then begin
-      new_id.(s) <- !n';
-      incr n'
-    end
-  done;
-  let n' = !n' in
-  let widths' = Array.make (max n' 1) 0 in
-  for s = 0 to n - 1 do
-    if live.(s) then widths'.(new_id.(s)) <- widths.(s)
-  done;
-  let tape' =
-    Array.of_list
-      (List.filter_map
-         (fun { dst; op } ->
-           if not live.(dst) then None
-           else
-             let f s = new_id.(s) in
-             Some
-               {
-                 dst = f dst;
-                 op =
-                   (match op with
-                   | O_unop (o, a) -> O_unop (o, f a)
-                   | O_binop (o, a, b) -> O_binop (o, f a, f b)
-                   | O_mux (c, a, b) -> O_mux (f c, f a, f b)
-                   | O_concat (a, b) -> O_concat (f a, f b)
-                   | O_slice (a, hi, lo) -> O_slice (f a, hi, lo)
-                   | O_zext (a, w) -> O_zext (f a, w)
-                   | O_sext (a, w) -> O_sext (f a, w)
-                   | O_file_read (fi, a, w) -> O_file_read (fi, f a, w));
-               })
-         (Array.to_list kept))
-  in
-  let consts' =
-    Array.of_list
-      (List.filter_map
-         (fun (s, v) -> if live.(s) then Some (new_id.(s), v) else None)
-         (Array.to_list p.consts @ List.rev !new_consts_rev))
-  in
-  let inputs' = Hashtbl.create (max 16 (Hashtbl.length p.p_inputs)) in
-  Hashtbl.iter
-    (fun nm (s, w) -> Hashtbl.replace inputs' nm (new_id.(s), w))
-    p.p_inputs;
-  let defines' = Hashtbl.create (max 16 (Hashtbl.length p.p_defines)) in
-  Hashtbl.iter
-    (fun nm (s, w) ->
-      let s' = new_id.(repr.(s)) in
-      if s' >= 0 then Hashtbl.replace defines' nm (s', w))
-    p.p_defines;
-  let names' = Array.make (max n' 1) None in
-  Hashtbl.iter (fun nm (s, _) -> names'.(s) <- Some nm) inputs';
-  Hashtbl.iter (fun nm (s, _) -> names'.(s) <- Some nm) defines';
-  let remap = Array.init (max n 1) (fun s -> new_id.(repr.(s))) in
-  ( {
-      p_n_slots = n';
-      p_widths = widths';
-      consts = consts';
-      tape = tape';
-      p_inputs = inputs';
-      p_defines = defines';
-      p_files = p.p_files;
-      file_names = p.file_names;
-      file_widths = p.file_widths;
-      names = names';
-      p_roots = Array.map (fun s -> remap.(s)) p.p_roots;
-      p_ctrl = Array.length tape';
-      p_groups = [||];
-    },
-    remap )
-
-let optimize_remap ?(count = true) ?keep_define p =
-  let p', remap = fold_remap ?keep_define p in
-  if count then begin
-    Obs.Counters.add Obs.Counters.Plan_ops_folded
-      (Array.length p.tape - Array.length p'.tape);
-    Obs.Counters.add Obs.Counters.Slots_killed (p.p_n_slots - p'.p_n_slots)
-  end;
-  (p', remap)
-
-let optimize ?count ?keep_define p = fst (optimize_remap ?count ?keep_define p)
-
-(* ------------------------------------------------------------------ *)
-(* Tape segmentation: control prefix + on-demand groups                *)
-(* ------------------------------------------------------------------ *)
-
-let n_ctrl_instrs p = p.p_ctrl
-let n_groups p = Array.length p.p_groups
-
-let group_instrs p g =
-  let lo, hi = p.p_groups.(g) in
-  hi - lo
-
-let is_segmented p = Array.length p.p_groups > 0
-
-let segment ?(ctrl_roots = [||]) p ~groups =
-  let groups = Array.of_list groups in
-  let ng = Array.length groups in
-  if ng = 0 then p
-  else if ng > 62 then
-    invalid_arg (Printf.sprintf "Plan.segment: %d groups (max 62)" ng)
-  else begin
-    let len = Array.length p.tape in
-    (* slot -> tape index of its defining step (-1: const or input) *)
-    let step_of = Array.make (max p.p_n_slots 1) (-1) in
-    Array.iteri (fun i { dst; _ } -> step_of.(dst) <- i) p.tape;
-    (* [need.(i)]: bitmask of the groups whose root slots transitively
-       read step [i]. *)
-    let need = Array.make (max len 1) 0 in
-    Array.iteri
-      (fun g roots ->
-        let bit = 1 lsl g in
-        let stack = ref [] in
-        let push s =
-          let i = step_of.(s) in
-          if i >= 0 && need.(i) land bit = 0 then begin
-            need.(i) <- need.(i) lor bit;
-            stack := i :: !stack
-          end
-        in
-        Array.iter push roots;
-        let rec drain () =
-          match !stack with
-          | [] -> ()
-          | i :: tl ->
-            stack := tl;
-            iter_op_operands p.tape.(i).op push;
-            drain ()
-        in
-        drain ())
-      groups;
-    (* Control membership: explicit control roots (slots the engine
-       reads unconditionally every cycle), every named define (reachable
-       through [read_name] / [define_slot] at any time), every step no
-       group claims, and every step two or more groups share.  Control
-       runs before any group, so membership propagates to operands — the
-       single descending sweep suffices because the tape is
-       topologically ordered (operands always sit at lower indices). *)
-    let ctrl = Array.make (max len 1) false in
-    let mark_ctrl s =
-      let i = step_of.(s) in
-      if i >= 0 then ctrl.(i) <- true
-    in
-    Array.iter mark_ctrl ctrl_roots;
-    Hashtbl.iter (fun _ (s, _) -> mark_ctrl s) p.p_defines;
-    for i = 0 to len - 1 do
-      let m = need.(i) in
-      if m = 0 || m land (m - 1) <> 0 then ctrl.(i) <- true
-    done;
-    for i = len - 1 downto 0 do
-      if ctrl.(i) then iter_op_operands p.tape.(i).op mark_ctrl
-    done;
-    (* Stable reorder: control prefix, then each group's steps in
-       original (hence still topological) order.  Slots are NOT
-       renumbered — only the tape order changes. *)
-    let bucket i =
-      if ctrl.(i) then 0
-      else begin
-        (* exactly one bit set: its group, shifted past control *)
-        let m = need.(i) in
-        let rec log2 m acc = if m = 1 then acc else log2 (m lsr 1) (acc + 1) in
-        1 + log2 m 0
-      end
-    in
-    let order = Array.init len Fun.id in
-    (* counting sort by bucket keeps the within-bucket order stable *)
-    let counts = Array.make (ng + 1) 0 in
-    Array.iter (fun i -> counts.(bucket i) <- counts.(bucket i) + 1) order;
-    let starts = Array.make (ng + 1) 0 in
-    for b = 1 to ng do
-      starts.(b) <- starts.(b - 1) + counts.(b - 1)
-    done;
-    let bounds = Array.init ng (fun g -> (starts.(g + 1), starts.(g + 1) + counts.(g + 1))) in
-    let tape' = Array.make len { dst = 0; op = O_zext (0, 1) } in
-    let cursor = Array.copy starts in
-    Array.iter
-      (fun i ->
-        let b = bucket i in
-        tape'.(cursor.(b)) <- p.tape.(i);
-        cursor.(b) <- cursor.(b) + 1)
-      order;
-    { p with tape = tape'; p_ctrl = counts.(0); p_groups = bounds }
-  end
 
 let pp ppf p =
   let slot ppf s =

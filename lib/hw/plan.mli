@@ -13,6 +13,10 @@
     - register and signal names are resolved to slot indices up front;
     - register-file reads dispatch through a pre-bound file table.
 
+    The tape {!build} returns is the one tape of its shape: the scalar
+    engine ({!run}) and the lanes engine ({!run_lanes}) both execute
+    it, whole, on every evaluation.  No pass rewrites it afterwards.
+
     {2 Building}
 
     A {!builder} compiles expressions incrementally.  {!define} names
@@ -118,113 +122,6 @@ val input : builder -> string -> int -> int
 val build : builder -> t
 (** Freeze the tape.  The builder must not be used afterwards. *)
 
-(** {1 Optimization}
-
-    {!optimize} runs a semantics-preserving pass pipeline over a built
-    tape: constant folding and propagation (any step whose operands
-    are constants — including mux-with-constant-select collapse — is
-    evaluated now through {!Bitvec}, whose semantics {!run}'s raw-int
-    ops mirror bit for bit),
-    algebraic identities ([x & 0], [x | 0], [x ^ x], [eq x x],
-    width-identity [zext]/[sext]/[slice], shifts by zero, ...),
-    dead-code elimination by backward liveness, and tape compaction
-    (surviving slots are renumbered densely, preserving topological
-    order, so {!run} and {!run_lanes} walk a smaller array).
-
-    Liveness roots are the named inputs, the named defines, and every
-    slot handed out by {!root} while building — commit-write values,
-    guards and addresses, mispredict probes — so file-write side
-    effects can never be eliminated.  [O_file_read] steps are never
-    {e folded} (the read depends on the reader bound at run time), but
-    a dead read is killable: readers are pure.
-
-    Because slots are renumbered, callers that captured raw slot
-    indices must translate them through the remap array returned by
-    {!optimize_remap}: [remap.(old_slot)] is the new slot, or [-1] if
-    the slot was removed (never the case for inputs, defines or
-    {!root} results).  Name-based lookups ({!input_slot},
-    {!define_slot}, {!read_name}, {!iter_inputs}, {!bind_file}) work
-    unchanged on the optimized plan.
-
-    The optimized tape is the one tape of its shape: the scalar engine
-    ({!run}, {!run_control}) and the lanes engine ({!run_lanes}) both
-    evaluate it, so their WORK accounting reads the same geometry.
-
-    [count] (default [true]) adds the number of eliminated tape steps
-    and slots to {!Obs.Counters.Plan_ops_folded} /
-    {!Obs.Counters.Slots_killed}. *)
-
-val optimize : ?count:bool -> ?keep_define:(string -> bool) -> t -> t
-(** [optimize p] = [fst (optimize_remap p)]. *)
-
-val optimize_remap :
-  ?count:bool -> ?keep_define:(string -> bool) -> t -> t * int array
-(** The optimized plan plus the old-slot → new-slot translation.
-
-    [keep_define] narrows the define liveness roots: only defines it
-    accepts are kept alive for their own sake (the rest survive only
-    where they feed a kept root).  Callers that read back a known name
-    set — the verification hot path reads only the per-stage hazard
-    signals — use this to let the unobserved signal forest die.
-    Dropped defines are removed from the name tables, so
-    {!define_slot} / {!read_name} on them return [None] rather than a
-    stale slot.  Default: keep every define. *)
-
-(** {1 Segmentation}
-
-    The pipeline step engine consumes most tape slots {e conditionally}:
-    a stage's commit-write values, guards and addresses are read only on
-    the cycles that stage fires, and a speculation's rollback values
-    only on the cycles it mispredicts.  {!segment} splits an (already
-    optimized) tape into an always-evaluated {e control prefix} plus one
-    on-demand {e group} per conditional consumer, so hot paths run
-    {!run_control} every cycle and {!run_group} only for the stages that
-    actually fire — the dominant [Plan_ops] saving of the optimizer.
-
-    [segment p ~ctrl_roots ~groups] assigns each tape step to the single
-    group whose roots (transitively) read it; steps read by no group, by
-    two or more groups, by a [ctrl_roots] slot, or by any named define
-    (reachable through {!read_name} / {!define_slot} at any time) land
-    in the control prefix, and control membership propagates to operands
-    so the prefix is self-contained.  Only the tape {e order} changes —
-    slot numbers, names and constants are untouched, and the reordered
-    tape remains topological (a group's operands live in the control
-    prefix or earlier in the same group).  {!run} still evaluates
-    everything, so segmentation never changes results for full-tape
-    callers; at most 62 groups.
-
-    Gated callers must read a group's slots only after running that
-    group {e in the same cycle} — between cycles a skipped group's slots
-    hold stale values. *)
-
-val segment : ?ctrl_roots:int array -> t -> groups:int array list -> t
-(** [segment ~ctrl_roots p ~groups]: [groups] lists each conditional
-    consumer's root slots ([groups = []] returns [p] unchanged);
-    [ctrl_roots] (default [[||]]) adds slots the caller reads
-    unconditionally every cycle (mispredict probes). *)
-
-val is_segmented : t -> bool
-
-val n_ctrl_instrs : t -> int
-(** Control-prefix length: the per-cycle floor of a gated run.  Equals
-    {!n_instrs} on unsegmented plans. *)
-
-val n_groups : t -> int
-(** Number of on-demand groups (0 on unsegmented plans). *)
-
-val group_instrs : t -> int -> int
-(** Tape steps in one group: the marginal cost of a cycle that runs
-    it. *)
-
-val optimize_default : unit -> bool
-(** The process-wide default the compile entry points
-    ([Pipeline.Pipesem.compile], [Machine.Seqsem.compile], ...) read
-    for their [?optimize] argument.  Starts [true]. *)
-
-val set_optimize_default : bool -> unit
-(** Override the process-wide default (the bench's [--no-opt] leg and
-    [pipegen --no-opt] flip it to [false] before any compilation). *)
-
 val stats : t -> (string * int) list
 (** Plan shape for reports: [("slots", _); ("consts", _);
     ("instrs", _)] followed by a per-opcode histogram of the tape
@@ -238,10 +135,9 @@ val pp : Format.formatter -> t -> unit
 
 (** {1 Plan structure} *)
 
-val n_slots : t -> int
-
 val n_instrs : t -> int
-(** Tape length — the per-{!run} work, after hash-consing. *)
+(** Tape length — the per-{!run} work, after hash-consing.  Every
+    {!run} executes all of it. *)
 
 val input_slot : t -> string -> int option
 val define_slot : t -> string -> int option
@@ -279,20 +175,9 @@ val set : instance -> int -> Bitvec.t -> unit
 (** Load an input slot.  @raise Run_error on width mismatch. *)
 
 val run : instance -> unit
-(** Execute the tape: every non-input slot receives its value.
+(** Execute the whole tape: every non-input slot receives its value.
+    Counts one [Plan_runs] and {!n_instrs} [Plan_ops].
     @raise Run_error on an unbound file. *)
-
-val run_control : instance -> unit
-(** Execute only the control prefix of a {!segment}ed plan (the whole
-    tape when unsegmented).  Counts one [Plan_runs] plus
-    control-prefix-length [Plan_ops], so a gated cycle and a full {!run}
-    cycle stay comparable run-for-run. *)
-
-val run_group : instance -> int -> unit
-(** Execute one on-demand group ({!run_control} must already have run
-    this cycle).  Counts the group's length into [Plan_ops] and does
-    {e not} bump [Plan_runs] — the cycle was already counted by
-    {!run_control}. *)
 
 val get : instance -> int -> Bitvec.t
 (** A slot's value, boxed at the slot's width. *)
@@ -372,14 +257,5 @@ val lanes_bind_file : lanes -> string -> int array array -> unit
     mirroring {!Machine.Value.read_file}. *)
 
 val run_lanes : lanes -> unit
-(** Execute the tape across all active lanes.
+(** Execute the whole tape across all active lanes.
     @raise Run_error on an unbound file. *)
-
-val run_lanes_control : lanes -> unit
-(** Execute only the control prefix across all active lanes (the whole
-    tape when unsegmented).  Counts nothing, like {!run_lanes}. *)
-
-val run_lanes_group : lanes -> int -> unit
-(** Execute one on-demand group across all active lanes (a lane whose
-    stage did not fire computes throwaway values — harmless, its commit
-    is masked out).  Counts nothing, like {!run_lanes}. *)

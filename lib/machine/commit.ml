@@ -142,34 +142,6 @@ let compile_stage (m : Spec.t) b ~stage =
   in
   { cs_writes = writes; cs_shifts = shifts }
 
-(* Slot translation after {!Hw.Plan.optimize_remap}: every captured
-   slot came from [Hw.Plan.root], so the remap never yields -1. *)
-let remap_cwrite f (cw : cwrite) =
-  {
-    cw with
-    cw_value = f cw.cw_value;
-    cw_guard = Option.map f cw.cw_guard;
-    cw_addr = Option.map f cw.cw_addr;
-    cw_pass = Option.map f cw.cw_pass;
-  }
-
-let remap_cstage f (cs : cstage) =
-  {
-    cs_writes = List.map (remap_cwrite f) cs.cs_writes;
-    cs_shifts = List.map (fun (dst, s) -> (dst, f s)) cs.cs_shifts;
-  }
-
-let cwrite_slots (cw : cwrite) acc =
-  let acc = cw.cw_value :: acc in
-  let acc = match cw.cw_guard with Some s -> s :: acc | None -> acc in
-  let acc = match cw.cw_addr with Some s -> s :: acc | None -> acc in
-  match cw.cw_pass with Some s -> s :: acc | None -> acc
-
-let cstage_slots (cs : cstage) =
-  List.fold_left
-    (fun acc cw -> cwrite_slots cw acc)
-    (List.map snd cs.cs_shifts) cs.cs_writes
-
 (* ---- resolved path: compiled writes bound to one state's cells ---- *)
 
 (* A [cwrite] or shift with its destination cell looked up once per

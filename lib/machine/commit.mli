@@ -68,23 +68,6 @@ val compile_writes : Spec.t -> Hw.Plan.builder -> Spec.write list -> cwrite list
 (** Compile an explicit write list (rollback writes): no instance
     pass-through, mirroring {!writes_updates}. *)
 
-val remap_cwrite : (int -> int) -> cwrite -> cwrite
-(** Translate every captured plan slot (value, guard, address,
-    pass-through) through a slot map — the
-    {!Hw.Plan.optimize_remap} translation after tape compaction. *)
-
-val remap_cstage : (int -> int) -> cstage -> cstage
-(** {!remap_cwrite} over a whole stage, shifts included. *)
-
-val cwrite_slots : cwrite -> int list -> int list
-(** Cons every plan slot the write reads (value, guard, address,
-    pass-through) onto an accumulator — the segmentation roots handed
-    to {!Hw.Plan.segment}. *)
-
-val cstage_slots : cstage -> int list
-(** Every plan slot a stage's commit reads: {!cwrite_slots} over its
-    writes plus the shift sources. *)
-
 type resolved
 (** A stage's writes and shifts (or a rollback write list) bound to the
     cells of one {!State.t}. *)

@@ -22,16 +22,11 @@ type compiled = {
   cm_stages : (Hw.Plan.t * Commit.cstage) array;
 }
 
-let compile ?(optimize = Hw.Plan.optimize_default ()) (m : Spec.t) =
+let compile (m : Spec.t) =
   let build_stage k =
     let b = Hw.Plan.create ~auto:true () in
     let cs = Commit.compile_stage m b ~stage:k in
-    let plan = Hw.Plan.build b in
-    if optimize then begin
-      let plan, remap = Hw.Plan.optimize_remap plan in
-      (plan, Commit.remap_cstage (fun s -> remap.(s)) cs)
-    end
-    else (plan, cs)
+    (Hw.Plan.build b, cs)
   in
   { cm_spec = m; cm_stages = Array.init m.n_stages build_stage }
 

@@ -31,10 +31,9 @@ type compiled
 (** The machine's stage writes compiled to evaluation plans (one tape
     per stage), reusable across runs. *)
 
-val compile : ?optimize:bool -> Spec.t -> compiled
-(** [optimize] (default {!Hw.Plan.optimize_default}) runs
-    {!Hw.Plan.optimize} on each stage tape.  Scalar and lane sessions
-    bind these same tapes. *)
+val compile : Spec.t -> compiled
+(** One hash-consed tape per stage, as {!Hw.Plan.build} returns it.
+    Scalar and lane sessions bind these same tapes. *)
 
 val spec : compiled -> Spec.t
 

@@ -10,8 +10,6 @@ type id =
   | Obligations
   | Bmc_programs
   | Sweep_points
-  | Plan_ops_folded
-  | Slots_killed
   | Plan_binds
   | Sessions
   | Pool_tasks
@@ -33,8 +31,7 @@ let all =
   [
     Plan_runs; Plan_ops; Cells_written; State_resets; Snapshot_words;
     Sim_cycles; Sim_retired; Seq_instructions; Obligations; Bmc_programs;
-    Sweep_points; Plan_ops_folded; Slots_killed;
-    Plan_binds; Sessions; Pool_tasks; Pool_stolen; Pool_helped;
+    Sweep_points; Plan_binds; Sessions; Pool_tasks; Pool_stolen; Pool_helped;
     Pool_inline; Pool_queue_hwm; Serve_requests; Serve_cache_hits;
     Serve_cache_misses; Serve_coalesced; Serve_queue_hwm; Serve_shed;
     Serve_retries; Serve_journal_replayed; Pool_restarts;
@@ -52,26 +49,24 @@ let index = function
   | Obligations -> 8
   | Bmc_programs -> 9
   | Sweep_points -> 10
-  | Plan_ops_folded -> 11
-  | Slots_killed -> 12
-  | Plan_binds -> 13
-  | Sessions -> 14
-  | Pool_tasks -> 15
-  | Pool_stolen -> 16
-  | Pool_helped -> 17
-  | Pool_inline -> 18
-  | Pool_queue_hwm -> 19
-  | Serve_requests -> 20
-  | Serve_cache_hits -> 21
-  | Serve_cache_misses -> 22
-  | Serve_coalesced -> 23
-  | Serve_queue_hwm -> 24
-  | Serve_shed -> 25
-  | Serve_retries -> 26
-  | Serve_journal_replayed -> 27
-  | Pool_restarts -> 28
+  | Plan_binds -> 11
+  | Sessions -> 12
+  | Pool_tasks -> 13
+  | Pool_stolen -> 14
+  | Pool_helped -> 15
+  | Pool_inline -> 16
+  | Pool_queue_hwm -> 17
+  | Serve_requests -> 18
+  | Serve_cache_hits -> 19
+  | Serve_cache_misses -> 20
+  | Serve_coalesced -> 21
+  | Serve_queue_hwm -> 22
+  | Serve_shed -> 23
+  | Serve_retries -> 24
+  | Serve_journal_replayed -> 25
+  | Pool_restarts -> 26
 
-let n_ids = 29
+let n_ids = 27
 
 let name = function
   | Plan_runs -> "plan_runs"
@@ -85,8 +80,6 @@ let name = function
   | Obligations -> "obligations"
   | Bmc_programs -> "bmc_programs"
   | Sweep_points -> "sweep_points"
-  | Plan_ops_folded -> "plan_ops_folded"
-  | Slots_killed -> "slots_killed"
   | Plan_binds -> "plan_binds"
   | Sessions -> "sessions"
   | Pool_tasks -> "pool_tasks"
@@ -109,11 +102,7 @@ let is_work = function
   | Sim_cycles | Sim_retired | Seq_instructions | Obligations | Bmc_programs
   | Sweep_points ->
     true
-  (* [Plan_ops_folded] / [Slots_killed] are compile-time tallies: they
-     scale with how many times a machine is (re)compiled — a caching
-     artifact, like [Plan_binds] — not with the semantic work of a run,
-     so they sit outside the batched-equals-rebuild WORK contract. *)
-  | Plan_ops_folded | Slots_killed | Plan_binds | Sessions | Pool_tasks
+  | Plan_binds | Sessions | Pool_tasks
   | Pool_stolen | Pool_helped | Pool_inline | Pool_queue_hwm | Serve_requests
   | Serve_cache_hits | Serve_cache_misses | Serve_coalesced | Serve_queue_hwm
   | Serve_shed | Serve_retries | Serve_journal_replayed | Pool_restarts ->

@@ -27,7 +27,10 @@
 type id =
   (* Work class: deterministic at any pool size. *)
   | Plan_runs  (** {!Hw.Plan.run} invocations (one per engine cycle) *)
-  | Plan_ops  (** tape instructions executed by {!Hw.Plan.run} *)
+  | Plan_ops
+      (** tape instructions executed by {!Hw.Plan.run}: every run
+          executes the whole tape, so [Plan_runs] times
+          {!Hw.Plan.n_instrs} per compiled shape *)
   | Cells_written  (** register/file cells written by [Commit.apply] *)
   | State_resets  (** in-place {!Machine.State.reset} calls *)
   | Snapshot_words  (** words scanned by visible-state snapshots *)
@@ -39,15 +42,6 @@ type id =
   | Sweep_points  (** sweep points evaluated by [Workload.Sweep] *)
   (* Sched class: varies with pool size, session-cache and
      compile-cache hits. *)
-  | Plan_ops_folded
-      (** tape instructions removed by {!Hw.Plan.optimize} (constant
-          folding, identities, dead-code elimination) — compile-time
-          work avoided on every subsequent {!Hw.Plan.run}.  Sched
-          class: scales with the number of (re)compilations, not with
-          per-program semantic work *)
-  | Slots_killed
-      (** plan slots removed by tape compaction in {!Hw.Plan.optimize}
-          (Sched class, like {!Plan_ops_folded}) *)
   | Plan_binds  (** {!Machine.State.bind_plan} calls (per session) *)
   | Sessions  (** simulation sessions created (per domain) *)
   | Pool_tasks  (** tasks executed by an {!Exec.Pool} (any path) *)

@@ -40,9 +40,9 @@ val measure :
   Transform.t ->
   t
 (** Run the machine and collect.  [compiled] reuses an existing
-    evaluation plan for the machine instead of compiling it again; the
-    collector reads signals by name, so it must have been compiled
-    with [observe] on (the {!Pipesem.compile} default). *)
+    evaluation plan for the machine instead of compiling it again (the
+    collector reads signals by name, which every compiled plan
+    keeps). *)
 
 val merge : t -> t -> t
 (** Pointwise union (for accumulating over several programs).

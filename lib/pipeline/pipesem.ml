@@ -303,8 +303,7 @@ type compiled = {
   c_rollbacks : (Fwd_spec.speculation * Machine.Commit.cwrite list) list;
 }
 
-let compile ?(optimize = Hw.Plan.optimize_default ()) ?(observe = true)
-    (t : Transform.t) =
+let compile (t : Transform.t) =
   Obs.Span.with_span "pipesem.compile" @@ fun () ->
   let m = t.Transform.machine in
   let n = m.Machine.Spec.n_stages in
@@ -335,71 +334,6 @@ let compile ?(optimize = Hw.Plan.optimize_default ()) ?(observe = true)
       t.Transform.speculations
   in
   let plan = Hw.Plan.build b in
-  (* Optimize the tape, then translate every captured slot.  Inputs,
-     defines and [root] results are liveness roots, so the remap never
-     yields -1 for anything captured above. *)
-  let plan, c_full_slots, c_ext_slots, c_spec_slots, c_stages, c_rollbacks =
-    if optimize then begin
-      (* [observe = false]: the caller promises never to read signals
-         back by name (no [on_signals] consumers — the verification
-         hot path), so only the hazard signals the cycle driver itself
-         polls stay define-rooted; the rest of the signal forest
-         survives only where it feeds a commit write, a mispredict
-         probe or a hazard chain. *)
-      let keep_define =
-        if observe then None
-        else begin
-          let dhaz = Hashtbl.create 8 in
-          Array.iter
-            (fun nm -> Hashtbl.replace dhaz nm ())
-            t.Transform.stage_dhaz;
-          Some (Hashtbl.mem dhaz)
-        end
-      in
-      let plan, remap = Hw.Plan.optimize_remap ?keep_define plan in
-      let f s = remap.(s) in
-      let c_full_slots = Array.map f c_full_slots in
-      let c_ext_slots = Array.map f c_ext_slots in
-      let c_spec_slots = List.map (fun (sp, s) -> (sp, f s)) c_spec_slots in
-      let c_stages = Array.map (Machine.Commit.remap_cstage f) c_stages in
-      let c_rollbacks =
-        List.map
-          (fun (sp, ws) -> (sp, List.map (Machine.Commit.remap_cwrite f) ws))
-          c_rollbacks
-      in
-      (* Segment the optimized tape: a stage's commit slots are read
-         only on the cycles the stage fires, a speculation's rollback
-         slots only when it is the firing rollback.  Group convention
-         (relied on by [plan_engine] and [run_lanes_session]): group
-         [k] is stage [k]'s commit, group [n + i] the [i]-th entry of
-         [c_rollbacks].  Mispredict probes are polled every cycle, so
-         they root the control prefix. *)
-      let stage_groups =
-        Array.to_list
-          (Array.map
-             (fun cs -> Array.of_list (Machine.Commit.cstage_slots cs))
-             c_stages)
-      in
-      let rb_groups =
-        List.map
-          (fun (_, ws) ->
-            Array.of_list
-              (List.fold_left
-                 (fun acc cw -> Machine.Commit.cwrite_slots cw acc)
-                 [] ws))
-          c_rollbacks
-      in
-      let ctrl_roots = Array.of_list (List.map snd c_spec_slots) in
-      let groups = stage_groups @ rb_groups in
-      let plan =
-        if List.length groups <= 62 then
-          Hw.Plan.segment ~ctrl_roots plan ~groups
-        else plan
-      in
-      (plan, c_full_slots, c_ext_slots, c_spec_slots, c_stages, c_rollbacks)
-    end
-    else (plan, c_full_slots, c_ext_slots, c_spec_slots, c_stages, c_rollbacks)
-  in
   let c_dhaz_slots =
     Array.map
       (fun name ->
@@ -479,15 +413,13 @@ let plan_engine c state =
   in
   let inst = State.bound_instance bound in
   let n = Array.length c.c_full_slots in
-  (* Segmented plans evaluate the control prefix every cycle and a
-     stage's (or rollback's) group only on the cycles it commits.  All
-     of a cycle's groups run before its first commit: register-file
-     reads go to the live state, so every group must see it pre-edge. *)
-  let gated = Hw.Plan.is_segmented c.c_plan in
+  (* [eng_begin] runs the whole tape, so every commit value, guard and
+     address is computed against the pre-edge state before the first
+     commit writes it. *)
   let stages = Array.map (Machine.Commit.resolve_stage state) c.c_stages in
   let rollbacks =
-    List.mapi
-      (fun i (sp, ws) -> (sp, (n + i, Machine.Commit.resolve_writes state ws)))
+    List.map
+      (fun (sp, ws) -> (sp, Machine.Commit.resolve_writes state ws))
       c.c_rollbacks
   in
   let eng_begin ~cycle:_ ~fullb ~ext_now =
@@ -496,7 +428,7 @@ let plan_engine c state =
       Hw.Plan.set inst c.c_full_slots.(k) (bool_bv (k = 0 || fullb.(k)));
       Hw.Plan.set inst c.c_ext_slots.(k) (bool_bv ext_now.(k))
     done;
-    if gated then Hw.Plan.run_control inst else Hw.Plan.run inst
+    Hw.Plan.run inst
   in
   let eng_lookup name =
     match Hw.Plan.read_name inst name with
@@ -515,17 +447,12 @@ let plan_engine c state =
       (fun sp -> Hw.Plan.get_bool inst (List.assq sp c.c_spec_slots));
     eng_edge =
       (fun ~ue ~firing ->
-        let rollback = Option.map (fun sp -> List.assq sp rollbacks) firing in
-        if gated then begin
-          for k = 0 to n - 1 do
-            if ue.(k) then Hw.Plan.run_group inst k
-          done;
-          Option.iter (fun (g, _) -> Hw.Plan.run_group inst g) rollback
-        end;
         for k = 0 to n - 1 do
           if ue.(k) then Machine.Commit.commit inst stages.(k)
         done;
-        Option.iter (fun (_, ws) -> Machine.Commit.commit inst ws) rollback);
+        Option.iter
+          (fun sp -> Machine.Commit.commit inst (List.assq sp rollbacks))
+          firing);
   }
 
 (* A session: one persistent state with the plan bound to it once.
@@ -679,12 +606,8 @@ let run_lanes_session ?(ext = fun ~stage:_ ~cycle:_ -> false)
   let inst = ls.lns_inst in
   let all = Hw.Lanes.mask_of_count act in
   (* Lane packs account the same per-program op counts as the scalar
-     gated engine: both run this one plan. *)
-  let plan = c.c_plan in
-  let tape_len = Hw.Plan.n_instrs plan in
-  let gated = Hw.Plan.is_segmented plan in
-  let ctrl_len = Hw.Plan.n_ctrl_instrs plan in
-  let rb_index = List.mapi (fun i (sp, _) -> (sp, i)) c.c_rollbacks in
+     engine: one whole-tape run per cycle of every running lane. *)
+  let tape_len = Hw.Plan.n_instrs c.c_plan in
   let bound = liveness_bound ~n_stages:n in
   let deadlock_window = deadlock_window ~n_stages:n in
   let fullb = Array.make n 0 in
@@ -733,11 +656,9 @@ let run_lanes_session ?(ext = fun ~stage:_ ~cycle:_ -> false)
       Hw.Plan.lanes_set_word inst c.c_ext_slots.(k)
         (if ext_now.(k) then all else 0)
     done;
-    if gated then Hw.Plan.run_lanes_control inst
-    else Hw.Plan.run_lanes inst;
+    Hw.Plan.run_lanes inst;
     Obs.Counters.ledger_add ledger Obs.Counters.Plan_runs n_running;
-    Obs.Counters.ledger_add ledger Obs.Counters.Plan_ops
-      ((if gated then ctrl_len else tape_len) * n_running);
+    Obs.Counters.ledger_add ledger Obs.Counters.Plan_ops (tape_len * n_running);
     let dhaz =
       Array.init n (fun k ->
           word_of_slot inst ~act c.c_dhaz_slots.(k) land run_mask)
@@ -797,30 +718,6 @@ let run_lanes_session ?(ext = fun ~stage:_ ~cycle:_ -> false)
           (sp, f))
         spec_words
     in
-    (* ---- on-demand groups, all before any commit: register-file
-       reads dispatch through the live state rows, so every group
-       the edge consumes must evaluate while state is still
-       pre-edge.  The ledger mirrors the scalar gated engine: each
-       lane pays for exactly the groups its own stages fired. ---- *)
-    if gated then begin
-      for k = 0 to n - 1 do
-        let mask = s.Stall_engine.l_ue.(k) in
-        if mask <> 0 then begin
-          Hw.Plan.run_lanes_group inst k;
-          Obs.Counters.ledger_add ledger Obs.Counters.Plan_ops
-            (Hw.Plan.group_instrs plan k * Hw.Lanes.popcount mask)
-        end
-      done;
-      List.iter
-        (fun (sp, f) ->
-          if f <> 0 then begin
-            let g = n + List.assq sp rb_index in
-            Hw.Plan.run_lanes_group inst g;
-            Obs.Counters.ledger_add ledger Obs.Counters.Plan_ops
-              (Hw.Plan.group_instrs plan g * Hw.Lanes.popcount f)
-          end)
-        fires
-    end;
     (* ---- clock edge: stage writes then rollback writes ---- *)
     for k = 0 to n - 1 do
       let mask = s.Stall_engine.l_ue.(k) in

@@ -146,27 +146,17 @@ type compiled
     integer slots instead of re-walking expression trees against a
     string-keyed overlay. *)
 
-val compile : ?optimize:bool -> ?observe:bool -> Transform.t -> compiled
+val compile : Transform.t -> compiled
 (** Compile once; reuse across {!run_compiled} / {!run_session} calls
     (the plan is immutable — instances are private to sessions).
 
-    [optimize] (default {!Hw.Plan.optimize_default}) runs
-    {!Hw.Plan.optimize} on the tape, remaps every captured slot and
-    segments the result into a control prefix plus one on-demand group
-    per stage commit and per rollback (see {!Hw.Plan.segment}).  This
-    is the one tape of the shape: the scalar, session and lanes
-    engines all bind it, so their WORK counters read one geometry.
-
-    [observe] (default [true]) keeps every synthesized signal
-    readable by name on the running instance (the [on_signals]
-    callback view used by the tracer and hazard attribution).
-    [~observe:false] — only meaningful with [optimize] — keeps just
-    the hazard signals the cycle driver polls and lets dead-code
-    elimination drop the rest of the signal forest; use it only when
-    no callback will read signals back by name (the verification hot
-    path: {!Proof_engine.Consistency} compiles its own plans this
-    way).  Outcomes, statistics and commit behaviour are identical
-    either way.
+    The plan is the hash-consed tape {!Hw.Plan.build} returns, and it
+    is the one tape of the shape: the scalar, session and lanes engines
+    all bind it and run it whole every cycle, so a run's [Plan_ops] is
+    its [Plan_runs] times {!Hw.Plan.n_instrs}.  Every synthesized
+    signal stays readable by name on the running instance (the
+    [on_signals] callback view used by the tracer and hazard
+    attribution).
 
     Thread safety: a [compiled] value is immutable after [compile] and
     may be shared across {!Exec.Pool} domains.  Mutable evaluation
@@ -358,5 +348,8 @@ val run_lanes_session :
     liveness bound as in the scalar loop); finished lanes are peeled from the
     pack while the rest keep running.  [faulty] relaxes the
     missing-retire-tag asserts exactly like the scalar loop's
-    [inject <> None].  Raises on any width/shape problem — callers
-    discard the ledger and fall back to scalar runs. *)
+    [inject <> None].  Each cycle the ledger counts one [Plan_runs]
+    and {!Hw.Plan.n_instrs} [Plan_ops] per running lane, what a solo
+    scalar run of each lane counts.  Raises on any width/shape
+    problem — callers discard the ledger and fall back to scalar
+    runs. *)

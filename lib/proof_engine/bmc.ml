@@ -25,8 +25,8 @@ let reason_of_result = function
           | Pipeline.Pipesem.Out_of_cycles -> "out of cycles"
           | Pipeline.Pipesem.Completed -> "lemma or final-state failure"))
 
-let exhaustive ?(max_failures = 5) ?ext ?pool ?inject ?(lanes = false)
-    ?optimize ?shape:precompiled ?cancel ?load ~build ~alphabet ~length () =
+let exhaustive ?(max_failures = 5) ?ext ?pool ?inject ?(lanes = false) ?cancel
+    ?load ~build ~alphabet ~length () =
   Obs.Span.with_span "verify.bmc" @@ fun () ->
   (* Materialize the program space in enumeration order, then check
      every program independently — the unit of pool fan-out.  Failures
@@ -57,8 +57,7 @@ let exhaustive ?(max_failures = 5) ?ext ?pool ?inject ?(lanes = false)
       | exception e -> Some ("transform failed: " ^ Printexc.to_string e)
       | t ->
         reason_of_result
-          (Consistency.check_result ?ext ?optimize ?inject ?cancel
-             ~max_instructions t)
+          (Consistency.check_result ?ext ?inject ?cancel ~max_instructions t)
     in
     let checked =
       Exec.Pool.map_opt pool (fun program -> (program, check program)) programs
@@ -72,15 +71,14 @@ let exhaustive ?(max_failures = 5) ?ext ?pool ?inject ?(lanes = false)
        shape-invariance contract: [build p] differs from
        [build p'] only in the initial values that [load] covers. *)
     let shape =
-      match (precompiled, programs) with
-      | Some s, _ :: _ -> Ok (Some s)
-      | _, [] -> Ok None
-      | None, p0 :: _ -> (
+      match programs with
+      | [] -> Ok None
+      | p0 :: _ -> (
         match build p0 with
         | exception Exec.Cancel.Cancelled -> raise Exec.Cancel.Cancelled
         | exception e -> Error ("transform failed: " ^ Printexc.to_string e)
         | t -> (
-          match Consistency.shape ?optimize t with
+          match Consistency.shape t with
           | s -> Ok (Some s)
           | exception Exec.Cancel.Cancelled -> raise Exec.Cancel.Cancelled
           | exception Hw.Plan.Compile_error m ->

@@ -25,8 +25,6 @@ val exhaustive :
   ?pool:Exec.Pool.t ->
   ?inject:Pipeline.Pipesem.injection ->
   ?lanes:bool ->
-  ?optimize:bool ->
-  ?shape:Consistency.shape ->
   ?cancel:Exec.Cancel.token ->
   ?load:(int list -> (string * Machine.Value.t) list) ->
   build:(int list -> Pipeline.Transform.t) ->
@@ -75,19 +73,6 @@ val exhaustive :
     that comes back clean is reported as a lane/scalar divergence.
     Ignored without [load], or when [inject] carries real hooks
     (only the physical {!Pipeline.Pipesem.no_injection} record of
-    structural mutants is lane-compatible).
-
-    [optimize] (default {!Hw.Plan.optimize_default}) is forwarded to
-    the plan compiles on both paths; outcomes are bit-identical with
-    it on or off — the bench's [--no-opt] leg regresses exactly
-    that.
-
-    [shape] (with [load]) supplies a precompiled
-    {!Consistency.shape}, skipping the per-call [build] + compile
-    entirely: a caller that sweeps the same machine repeatedly — the
-    bench's timing loops, a long-running service — pays the optimizer
-    once and amortizes it across every sweep.  The shape must satisfy
-    the same shape-invariance contract with [load]; [optimize] is
-    ignored (the shape was compiled with its own setting). *)
+    structural mutants is lane-compatible). *)
 
 val pp : Format.formatter -> outcome -> unit

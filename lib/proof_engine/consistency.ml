@@ -183,8 +183,8 @@ let check_core ~seq_trace ~run_pipe (t : Pipeline.Transform.t) =
     liveness = Liveness.of_run ~n_stages:n gaps result;
   }
 
-let check ?ext ?(max_instructions = 200) ?reference ?compiled ?optimize
-    ?inject ?cancel (t : Pipeline.Transform.t) =
+let check ?ext ?(max_instructions = 200) ?reference ?compiled ?inject
+    ?cancel (t : Pipeline.Transform.t) =
   Obs.Span.with_span "verify.consistency" @@ fun () ->
   let seq_trace =
     match reference with
@@ -192,14 +192,8 @@ let check ?ext ?(max_instructions = 200) ?reference ?compiled ?optimize
     | None -> Machine.Seqsem.run ~max_instructions t.Pipeline.Transform.base
   in
   let run_pipe ~callbacks ~stop_after =
-    (* Self-compiled plans are hot-path plans: [check_core] never
-       reads signals by name, so the unobserved signal forest may
-       die.  A caller-supplied [compiled] keeps whatever observability
-       it was built with. *)
     let c =
-      match compiled with
-      | Some c -> c
-      | None -> Pipesem.compile ?optimize ~observe:false t
+      match compiled with Some c -> c | None -> Pipesem.compile t
     in
     Pipesem.run_compiled ?ext ~callbacks ?inject ?cancel ~stop_after c
   in
@@ -220,32 +214,21 @@ type shape = {
          identical shape and reuse its warmed sessions *)
 }
 
-let shape ?compiled ?optimize (t : Pipeline.Transform.t) =
+let shape (t : Pipeline.Transform.t) =
   {
     sh_tr = t;
-    sh_pipe =
-      (match compiled with
-      | Some c -> c
-      | None -> Pipesem.compile ?optimize ~observe:false t);
-    sh_seq = Machine.Seqsem.compile ?optimize t.Pipeline.Transform.base;
+    sh_pipe = Pipesem.compile t;
+    sh_seq = Machine.Seqsem.compile t.Pipeline.Transform.base;
     sh_digest = None;
   }
 
+(* A transform compiles to one tape, so its digest identifies the
+   compiled shape too. *)
 let shape_digest s =
   match s.sh_digest with
   | Some d -> d
   | None ->
-    (* The transform digest alone would conflate two shapes of the
-       same machine compiled differently (optimized vs raw tape) and
-       hand one of them the other's warmed sessions — so fold in the
-       compiled plan's observable geometry, which the optimizer
-       changes whenever it changes anything. *)
-    let p = Pipesem.plan s.sh_pipe in
-    let d =
-      Printf.sprintf "%s#%d.%d.%d"
-        (Pipeline.Transform.digest s.sh_tr)
-        (Hw.Plan.n_instrs p) (Hw.Plan.n_slots p) (Hw.Plan.n_groups p)
-    in
+    let d = Pipeline.Transform.digest s.sh_tr in
     s.sh_digest <- Some d;
     d
 
@@ -292,12 +275,9 @@ let failure_of_exn e =
   in
   { failing_phase; message }
 
-let check_result ?ext ?max_instructions ?reference ?compiled ?optimize ?inject
-    ?cancel t =
-  match
-    check ?ext ?max_instructions ?reference ?compiled ?optimize ?inject ?cancel
-      t
-  with
+let check_result ?ext ?max_instructions ?reference ?compiled ?inject ?cancel
+    t =
+  match check ?ext ?max_instructions ?reference ?compiled ?inject ?cancel t with
   | report -> Ok report
   | exception Exec.Cancel.Cancelled -> raise Exec.Cancel.Cancelled
   | exception e -> Error (failure_of_exn e)

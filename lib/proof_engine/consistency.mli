@@ -73,15 +73,13 @@ val check :
   ?max_instructions:int ->
   ?reference:Machine.Seqsem.trace ->
   ?compiled:Pipeline.Pipesem.compiled ->
-  ?optimize:bool ->
   ?inject:Pipeline.Pipesem.injection ->
   ?cancel:Exec.Cancel.token ->
   Pipeline.Transform.t ->
   report
 (** Run the sequential reference and the pipelined machine on the same
     initial state and compare.  [max_instructions] bounds the
-    sequential run (default 200).  [optimize] is forwarded to
-    {!Pipeline.Pipesem.compile} when no [compiled] plan is supplied.
+    sequential run (default 200).
 
     [compiled] supplies a precompiled evaluation plan for [t]
     (obtained from {!Pipeline.Pipesem.compile}), avoiding a
@@ -117,13 +115,8 @@ type shape
 (** A transform plus its compiled pipelined and sequential machines,
     ready for batched checking.  Immutable; share freely. *)
 
-val shape :
-  ?compiled:Pipeline.Pipesem.compiled ->
-  ?optimize:bool ->
-  Pipeline.Transform.t ->
-  shape
-(** Compile both machines once ([compiled] reuses an existing
-    pipelined plan; [optimize] is forwarded to both compiles). *)
+val shape : Pipeline.Transform.t -> shape
+(** Compile both machines once. *)
 
 val shape_transform : shape -> Pipeline.Transform.t
 val shape_compiled : shape -> Pipeline.Pipesem.compiled
@@ -159,7 +152,6 @@ val check_result :
   ?max_instructions:int ->
   ?reference:Machine.Seqsem.trace ->
   ?compiled:Pipeline.Pipesem.compiled ->
-  ?optimize:bool ->
   ?inject:Pipeline.Pipesem.injection ->
   ?cancel:Exec.Cancel.token ->
   Pipeline.Transform.t ->

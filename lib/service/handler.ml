@@ -408,26 +408,39 @@ let cache_key (req : Request.t) prog =
         Printf.sprintf "seed=%d" seed;
       ]
 
-(* Any failure to resolve means no key: [handle] reports it on its own
-   path, so the request must keep its own evaluation. *)
-let verdict_key (req : Request.t) =
-  match resolve req.Request.spec with
-  | prog -> cache_key req prog
-  | exception _ -> None
+(* A request with its program resolved and its verdict key derived,
+   once: serve coalesces a batch on [p_key] and evaluates the same
+   value.  A program that does not resolve keeps its exception, which
+   [handle_prepared] raises on its own path, so the request answers its
+   own error; it has no key and keeps its own evaluation. *)
+type prepared = {
+  p_req : Request.t;
+  p_prog : (program, exn) result;
+  p_key : string option;
+}
 
-let handle ?env ?pool ?cancel ?(cache_only = false) ?checkpoint ?resume
-    (req : Request.t) =
+let prepare (req : Request.t) =
+  Obs.Span.with_span "handler.prepare" @@ fun () ->
+  match resolve req.Request.spec with
+  | prog -> { p_req = req; p_prog = Ok prog; p_key = cache_key req prog }
+  | exception e -> { p_req = req; p_prog = Error e; p_key = None }
+
+let request p = p.p_req
+let verdict_key p = p.p_key
+
+let handle_prepared ?env ?pool ?cancel ?(cache_only = false) ?checkpoint
+    ?resume p =
   Obs.Counters.bump Obs.Counters.Serve_requests;
+  let req = p.p_req in
   let id = req.Request.id in
   let respond ?cached payload = Response.ok ?id ?cached payload in
   try
-    (* Resolve, look up, and build the machine only on a miss: a hit
-       costs the program lookup, one digest and one table probe. *)
-    let prog = resolve req.Request.spec in
+    (* Look up, and build the machine only on a miss: a hit costs one
+       table probe. *)
+    let prog = match p.p_prog with Ok prog -> prog | Error e -> raise e in
     let cache_key =
       match env with
-      | Some env ->
-        Option.map (fun k -> (env.env_verdicts, k)) (cache_key req prog)
+      | Some env -> Option.map (fun k -> (env.env_verdicts, k)) p.p_key
       | None -> None
     in
     match Option.bind cache_key (fun (cache, k) -> Cache.find cache k) with
@@ -482,6 +495,10 @@ let handle ?env ?pool ?cancel ?(cache_only = false) ?checkpoint ?resume
     Response.fail ?id ~phase:"expr" Response.Internal msg
   | Sys_error msg | Failure msg -> Response.fail ?id Response.Internal msg
 
+let handle ?env ?pool ?cancel ?cache_only ?checkpoint ?resume req =
+  handle_prepared ?env ?pool ?cancel ?cache_only ?checkpoint ?resume
+    (prepare req)
+
 (* Warm-start the verdict cache from a journaled (request, payload)
    pair: install the payload under the key the ordinary path would
    use.  Campaigns are never cached, a request that reads an assembly
@@ -492,7 +509,6 @@ let handle ?env ?pool ?cancel ?(cache_only = false) ?checkpoint ?resume
    depend on it, only cache hit rates do. *)
 let warm ~env (req : Request.t) payload =
   if req.Request.spec.Request.program_file = None then
-    match cache_key req (resolve req.Request.spec) with
-    | Some k -> Cache.add env.env_verdicts k payload
-    | None -> ()
-    | exception _ -> ()
+    Option.iter
+      (fun k -> Cache.add env.env_verdicts k payload)
+      (prepare req).p_key

@@ -83,11 +83,12 @@ val handle :
   ?resume:bool ->
   Request.t ->
   Response.t
-(** Evaluate one request.  Never raises: usage errors become [Usage]
-    responses, {!Exec.Cancel.Cancelled} becomes a [Timeout] error on a
-    deadline trip and a [Cancelled] error on an explicit one (the
-    token's {!Exec.Cancel.reason} decides — cooperative cancellation
-    is a typed result, not an escape), and engine exceptions become
+(** Evaluate one request: {!handle_prepared} of {!prepare}.  Never
+    raises: usage errors become [Usage] responses,
+    {!Exec.Cancel.Cancelled} becomes a [Timeout] error on a deadline
+    trip and a [Cancelled] error on an explicit one (the token's
+    {!Exec.Cancel.reason} decides — cooperative cancellation is a
+    typed result, not an escape), and engine exceptions become
     [Internal] errors.  [cancel] is polled by the simulators and
     checkers; [pool] fans out the obligation suite and campaign
     mutants; [checkpoint]/[resume] are the campaign's operational
@@ -98,13 +99,38 @@ val handle :
     answered [Overloaded] instead of evaluated, before anything is
     built. *)
 
-val verdict_key : Request.t -> string option
+type prepared
+(** A request with its program resolved and its verdict-cache key
+    derived: what {!handle} does before it looks at the cache.  Serve
+    prepares each request of a batch once, coalesces on the key and
+    evaluates the same value. *)
+
+val prepare : Request.t -> prepared
+(** Resolve the request's program and derive its key.  Nothing is
+    built.  Never raises: a program that does not resolve is kept, and
+    {!handle_prepared} answers it with the error {!handle} would. *)
+
+val request : prepared -> Request.t
+
+val verdict_key : prepared -> string option
 (** The verdict-cache key {!handle} looks up for this request: kind,
     parameters, machine shape and resolved program, so two spellings
     of one question (a kernel prefix and its full name, toy3 under
     two kernels, a scalar and a [lanes] sweep) share it.  [None] for
     campaigns (never cached) and for requests whose program does not
-    resolve.  Nothing is built; serve coalesces a batch on it. *)
+    resolve. *)
+
+val handle_prepared :
+  ?env:env ->
+  ?pool:Exec.Pool.t ->
+  ?cancel:Exec.Cancel.token ->
+  ?cache_only:bool ->
+  ?checkpoint:string ->
+  ?resume:bool ->
+  prepared ->
+  Response.t
+(** {!handle} of a prepared request: the program is not resolved and
+    the key not derived again. *)
 
 val warm : env:env -> Request.t -> Response.payload -> unit
 (** Install a journaled payload into the verdict cache under the key

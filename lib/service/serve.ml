@@ -58,7 +58,7 @@ let degraded a = a.degraded
 
 type role =
   | Malformed of Request.decode_error
-  | Leader of Request.t
+  | Leader of Handler.prepared
   | Follower of int * Request.t  (* index of the leader *)
 
 (* Requests coalesce when they ask one question: the same verdict-cache
@@ -66,8 +66,9 @@ type role =
    admission and timeout fate).  A request without a key (a campaign,
    a program that does not resolve) coalesces only with its own wire
    form and answers its own error. *)
-let coalescing_key (req : Request.t) =
-  match Handler.verdict_key req with
+let coalescing_key p =
+  let req = Handler.request p in
+  match Handler.verdict_key p with
   | Some k ->
     Printf.sprintf "key %s %s" k
       (match req.Request.deadline_s with
@@ -85,11 +86,12 @@ let process_batch ~env ~pool ?timeout_s ?cancel ?latency ?admission lines =
         match Request.of_string line with
         | Error e -> Malformed e
         | Ok req -> (
-          let canonical = coalescing_key req in
+          let p = Handler.prepare req in
+          let canonical = coalescing_key p in
           match Hashtbl.find_opt seen canonical with
           | None ->
             Hashtbl.add seen canonical i;
-            Leader req
+            Leader p
           | Some j ->
             Obs.Counters.bump Obs.Counters.Serve_coalesced;
             Follower (j, req)))
@@ -100,7 +102,7 @@ let process_batch ~env ~pool ?timeout_s ?cancel ?latency ?admission lines =
     Array.to_list roles
     |> List.mapi (fun i role -> (i, role))
     |> List.filter_map (function
-         | i, Leader req -> Some (i, req)
+         | i, Leader p -> Some (i, p)
          | _, (Malformed _ | Follower _) -> None)
   in
   let jobs = max 1 (Exec.Pool.size pool) in
@@ -119,7 +121,8 @@ let process_batch ~env ~pool ?timeout_s ?cancel ?latency ?admission lines =
       in
       let kept = ref [] and shed = ref [] in
       List.iteri
-        (fun ord (i, (req : Request.t)) ->
+        (fun ord (i, p) ->
+          let req = Handler.request p in
           if ord >= a.adm_max_queue then
             shed := (i, req, "queue full (max-queue exceeded)") :: !shed
           else
@@ -129,7 +132,7 @@ let process_batch ~env ~pool ?timeout_s ?cancel ?latency ?admission lines =
               shed :=
                 (i, req, "projected queue wait exceeds request deadline")
                 :: !shed
-            | _ -> kept := (i, req) :: !kept)
+            | _ -> kept := (i, p) :: !kept)
         leaders;
       let kept = List.rev !kept and shed_l = List.rev !shed in
       if shed_l <> [] then a.hot_batches <- a.hot_batches + 1
@@ -154,18 +157,18 @@ let process_batch ~env ~pool ?timeout_s ?cancel ?latency ?admission lines =
   in
   let eval_batch items =
     Exec.Pool.map_result ?timeout_s ?cancel pool
-      (fun ~cancel (_, (req : Request.t)) ->
+      (fun ~cancel (_, p) ->
         (* The request's own deadline rides as one more child token:
            server timeout, client deadline and shutdown all trip the
            same cooperative chain, and [Cancel.reason] keeps Timeout
            vs Cancelled straight. *)
         let cancel =
-          match req.Request.deadline_s with
+          match (Handler.request p).Request.deadline_s with
           | None -> cancel
           | Some d -> Exec.Cancel.with_parent cancel ~timeout_s:d ()
         in
         observe_latency (fun () ->
-            Handler.handle ~env ~pool ~cancel ~cache_only req))
+            Handler.handle_prepared ~env ~pool ~cancel ~cache_only p))
       items
   in
   let t0 = Unix.gettimeofday () in
@@ -208,7 +211,8 @@ let process_batch ~env ~pool ?timeout_s ?cancel ?latency ?admission lines =
   | _ -> ());
   let responses = Array.make (Array.length roles) None in
   Array.iteri
-    (fun j (i, (req : Request.t)) ->
+    (fun j (i, p) ->
+      let req = Handler.request p in
       let resp =
         match outcomes.(j) with
         | Exec.Pool.Done resp -> resp

@@ -5,13 +5,13 @@ type t = {
   sim_instructions : int;
 }
 
-let make ?compiled ?optimize ?reference ?(instructions = 200) tr =
+let make ?compiled ?reference ?(instructions = 200) tr =
   {
     sim_tr = tr;
     sim_compiled =
       (match compiled with
       | Some c -> lazy c
-      | None -> lazy (Pipeline.Pipesem.compile ?optimize tr));
+      | None -> lazy (Pipeline.Pipesem.compile tr));
     sim_reference = reference;
     sim_instructions = instructions;
   }

@@ -21,7 +21,6 @@ type t
 
 val make :
   ?compiled:Pipeline.Pipesem.compiled ->
-  ?optimize:bool ->
   ?reference:Machine.Seqsem.trace ->
   ?instructions:int ->
   Pipeline.Transform.t ->

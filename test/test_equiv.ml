@@ -209,6 +209,39 @@ let test_arithmetic_facts () =
     (E.Binop (E.Mul, x, E.const_int ~width:6 3))
     (E.( +: ) (E.( +: ) x x) x)
 
+(* Width-62 signed ops: the BDD encoding reads bit 61 as the sign, and
+   the tree-walker and the tape must agree with it.  Symbolically, a
+   62-bit [x <s 0] is its sign bit and [x >>> 1] keeps the sign; on
+   constants, each evaluated value is proved equal to the BDD's. *)
+let test_signed_width62 () =
+  let w = Hw.Bitvec.max_width in
+  let x = E.input "x" w in
+  let sign = E.Slice (x, w - 1, w - 1) in
+  Q.check_exn (E.Binop (E.Lts, x, E.const_int ~width:w 0)) sign;
+  Q.check_exn
+    (E.Binop (E.Sra, x, E.const_int ~width:w 1))
+    (E.Concat (sign, E.Slice (x, w - 1, 1)));
+  let top = 1 lsl (w - 1) in
+  List.iter
+    (fun (op, a, b) ->
+      let e = E.Binop (op, E.const_int ~width:w a, E.const_int ~width:w b) in
+      let tree = Hw.Eval.eval (Hw.Eval.env_of_assoc []) e in
+      let tape =
+        (Hw.Eval.run_plan
+           (Hw.Eval.compile { Hw.Eval.spec_inputs = []; spec_files = [] } [ e ])
+           (Hw.Eval.env_of_assoc [])).(0)
+      in
+      Q.check_exn e (E.Const tree);
+      Q.check_exn e (E.Const tape))
+    [
+      (E.Lts, top, 0);
+      (E.Lts, 0, top);
+      (E.Lts, top, top - 1);
+      (E.Sra, top, 1);
+      (E.Sra, top lor 5, 3);
+      (E.Sra, top - 1, 1);
+    ]
+
 let test_width_mismatch () =
   match Q.check (E.input "x" 4) (E.input "x" 8) with
   | Q.Width_mismatch (4, 8) -> ()
@@ -404,6 +437,7 @@ let () =
           Alcotest.test_case "tautologies" `Quick test_tautology;
           Alcotest.test_case "arithmetic facts" `Quick test_arithmetic_facts;
           Alcotest.test_case "width mismatch" `Quick test_width_mismatch;
+          Alcotest.test_case "width-62 signed ops" `Quick test_signed_width62;
         ] );
       ( "networks",
         [

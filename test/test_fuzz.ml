@@ -219,66 +219,6 @@ let test_bmc_batched_equals_rebuild () =
         w_rebuild w_pooled)
     [ 11; 222; 3333 ]
 
-let test_bmc_opt_equals_noopt () =
-  (* The plan optimizer is a pure compile-time transformation: BMC
-     outcomes (verdicts, failure enumeration order) and the semantic
-     WORK counters must be bit-identical with it on or off, on the
-     scalar batched path and the lane path, serial and pooled.  Only
-     [plan_ops] may differ — shrinking it is the optimizer's entire
-     point — so it is excluded from the comparison. *)
-  let module G = Proof_engine.Machine_gen in
-  let work_sans_plan_ops () =
-    List.filter (fun (n, _) -> n <> "plan_ops") (Obs.Counters.work_snapshot ())
-  in
-  let work = Alcotest.(list (pair string int)) in
-  List.iter
-    (fun seed ->
-      let p = G.sample_params ~seed in
-      let build program =
-        Pipeline.Transform.run ~hints:(G.hints p) (G.machine p ~program)
-      in
-      let load program = G.image p ~program in
-      let alphabet =
-        [
-          G.encode p ~late:false ~dst:1 ~src1:1 ~src2:2;
-          G.encode p ~late:true ~dst:2 ~src1:1 ~src2:1;
-          G.encode p ~late:false ~dst:1 ~src1:2 ~src2:1;
-        ]
-      in
-      let run ?pool ~lanes ~optimize () =
-        Obs.Counters.reset ();
-        let r =
-          Proof_engine.Bmc.exhaustive ?pool ~lanes ~optimize ~load ~build
-            ~alphabet ~length:2 ()
-        in
-        (r, work_sans_plan_ops ())
-      in
-      List.iter
-        (fun lanes ->
-          let tag msg =
-            Printf.sprintf "seed %d lanes=%b: %s" seed lanes msg
-          in
-          let o, w = run ~lanes ~optimize:true () in
-          let o', w' = run ~lanes ~optimize:false () in
-          let op, wp =
-            Pool.with_pool ~size:4 (fun pool ->
-                run ~pool ~lanes ~optimize:true ())
-          in
-          let op', wp' =
-            Pool.with_pool ~size:4 (fun pool ->
-                run ~pool ~lanes ~optimize:false ())
-          in
-          Alcotest.(check bool) (tag "outcome opt = no-opt") true (o = o');
-          Alcotest.check work (tag "WORK opt = no-opt") w' w;
-          Alcotest.(check bool)
-            (tag "pooled outcome opt = no-opt")
-            true
-            (op = op' && op = o);
-          Alcotest.check work (tag "pooled WORK opt = no-opt") w' wp;
-          Alcotest.check work (tag "pooled WORK no-opt = serial") w' wp')
-        [ false; true ])
-    [ 11; 222; 3333 ]
-
 (* ------------------------------------------------------------------ *)
 (* The machine space itself, seeded                                    *)
 (* ------------------------------------------------------------------ *)
@@ -310,8 +250,6 @@ let () =
             test_bmc_through_pool;
           Alcotest.test_case "bmc batched = rebuild" `Quick
             test_bmc_batched_equals_rebuild;
-          Alcotest.test_case "bmc optimized = unoptimized" `Quick
-            test_bmc_opt_equals_noopt;
         ] );
       ( "properties",
         List.map to_alcotest

@@ -238,11 +238,10 @@ let test_compile_reuse () =
   Alcotest.(check int) "cycles" 8 a.P.stats.P.cycles
 
 (* The scalar engine's allocation per simulated cycle on the
-   verification hot path: a warm session ([observe = false], as
-   Consistency compiles it) replaying a DLX kernel.  Slots hold raw
-   ints and commits write straight into resolved state cells, so what
-   is left is the cycle driver's own bookkeeping and the boxes of the
-   values committed. *)
+   verification hot path: a warm session replaying a DLX kernel.  Slots
+   hold raw ints and commits write straight into resolved state cells,
+   so what is left is the cycle driver's own bookkeeping and the boxes
+   of the values committed. *)
 let words_per_cycle machine kernel =
   let spec =
     { Service.Request.default_spec with Service.Request.machine; kernel = Some kernel }
@@ -250,7 +249,7 @@ let words_per_cycle machine kernel =
   let sel = Service.Handler.select spec in
   let sim = sel.Service.Handler.sim in
   let stop_after = Workload.Sim.instructions sim in
-  let s = P.session (P.compile ~observe:false (Workload.Sim.transform sim)) in
+  let s = P.session (P.compile (Workload.Sim.transform sim)) in
   let first = P.run_session ~stop_after s in
   let before = Gc.minor_words () in
   let r = P.run_session ~stop_after s in
@@ -269,6 +268,80 @@ let test_alloc_per_cycle () =
           (Service.Machine_spec.to_string machine) kernel w)
     Service.Machine_spec.
       [ (Dlx5, "fib_10"); (Dlx5_intr, "fib_10"); (Dlx6, "strlen_25") ]
+
+(* One tape per shape: every cycle runs the compiled tape whole, so a
+   scalar session counts [n_instrs] plan ops per plan run, and a lane
+   pack counts exactly what solo scalar runs of its programs count.
+   The overflow trap fires dlx5_intr's interrupt rollback, and
+   dlx5_bp mispredicts on every kernel. *)
+let test_one_tape_accounting () =
+  let plan_work f =
+    let runs = Obs.Counters.get Obs.Counters.Plan_runs in
+    let ops = Obs.Counters.get Obs.Counters.Plan_ops in
+    let r = f () in
+    ( r,
+      Obs.Counters.get Obs.Counters.Plan_runs - runs,
+      Obs.Counters.get Obs.Counters.Plan_ops - ops )
+  in
+  let kernels =
+    Dlx.Progs.[ fib 5; fib 7; hazard_load_use 4; branch_heavy 3; overflow_trap ]
+  in
+  List.iter
+    (fun (name, variant) ->
+      let p0 = List.hd kernels in
+      let c =
+        P.compile
+          (Dlx.Seq_dlx.transform ~data:p0.Dlx.Progs.data variant
+             ~program:(Dlx.Progs.program p0))
+      in
+      let tape = Hw.Plan.n_instrs (P.plan c) in
+      let inits =
+        Array.of_list
+          (List.map
+             (fun (p : Dlx.Progs.t) ->
+               Dlx.Seq_dlx.image ~data:p.Dlx.Progs.data
+                 ~program:(Dlx.Progs.program p) ())
+             kernels)
+      in
+      let stop_afters =
+        Array.of_list
+          (List.map (fun (p : Dlx.Progs.t) -> p.Dlx.Progs.dyn_instructions) kernels)
+      in
+      let s = P.session c in
+      let scalar_runs = ref 0 and scalar_ops = ref 0 in
+      Array.iteri
+        (fun l init ->
+          let r, runs, ops =
+            plan_work (fun () ->
+                P.run_session ~init ~stop_after:stop_afters.(l) s)
+          in
+          let what = Printf.sprintf "%s program %d" name l in
+          Alcotest.(check int) (what ^ ": one run per cycle")
+            r.P.stats.P.cycles runs;
+          Alcotest.(check int) (what ^ ": plan_ops = runs x tape") (runs * tape)
+            ops;
+          scalar_runs := !scalar_runs + runs;
+          scalar_ops := !scalar_ops + ops)
+        inits;
+      let (_ : P.lane_result array), runs, ops =
+        plan_work (fun () ->
+            let ledger = Obs.Counters.ledger () in
+            let r =
+              P.run_lanes_session ~ledger ~inits ~stop_afters
+                (P.lanes_session c)
+            in
+            Obs.Counters.ledger_flush ledger;
+            r)
+      in
+      Alcotest.(check int) (name ^ ": lane pack runs = scalar") !scalar_runs runs;
+      Alcotest.(check int) (name ^ ": lane pack plan_ops = scalar") !scalar_ops
+        ops)
+    Dlx.Seq_dlx.
+      [
+        ("dlx5", Base);
+        ("dlx5_intr", With_interrupts { sisr = 8 });
+        ("dlx5_bp", Branch_predict);
+      ]
 
 let () =
   Alcotest.run "pipesem"
@@ -296,6 +369,8 @@ let () =
             test_compile_reuse;
           Alcotest.test_case "allocation per cycle" `Quick
             test_alloc_per_cycle;
+          Alcotest.test_case "one tape per cycle, scalar and lanes" `Quick
+            test_one_tape_accounting;
         ] );
       ( "properties",
         List.map to_alcotest [ prop_engines_agree_random_ext ] );

@@ -721,6 +721,40 @@ let test_verify_compiles_once () =
   Alcotest.(check int) "shape cache" 1
     (compiles (fun () -> H.handle ~env:(H.create_env ()) req))
 
+(* Serve resolves each request's program once: admission prepares it
+   (the key the batch coalesces on) and evaluation takes the prepared
+   value.  Four lines, of which three lead, prepare four times; an
+   evaluation that resolved again would add one per leader. *)
+let test_serve_resolves_once () =
+  let lines =
+    [
+      {|{"pipegen":1,"id":"a","kind":"verify","machine":"dlx5","kernel":"fib"}|};
+      {|{"pipegen":1,"id":"b","kind":"stats","machine":"dlx5","kernel":"fib_10"}|};
+      {|{"pipegen":1,"id":"c","kind":"verify","machine":"dlx5","kernel":"fib_10"}|};
+      {|{"pipegen":1,"id":"d","kind":"verify","machine":"dlx5","kernel":"nope"}|};
+    ]
+  in
+  Exec.Pool.with_pool ~size:2 @@ fun pool ->
+  Obs.Span.set_enabled true;
+  let rs =
+    Fun.protect ~finally:(fun () -> Obs.Span.set_enabled false) @@ fun () ->
+    Service.Serve.process_batch ~env:(H.create_env ()) ~pool lines
+  in
+  Alcotest.(check int) "one prepare per request" 4
+    (List.length
+       (List.filter
+          (fun (s : Obs.Span.record) -> s.Obs.Span.span_name = "handler.prepare")
+          (Obs.Span.records ())));
+  match rs with
+  | [ a; b; c; d ] ->
+    Alcotest.(check bool) "a evaluated" true (Result.is_ok a.Resp.result);
+    Alcotest.(check bool) "b evaluated" true (Result.is_ok b.Resp.result);
+    Alcotest.(check bool) "c coalesced onto a" true c.Resp.cached;
+    (match d.Resp.result with
+    | Error { Resp.code = Resp.Usage; _ } -> ()
+    | _ -> Alcotest.fail "an unknown kernel must answer Usage")
+  | rs -> Alcotest.failf "expected 4 responses, got %d" (List.length rs)
+
 (* ------------------------------------------------------------------ *)
 (* Degraded mode and journal warm-start (handler level)               *)
 (* ------------------------------------------------------------------ *)
@@ -1165,6 +1199,8 @@ let () =
             test_coalesce_on_verdict_key;
           Alcotest.test_case "verify compiles once" `Quick
             test_verify_compiles_once;
+          Alcotest.test_case "serve resolves each request once" `Quick
+            test_serve_resolves_once;
           Alcotest.test_case "shed past max-queue" `Quick test_admission_shed;
           Alcotest.test_case "deadline early reject" `Quick
             test_admission_deadline_reject;
