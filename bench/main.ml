@@ -890,123 +890,14 @@ let perf_bmc ~jobs () =
 (* PERF-BMC-LANES: bit-parallel lane verification vs scalar batched    *)
 (* ------------------------------------------------------------------ *)
 
-(* The lane engine (Bmc.exhaustive ~lanes) packs up to 62 programs
-   into one machine word per boolean plan slot and drives them through
-   a single bit-parallel run of the control fabric.  This section is
-   both the benchmark (the PERF.bmc_lanes entries, per-program ns
-   against the scalar batched rows above) and the @check guard that
-   the lane path can never silently diverge: outcomes AND the WORK
-   counter deltas must equal the scalar batched path's bit for bit,
-   serially and under the pool, or the run fails. *)
-let perf_bmc_lanes ~jobs () =
+(* Lane packs (Sweep ~lanes) verify up to 62 sweep points in one
+   cycle loop, one bit per program in each control word.  This section
+   is the @check guard that the lane path can never silently diverge:
+   rows AND the WORK counter deltas must equal the scalar batched
+   sweep's bit for bit, or the run fails. *)
+let perf_bmc_lanes () =
   section "PERF-BMC-LANES"
-    (Printf.sprintf
-       "Bit-parallel 62-lane verification vs scalar batched (-j %d)" jobs);
-  let pair name ~build ~load ~alphabet ~length =
-    let bmc ?pool ?(lanes = false) () =
-      Proof_engine.Bmc.exhaustive ?pool ~lanes ~load ~build ~alphabet ~length
-        ()
-    in
-    (* The WORK deltas of the two paths, not just the verdicts: a lane
-       run that silently fell back (or skipped accounting) would still
-       agree on outcomes. *)
-    let counted f =
-      let before = Obs.Counters.work_snapshot () in
-      let r = f () in
-      ( r,
-        List.map2
-          (fun (n, b) (_, a) -> (n, a - b))
-          before
-          (Obs.Counters.work_snapshot ()) )
-    in
-    let scalar, w_scalar = counted (fun () -> bmc ()) in
-    let lanes, w_lanes = counted (fun () -> bmc ~lanes:true ()) in
-    let lanes_par, w_par =
-      counted (fun () ->
-          Exec.Pool.with_pool ~size:jobs @@ fun pool ->
-          bmc ~pool ~lanes:true ())
-    in
-    if lanes <> scalar || lanes_par <> scalar then begin
-      Format.printf
-        "LANE BMC DIVERGES from the scalar batched path on %s (-j %d)!@." name
-        jobs;
-      exit 1
-    end;
-    if w_lanes <> w_scalar || w_par <> w_scalar then begin
-      Format.printf
-        "LANE BMC WORK COUNTERS DIVERGE from the scalar batched path on %s \
-         (-j %d)!@."
-        name jobs;
-      exit 1
-    end;
-    let programs = scalar.Proof_engine.Bmc.programs in
-    let per f = time_ns_per_run f /. float_of_int programs in
-    let np_s = per (fun () -> bmc ()) in
-    let np_l = per (fun () -> bmc ~lanes:true ()) in
-    let speedup = np_s /. np_l in
-    Format.printf
-      "  %-6s %4d programs: batched %8.0f ns/prog (%8.0f/s), lanes %8.0f \
-       ns/prog (%8.0f/s): %5.2fx, outcomes and WORK bit-identical at -j %d@."
-      name programs np_s (1e9 /. np_s) np_l (1e9 /. np_l) speedup jobs;
-    add_entry
-      (Obs.Export.entry ~ns_per_run:np_l
-         (Printf.sprintf "PERF.bmc_lanes_%s_ns_per_run" name));
-    add_entry
-      (Obs.Export.entry ~ns_per_run:speedup
-         (Printf.sprintf "PERF.bmc_lanes_%s_speedup" name))
-  in
-  (* The same three machine rows as PERF-BMC, so the lane speedups read
-     directly against the batched rows above. *)
-  pair "toy"
-    ~build:(fun program -> Core.Toy.transform ~program ())
-    ~load:(fun program -> Core.Toy.image ~program)
-    ~alphabet:
-      [
-        Core.Toy.encode ~dst:1 ~src1:1 ~src2:1;
-        Core.Toy.encode ~dst:2 ~src1:1 ~src2:1;
-        Core.Toy.encode ~dst:1 ~src1:2 ~src2:2;
-        Core.Toy.encode ~dst:3 ~src1:1 ~src2:3;
-      ]
-    ~length:3;
-  let p =
-    {
-      Proof_engine.Machine_gen.n_stages = 6;
-      data_width = 16;
-      addr_bits = 3;
-      late_stage = Some 3;
-      has_accumulator = true;
-      seed = 5;
-    }
-  in
-  let enc = Proof_engine.Machine_gen.encode p in
-  pair "gen6"
-    ~build:(fun program ->
-      Pipeline.Transform.run
-        ~hints:(Proof_engine.Machine_gen.hints p)
-        (Proof_engine.Machine_gen.machine p ~program))
-    ~load:(fun program -> Proof_engine.Machine_gen.image p ~program)
-    ~alphabet:
-      [
-        enc ~late:false ~dst:1 ~src1:1 ~src2:2;
-        enc ~late:false ~dst:2 ~src1:1 ~src2:1;
-        enc ~late:true ~dst:1 ~src1:2 ~src2:1;
-        enc ~late:true ~dst:2 ~src1:1 ~src2:2;
-      ]
-    ~length:3;
-  pair "dlx"
-    ~build:(fun program -> Dlx.Seq_dlx.transform Dlx.Seq_dlx.Base ~program)
-    ~load:(fun program -> Dlx.Seq_dlx.image ~program ())
-    ~alphabet:
-      Dlx.Isa.
-        [
-          encode (Add (1, 1, 2));
-          encode (Addi (2, 1, 1));
-          encode (Sub (1, 2, 1));
-          encode (Xor (3, 1, 2));
-        ]
-    ~length:3;
-  (* The lane sweeps ride the same guard: rows and WORK must match the
-     scalar batched sweep. *)
+    "Bit-parallel 62-lane sweep verification vs scalar batched";
   let biases = [ 0.0; 0.5; 1.0 ] in
   let sweep ?(lanes = false) () =
     Workload.Sweep.dependency_sweep ~lanes ~biases ~length:200 ~seed:7 ()
@@ -1472,7 +1363,7 @@ let smoke ~jobs () =
   perf_compiled ();
   perf_parallel ~jobs ();
   perf_bmc ~jobs ();
-  perf_bmc_lanes ~jobs ();
+  perf_bmc_lanes ();
   let counters = campaign_smoke ~jobs () in
   counters_section counters;
   serve_robustness ();
@@ -1498,7 +1389,7 @@ let full ~jobs () =
   perf_compiled ();
   perf_parallel ~jobs ();
   perf_bmc ~jobs ();
-  perf_bmc_lanes ~jobs ();
+  perf_bmc_lanes ();
   let counters = campaign_smoke ~jobs () in
   run_bechamel ();
   counters_section counters;

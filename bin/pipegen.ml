@@ -379,6 +379,8 @@ let symbolic_cmd =
     | Proof_engine.Symsim.Control_depends_on_data _ -> `Ok ()
     | Proof_engine.Symsim.Mismatch _ ->
       raise (Failed_check "symbolic co-simulation found a mismatch")
+    | Proof_engine.Symsim.Stopped _ ->
+      raise (Failed_check "symbolic co-simulation stopped at the liveness bound")
   in
   Cmd.v
     (Cmd.info "symbolic"

@@ -90,7 +90,7 @@ let failure_evidence (v : Core.verification) =
    green, compare the faulted run's architecturally visible state
    against the golden (unfaulted) run to separate masked faults from
    proof-engine false negatives. *)
-let classify ~cancel ~lanes (t : target) ~golden (m : Mutate.mutant) =
+let classify ~cancel (t : target) ~golden (m : Mutate.mutant) =
   (* Structural mutants carry their fault in the rewritten netlist and
      need no hooks, but the machine under test is still faulted: pass
      the identity injection so the checkers treat it as such (no
@@ -140,12 +140,9 @@ let classify ~cancel ~lanes (t : target) ~golden (m : Mutate.mutant) =
         let build program = Mutate.rewrite m.Mutate.mut_fault (build program) in
         (* With a load function the sweep is batched: [build] (and the
            fault rewrite) runs once per mutant instead of once per
-           program — see {!Proof_engine.Bmc.exhaustive}.  [lanes]
-           reaches the structural mutants only: behavioural mutants
-           carry injection hooks, which the lane engine refuses (BMC
-           falls back to the scalar batched sweep for them). *)
+           program — see {!Proof_engine.Bmc.exhaustive}. *)
         let o =
-          Proof_engine.Bmc.exhaustive ~max_failures:1 ?inject ~lanes ~cancel
+          Proof_engine.Bmc.exhaustive ~max_failures:1 ?inject ~cancel
             ?load:t.tgt_bmc_load ~build ~alphabet ~length ()
         in
         if Proof_engine.Bmc.ok o then None
@@ -265,8 +262,8 @@ let breakdown s =
     ("aborted", float_of_int s.aborted);
   ]
 
-let run ?pool ?timeout_s ?checkpoint ?(resume = false) ?metrics
-    ?(lanes = false) (t : target) mutants =
+let run ?pool ?timeout_s ?checkpoint ?(resume = false) ?metrics (t : target)
+    mutants =
   Obs.Span.with_span "fault.campaign" @@ fun () ->
   let prior = Hashtbl.create 16 in
   (match (checkpoint, resume) with
@@ -318,7 +315,7 @@ let run ?pool ?timeout_s ?checkpoint ?(resume = false) ?metrics
       (fun chunk ->
         let rs =
           Exec.Pool.map_result ?timeout_s pool
-            (fun ~cancel m -> classify ~cancel ~lanes t ~golden m)
+            (fun ~cancel m -> classify ~cancel t ~golden m)
             chunk
         in
         List.iter2

@@ -80,7 +80,6 @@ val run :
   ?checkpoint:string ->
   ?resume:bool ->
   ?metrics:Obs.Metrics.registry ->
-  ?lanes:bool ->
   target ->
   Mutate.mutant list ->
   outcome list * summary
@@ -91,14 +90,7 @@ val run :
 
     [checkpoint] names a JSON file rewritten after every completed
     batch; with [resume], mutants whose ids already appear in it are
-    not re-run.  [metrics] receives [fault.*] counters.
-
-    [lanes] threads through to the per-mutant BMC sweeps
-    ({!Proof_engine.Bmc.exhaustive}): batched sweeps of {e structural}
-    mutants run bit-parallel, up to 62 programs per machine word;
-    behavioural mutants carry injection hooks, which the lane engine
-    refuses, so their sweeps stay scalar.  Classifications, evidence
-    strings and WORK counters are identical either way. *)
+    not re-run.  [metrics] receives [fault.*] counters. *)
 
 val summarize : outcome list -> summary
 

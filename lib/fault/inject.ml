@@ -3,19 +3,26 @@ module Stall_engine = Pipeline.Stall_engine
 
 (* Re-derive the wires downstream of a mutated one, mirroring the
    equations of {!Pipeline.Stall_engine}: the fault is a single bad
-   wire feeding otherwise healthy logic. *)
+   wire feeding otherwise healthy logic.  Injected runs have one lane,
+   so every control word is 0 or 1. *)
 let rederive ~full ~stall ~rollback =
   let n = Array.length full in
-  let rollback_up = Array.make n false in
-  let acc = ref false in
+  let rollback_up = Array.make n 0 in
+  let acc = ref 0 in
   for k = n - 1 downto 0 do
-    acc := !acc || rollback.(k);
+    acc := !acc lor rollback.(k);
     rollback_up.(k) <- !acc
   done;
   let ue =
-    Array.init n (fun k -> full.(k) && (not stall.(k)) && not rollback_up.(k))
+    Array.init n (fun k -> full.(k) land lnot stall.(k) land lnot rollback_up.(k))
   in
-  { Stall_engine.full; stall; rollback; rollback_up; ue }
+  {
+    Stall_engine.l_full = full;
+    l_stall = stall;
+    l_rollback = rollback;
+    l_rollback_up = rollback_up;
+    l_ue = ue;
+  }
 
 let build ?(cancel = Exec.Cancel.never) (fault : Mutate.fault) =
   match fault with
@@ -27,14 +34,15 @@ let build ?(cancel = Exec.Cancel.never) (fault : Mutate.fault) =
         Pipesem.inj_fullb =
           (fun ~cycle:_ fullb ->
             let f = Array.copy fullb in
-            f.(stage) <- value;
+            f.(stage) <- Bool.to_int value;
             f);
       }
   | Mutate.Stuck_wire { wire; stage; value } ->
-    let perturb (s : Stall_engine.signals) =
-      let full = Array.copy s.Stall_engine.full in
-      let stall = Array.copy s.Stall_engine.stall in
-      let rollback = Array.copy s.Stall_engine.rollback in
+    let perturb (s : Stall_engine.lane_signals) =
+      let full = Array.copy s.Stall_engine.l_full in
+      let stall = Array.copy s.Stall_engine.l_stall in
+      let rollback = Array.copy s.Stall_engine.l_rollback in
+      let value = Bool.to_int value in
       match wire with
       | Mutate.Full -> assert false
       | Mutate.Stall ->
@@ -48,7 +56,7 @@ let build ?(cancel = Exec.Cancel.never) (fault : Mutate.fault) =
            downstream of [ue_k] but the clock enables and the next
            full bits, both of which read the mutated record. *)
         let s = rederive ~full ~stall ~rollback in
-        s.Stall_engine.ue.(stage) <- value;
+        s.Stall_engine.l_ue.(stage) <- value;
         s
     in
     Some

@@ -24,33 +24,8 @@ let mask_of_count n =
   if n = max_lanes then max_int else (1 lsl n) - 1
 
 let test w l = (w lsr l) land 1 <> 0
-let set w l = w lor (1 lsl l)
 let clear w l = w land lnot (1 lsl l)
 
 let popcount w =
   let rec go acc w = if w = 0 then acc else go (acc + (w land 1)) (w lsr 1) in
   go 0 w
-
-(* The majority bit value among the lanes selected by [mask].  Ties
-   break towards 0, so the flagged minority is the 1-side. *)
-let majority ~mask w =
-  2 * popcount (w land mask) > popcount mask
-
-(* Lanes in [mask] whose bit in [w] differs from the majority bit. *)
-let minority ~mask w =
-  if majority ~mask w then mask land lnot w else mask land w
-
-let iter ~mask f =
-  let rec go w =
-    if w <> 0 then begin
-      let l = ((w land -w) - 1) |> popcount in
-      f l;
-      go (w land (w - 1))
-    end
-  in
-  go mask
-
-let fold ~mask f init =
-  let acc = ref init in
-  iter ~mask (fun l -> acc := f !acc l);
-  !acc

@@ -22,25 +22,8 @@ val mask_of_count : int -> int
 val test : int -> int -> bool
 (** [test w l] is bit [l] of [w]. *)
 
-val set : int -> int -> int
-(** [set w l] is [w] with bit [l] set. *)
-
 val clear : int -> int -> int
 (** [clear w l] is [w] with bit [l] cleared. *)
 
 val popcount : int -> int
 (** Number of set bits. *)
-
-val majority : mask:int -> int -> bool
-(** The majority bit value of [w] among the lanes selected by [mask];
-    ties break towards [false]. *)
-
-val minority : mask:int -> int -> int
-(** The lanes in [mask] whose bit in [w] differs from the
-    {!majority} bit — the divergent minority of a control word. *)
-
-val iter : mask:int -> (int -> unit) -> unit
-(** Apply to each set lane index of [mask], lowest first. *)
-
-val fold : mask:int -> ('a -> int -> 'a) -> 'a -> 'a
-(** Fold over the set lane indices of [mask], lowest first. *)

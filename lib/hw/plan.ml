@@ -407,9 +407,9 @@ let slot_width p s = p.p_widths.(s)
    ops run over the whole word and only mask where an [lnot] would
    otherwise smear ones upward; per-lane ops only visit active lanes.
 
-   [run_lanes] deliberately counts nothing: callers account the
-   equivalent scalar work through an [Obs.Counters.ledger] so the
-   WORK totals stay bit-identical to the scalar batched path. *)
+   [run_lanes] deliberately counts nothing: callers count the
+   equivalent scalar work per running lane, so the WORK totals stay
+   bit-identical to one-lane runs. *)
 type lanes = {
   l_plan : t;
   l_cap : int;
@@ -453,7 +453,6 @@ let lanes ?(capacity = Lanes.max_lanes) p =
   ln
 
 let lanes_plan ln = ln.l_plan
-let lanes_capacity ln = ln.l_cap
 let lanes_active ln = ln.l_active
 
 let lanes_set_active ln n =

@@ -214,9 +214,9 @@ val slot_width : t -> int -> int
     state over an immutable shared plan.
 
     {!run_lanes} counts {e nothing} into {!Obs.Counters}: lane callers
-    stage the equivalent scalar work (one [Plan_runs] / tape-length
-    [Plan_ops] per lane) into an {!Obs.Counters.ledger} so the WORK
-    totals stay bit-identical to the scalar batched path. *)
+    count the equivalent scalar work (one [Plan_runs] / tape-length
+    [Plan_ops] per running lane) so the WORK totals stay bit-identical
+    to one-lane runs. *)
 
 type lanes
 
@@ -226,7 +226,6 @@ val lanes : ?capacity:int -> t -> lanes
     [Invalid_argument] outside [1 .. Lanes.max_lanes]. *)
 
 val lanes_plan : lanes -> t
-val lanes_capacity : lanes -> int
 val lanes_active : lanes -> int
 
 val lanes_set_active : lanes -> int -> unit

@@ -221,13 +221,11 @@ let apply state updates =
    commit applies to (the stage's update-enable word).  The return
    value is the exact scalar [Cells_written] equivalent: one per
    enabled file or plain scalar write per lane, one per pass-through
-   or shift write per masked lane — the caller stages it into its
-   ledger.
+   or shift write per masked lane — the caller counts it.
 
    Width discipline: the value/pass slots were compiled from the same
    spec that sized the lane cells, so widths agree by construction;
-   the [lane_err] guards catch degenerate mutants and punt the pack to
-   the scalar fallback. *)
+   the [lane_err] guards catch degenerate mutants. *)
 
 let lane_err fmt = Printf.ksprintf invalid_arg fmt
 
@@ -267,7 +265,6 @@ let lanes_cwrite inst st ~mask (cw : cwrite) =
           srcs.(l) <- None
         end
       done;
-      cell.State.lc_dirty <- cell.State.lc_dirty lor en;
       Hw.Lanes.popcount en
     | State.Lbool _ | State.Lints _ ->
       lane_err "lane commit: %s is a scalar, not a register file" cw.cw_dst
@@ -287,7 +284,6 @@ let lanes_cwrite inst st ~mask (cw : cwrite) =
         done
       | State.Lfile _ ->
         lane_err "lane commit: %s is a register file, not a scalar" cw.cw_dst);
-      cell.State.lc_dirty <- cell.State.lc_dirty lor en;
       Hw.Lanes.popcount en
     | Some p ->
       (match cell.State.lc_value with
@@ -306,7 +302,6 @@ let lanes_cwrite inst st ~mask (cw : cwrite) =
         done
       | State.Lfile _ ->
         lane_err "lane commit: %s is a register file, not a scalar" cw.cw_dst);
-      cell.State.lc_dirty <- cell.State.lc_dirty lor mask;
       Hw.Lanes.popcount mask
 
 let lanes_shift inst st ~mask (dst, slot) =
@@ -328,7 +323,6 @@ let lanes_shift inst st ~mask (dst, slot) =
       if Hw.Lanes.test mask l then a.(l) <- v.(l)
     done
   | State.Lfile _ -> lane_err "lane commit: %s is a register file" dst);
-  cell.State.lc_dirty <- cell.State.lc_dirty lor mask;
   Hw.Lanes.popcount mask
 
 let lanes_writes_updates inst st ~mask cws =

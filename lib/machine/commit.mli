@@ -101,9 +101,8 @@ val commit : Hw.Plan.instance -> resolved -> unit
     into lane cells under a lane mask.  Both functions return the scalar
     [Cells_written] equivalent of what they committed (one per enabled
     plain write per lane, one per pass-through/shift per masked lane)
-    for the caller's {!Obs.Counters.ledger} — nothing is counted
-    directly.  Width or kind mismatches raise [Invalid_argument]; lane
-    drivers respond by replaying the pack through the scalar path. *)
+    for the caller to count — nothing is counted directly.  Width or
+    kind mismatches raise [Invalid_argument]. *)
 
 val lanes_stage_updates :
   Hw.Plan.lanes -> State.lanes -> mask:int -> cstage -> int

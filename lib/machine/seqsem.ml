@@ -16,7 +16,7 @@ let run_instruction (m : Spec.t) state =
 
 (* Compiled machine: one plan per stage (a stage reads the state its
    predecessor just committed, so each stage re-loads and re-runs its
-   own tape).  The scalar and lanes sessions bind the same plans. *)
+   own tape). *)
 type compiled = {
   cm_spec : Spec.t;
   cm_stages : (Hw.Plan.t * Commit.cstage) array;
@@ -127,108 +127,6 @@ let local_session cm =
   | Some s -> s
   | None ->
     let s = session cm in
-    cache := take 8 ((cm, s) :: !cache);
-    s
-
-(* ---- lane path: the reference model for up to 62 programs at once ---- *)
-
-(* The lane mirror of [session]/[run_session]: one SoA state with each
-   stage's plan bound as a lane instance.  No halt support — the lane
-   drivers (batched BMC) always run a fixed instruction count.  All
-   work counts are staged into the caller's ledger so an aborted pack
-   leaves the totals untouched. *)
-type lanes_session = {
-  lss_cm : compiled;
-  lss_state : State.lanes;
-  lss_stages : (State.lanes_bound * Commit.cstage) array;
-  mutable lss_prev : (int * (string * State.lane_value) list) option;
-      (* last run's final snapshot with its lane count: seeds the next
-         run's first snapshot so untouched registers alias instead of
-         copying.  Only valid for a run with the same lane count — a
-         different [act] may have clobbered packed-word garbage bits or
-         truncated file spines beyond its own lanes. *)
-}
-
-type lane_trace = {
-  lt_before : (string * State.lane_value) list array;
-  lt_instructions : int;
-}
-
-let lanes_session ?capacity cm =
-  Obs.Counters.bump Obs.Counters.Sessions;
-  let state = State.create_lanes ?capacity cm.cm_spec in
-  let stages =
-    Array.map
-      (fun (plan, cs) -> (State.bind_lanes state (Hw.Plan.lanes ?capacity plan), cs))
-      cm.cm_stages
-  in
-  { lss_cm = cm; lss_state = state; lss_stages = stages; lss_prev = None }
-
-let lanes_state s = s.lss_state
-
-let run_lanes_session ~ledger ~inits ~max_instructions s =
-  let m = s.lss_cm.cm_spec in
-  let state = s.lss_state in
-  let act = Array.length inits in
-  (* Take the seed before clearing: if this run dies mid-pack, later
-     snapshots will have cleared dirty bits the stale seed knows
-     nothing about, so it must not survive an abort. *)
-  let seed =
-    match s.lss_prev with Some (a, p) when a = act -> Some p | _ -> None
-  in
-  s.lss_prev <- None;
-  State.reset_lanes ~ledger ~inits state;
-  let mask = Hw.Lanes.mask_of_count act in
-  Array.iter
-    (fun (lb, _) ->
-      Hw.Plan.lanes_set_active (State.lanes_bound_instance lb) act)
-    s.lss_stages;
-  let step k =
-    let lb, cs = s.lss_stages.(k) in
-    State.load_lanes lb;
-    let inst = State.lanes_bound_instance lb in
-    Hw.Plan.run_lanes inst;
-    Obs.Counters.ledger_add ledger Obs.Counters.Plan_runs act;
-    Obs.Counters.ledger_add ledger Obs.Counters.Plan_ops
-      (act * Hw.Plan.n_instrs (Hw.Plan.lanes_plan inst));
-    Obs.Counters.ledger_add ledger Obs.Counters.Cells_written
-      (Commit.lanes_stage_updates inst state ~mask cs)
-  in
-  (* Chain each snapshot off the previous one: registers untouched
-     since the last snapshot alias its storage (copy-on-write in
-     [State.snapshot_visible_lanes]), so a mostly-idle visible file
-     (instruction memory, data memory) costs a pointer per step, not a
-     deep copy. *)
-  let snapshot prev = State.snapshot_visible_lanes ?prev ~ledger state in
-  let snaps = ref [] in
-  let prev = ref seed in
-  for _ = 1 to max_instructions do
-    let snap = snapshot !prev in
-    prev := Some snap;
-    snaps := snap :: !snaps;
-    for k = 0 to m.n_stages - 1 do
-      step k
-    done
-  done;
-  let final = snapshot !prev in
-  snaps := final :: !snaps;
-  s.lss_prev <- Some (act, final);
-  Obs.Counters.ledger_add ledger Obs.Counters.Seq_instructions
-    (act * max_instructions);
-  {
-    lt_before = Array.of_list (List.rev !snaps);
-    lt_instructions = max_instructions;
-  }
-
-let local_lanes_sessions : (compiled * lanes_session) list ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref [])
-
-let local_lanes_session cm =
-  let cache = Domain.DLS.get local_lanes_sessions in
-  match List.assq_opt cm !cache with
-  | Some s -> s
-  | None ->
-    let s = lanes_session cm in
     cache := take 8 ((cm, s) :: !cache);
     s
 

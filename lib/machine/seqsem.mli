@@ -32,8 +32,7 @@ type compiled
     per stage), reusable across runs. *)
 
 val compile : Spec.t -> compiled
-(** One hash-consed tape per stage, as {!Hw.Plan.build} returns it.
-    Scalar and lane sessions bind these same tapes. *)
+(** One hash-consed tape per stage, as {!Hw.Plan.build} returns it. *)
 
 val spec : compiled -> Spec.t
 
@@ -92,48 +91,6 @@ val run_state :
   Spec.t ->
   trace * State.t
 (** Like {!run} but also returning the final machine state. *)
-
-(** {1 Lane sessions (up to 62 programs per run)}
-
-    The bit-parallel mirror of a session: one {!State.lanes} SoA state
-    with every stage's plan bound as a {!Hw.Plan.lanes} instance.  One
-    [run_lanes_session] executes the reference model for a whole lane
-    pack; the trace holds SoA snapshots.  All work counts (resets,
-    plan runs/ops, cells written, snapshot words, instructions) are
-    staged into the caller's {!Obs.Counters.ledger} — flushed by the
-    caller only if the whole lane co-simulation succeeds, keeping WORK
-    totals bit-identical to per-program scalar runs. *)
-
-type lanes_session
-
-type lane_trace = {
-  lt_before : (string * State.lane_value) list array;
-      (** [lt_before.(i)] is the visible state before instruction
-          [I_i], all lanes side by side; length [instructions + 1]. *)
-  lt_instructions : int;
-}
-
-val lanes_session : ?capacity:int -> compiled -> lanes_session
-
-val lanes_state : lanes_session -> State.lanes
-(** The session's SoA state — for provenance probes
-    ({!State.lane_cell.lc_srcs}) by lane-aware checkers. *)
-
-val local_lanes_session : compiled -> lanes_session
-(** The calling domain's cached lane session (physical equality on the
-    compiled machine), capacity {!Hw.Lanes.max_lanes}. *)
-
-val run_lanes_session :
-  ledger:Obs.Counters.ledger ->
-  inits:(string * Value.t) list array ->
-  max_instructions:int ->
-  lanes_session ->
-  lane_trace
-(** Reset lane [l] from [inits.(l)] and execute [max_instructions]
-    instructions in every lane (no halt predicate).  The trace is the
-    session's own storage, recycled by the next run.  Raises on any
-    width/shape problem — callers discard the ledger and fall back to
-    scalar runs. *)
 
 val ue_table : n_stages:int -> cycles:int -> Hw.Wave.t
 (** The paper's Table 1: the round-robin pattern of [ue_k] signals of

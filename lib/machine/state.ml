@@ -255,10 +255,7 @@ let restore t snap = List.iter (fun (n, v) -> set t n (Value.copy v)) snap
 (* The lane mirror of [t]: one record per register carrying all lanes'
    values side by side — a packed word for width-1 scalars, a raw int
    per lane for wider ones, an int array per lane for files.  Any
-   shape or width problem raises immediately; lane drivers catch,
-   discard their counter ledger and fall back to the scalar path, so
-   the observable behaviour (and WORK counters) match the scalar run
-   by construction. *)
+   shape or width problem raises immediately. *)
 
 type lword = { mutable word : int }
 
@@ -267,33 +264,25 @@ type lane_value =
   | Lints of int array  (* lane -> value *)
   | Lfile of int array array  (* lane -> contents; inner rows replaceable *)
 
-(* [lc_dirty] is a lane mask of writes since the last
-   [snapshot_visible_lanes]: bit [l] set means lane [l]'s value may
-   have changed.  Snapshots alias the previous snapshot's storage for
-   clean lanes instead of copying, which turns the per-instruction
-   trace of a mostly-idle register file (IMEM, MEM) from a deep copy
-   into a pointer. *)
+(* [lc_srcs]: [Lfile] cells only (else [||]): per lane, the physical
+   image array last applied by [reset_lanes], valid while the lane's
+   row is untouched since.  Lets a reset from the same shared image
+   (e.g. an all-zero data memory) skip the row outright, and a checker
+   holding the same image know the row equal without reading it. *)
 type lane_cell = {
   lc_width : int;
   lc_value : lane_value;
-  mutable lc_dirty : int;
   lc_srcs : Hw.Bitvec.t array option array;
-      (* [Lfile] cells only (else [||]): per lane, the physical image
-         array last applied by [reset_lanes], valid while the lane's
-         row is untouched since.  Lets a reset from the same shared
-         image (e.g. an all-zero data memory) skip the row outright. *)
 }
 
 type lanes = {
   ls_spec : Spec.t;
-  ls_cap : int;
   mutable ls_active : int;
   ls_tbl : (string, lane_cell) Hashtbl.t;
 }
 
-let create_lanes ?(capacity = Hw.Lanes.max_lanes) (m : Spec.t) =
-  if capacity < 1 || capacity > Hw.Lanes.max_lanes then
-    invalid_arg (Printf.sprintf "State.create_lanes: capacity %d" capacity);
+let create_lanes (m : Spec.t) =
+  let capacity = Hw.Lanes.max_lanes in
   let tbl = Hashtbl.create 64 in
   List.iter
     (fun (r : Spec.register) ->
@@ -311,12 +300,10 @@ let create_lanes ?(capacity = Hw.Lanes.max_lanes) (m : Spec.t) =
         | Spec.Simple -> [||]
       in
       Hashtbl.replace tbl r.reg_name
-        { lc_width = r.width; lc_value = value; lc_dirty = -1; lc_srcs })
+        { lc_width = r.width; lc_value = value; lc_srcs })
     m.registers;
-  { ls_spec = m; ls_cap = capacity; ls_active = capacity; ls_tbl = tbl }
+  { ls_spec = m; ls_active = capacity; ls_tbl = tbl }
 
-let lanes_spec ln = ln.ls_spec
-let lanes_capacity ln = ln.ls_cap
 let lanes_active ln = ln.ls_active
 
 let lanes_cell ln name =
@@ -340,22 +327,17 @@ let scalar_int ~what (r : Spec.register) v =
 (* The lane mirror of [reset]: lane [l] takes its values from
    [inits.(l)], falling back to the machine image and then zero, like
    the scalar reset.  The lane count becomes [Array.length inits].
-
-   Dirty discipline: a reset marks a lane dirty only where the new
-   value actually differs from the live one, so a run over a pack the
-   state has already seen keeps the previous run's snapshots aliasable.
-   File rows compare entry-by-entry — except when the lane's row was
-   reset from the physically same image array and never written since
-   ([lc_srcs]): then the row is known equal and is skipped without
-   being read, which is what makes a 4k-entry shared zero memory free
-   instead of a 4k-word scan per lane per reset. *)
-let reset_lanes ~ledger ~inits ln =
+   A file row reset from the physically same image array it was last
+   reset from, and never written since ([lc_srcs]), is known equal and
+   skipped without being read — what makes a 4k-entry shared zero
+   memory free instead of a 4k-word copy per lane per reset. *)
+let reset_lanes ~inits ln =
   let m = ln.ls_spec in
   let act = Array.length inits in
-  if act < 1 || act > ln.ls_cap then
-    lane_err "State.reset_lanes: %d lanes (capacity %d)" act ln.ls_cap;
+  if act < 1 || act > Hw.Lanes.max_lanes then
+    lane_err "State.reset_lanes: %d lanes (capacity %d)" act Hw.Lanes.max_lanes;
   ln.ls_active <- act;
-  Obs.Counters.ledger_add ledger Obs.Counters.State_resets act;
+  Obs.Counters.add Obs.Counters.State_resets act;
   Array.iter
     (fun init ->
       List.iter
@@ -368,14 +350,13 @@ let reset_lanes ~ledger ~inits ln =
   List.iter
     (fun (r : Spec.register) ->
       let cell = Hashtbl.find ln.ls_tbl r.reg_name in
-      let dirty = ref cell.lc_dirty in
       let dflt = List.assoc_opt r.reg_name m.Spec.init in
       let value_for l =
         match List.assoc_opt r.reg_name inits.(l) with
         | Some _ as v -> v
         | None -> dflt
       in
-      (match cell.lc_value with
+      match cell.lc_value with
       | Lbool b ->
         let w = ref 0 in
         for l = 0 to act - 1 do
@@ -385,19 +366,13 @@ let reset_lanes ~ledger ~inits ln =
               w := !w lor (1 lsl l)
           | None -> ()
         done;
-        dirty := !dirty lor ((b.word lxor !w) land amask);
-        b.word <- (b.word land lnot amask) lor (!w land amask)
+        b.word <- (b.word land lnot amask) lor !w
       | Lints a ->
         for l = 0 to act - 1 do
-          let nv =
-            match value_for l with
+          a.(l) <-
+            (match value_for l with
             | Some v -> scalar_int ~what:"reset_lanes" r v
-            | None -> 0
-          in
-          if a.(l) <> nv then begin
-            a.(l) <- nv;
-            dirty := !dirty lor (1 lsl l)
-          end
+            | None -> 0)
         done
       | Lfile rows ->
         let default_len =
@@ -416,52 +391,26 @@ let reset_lanes ~ledger ~inits ln =
               ()
             | _ ->
               let len = Array.length src in
-              let changed = ref false in
-              let row =
-                if Array.length rows.(l) = len then rows.(l)
-                else begin
-                  let fresh = Array.make len 0 in
-                  rows.(l) <- fresh;
-                  changed := true;
-                  fresh
-                end
-              in
+              if Array.length rows.(l) <> len then rows.(l) <- Array.make len 0;
+              let row = rows.(l) in
               for i = 0 to len - 1 do
                 let bv = Array.unsafe_get src i in
                 if Hw.Bitvec.width bv <> r.width then
                   lane_err
                     "State.reset_lanes: %s[%d]: width %d, file expects %d"
                     r.reg_name i (Hw.Bitvec.width bv) r.width;
-                let nv = Hw.Bitvec.to_int bv in
-                if Array.unsafe_get row i <> nv then begin
-                  Array.unsafe_set row i nv;
-                  changed := true
-                end
+                Array.unsafe_set row i (Hw.Bitvec.to_int bv)
               done;
-              srcs.(l) <- Some src;
-              if !changed then dirty := !dirty lor (1 lsl l))
+              srcs.(l) <- Some src)
           | Some (Value.Scalar _) ->
             lane_err "State.reset_lanes: %s is a register file, got a scalar"
               r.reg_name
           | None ->
-            let row = rows.(l) in
-            if Array.length row = default_len then begin
-              let changed = ref false in
-              for i = 0 to default_len - 1 do
-                if Array.unsafe_get row i <> 0 then begin
-                  Array.unsafe_set row i 0;
-                  changed := true
-                end
-              done;
-              if !changed then dirty := !dirty lor (1 lsl l)
-            end
-            else begin
-              rows.(l) <- Array.make default_len 0;
-              dirty := !dirty lor (1 lsl l)
-            end;
+            if Array.length rows.(l) = default_len then
+              Array.fill rows.(l) 0 default_len 0
+            else rows.(l) <- Array.make default_len 0;
             srcs.(l) <- None
-        done);
-      cell.lc_dirty <- !dirty)
+        done)
     m.registers
 
 type lanes_bound = {
@@ -510,8 +459,6 @@ let bind_lanes ?(extern = fun _ -> false) ln pl =
     lb_state = ln;
   }
 
-let lanes_bound_instance lb = lb.lb_inst
-
 let load_lanes lb =
   let pl = lb.lb_inst in
   let act = lb.lb_state.ls_active in
@@ -519,80 +466,6 @@ let load_lanes lb =
   Array.iter
     (fun (slot, row) -> Array.blit row 0 (Hw.Plan.lanes_ints pl slot) 0 act)
     lb.lb_ints
-
-(* Visible-state lane snapshots, sorted by name like the scalar ones.
-   The work score mirrors the scalar [snap_words] per lane: one word
-   per scalar register, the row length per file — summed over active
-   lanes, and charged identically whether the snapshot physically
-   copies or aliases (the ledger counts what the scalar engine would
-   copy, so lane and scalar WORK rows stay bit-identical).
-
-   [?prev] is the immediately preceding snapshot of the same run.  It
-   is never mutated: cells whose [lc_dirty] mask is clear since that
-   snapshot alias its storage outright, and a dirty register file
-   copies only the dirty lanes' rows, aliasing the clean lanes' rows
-   from [prev].  Aliasing is sound because snapshots are immutable
-   once taken — the live state's own arrays are always copied, never
-   shared.  Each snapshot clears the dirty masks it consumed. *)
-let snapshot_visible_lanes ?prev ~ledger ln =
-  let m = ln.ls_spec in
-  let act = ln.ls_active in
-  let regs =
-    Spec.visible_registers m
-    |> List.sort (fun (a : Spec.register) b ->
-           String.compare a.reg_name b.reg_name)
-  in
-  let words = ref 0 in
-  let snap_value (cell : lane_cell) prev_v =
-    let dirty = cell.lc_dirty in
-    cell.lc_dirty <- 0;
-    match (cell.lc_value, prev_v) with
-    | Lbool b, prev_v ->
-      words := !words + act;
-      (match prev_v with
-      | Some (Lbool _ as pv) when dirty land Hw.Lanes.mask_of_count act = 0 ->
-        pv
-      | _ -> Lbool { word = b.word })
-    | Lints _, Some (Lints _ as pv)
-      when dirty land Hw.Lanes.mask_of_count act = 0 ->
-      words := !words + act;
-      pv
-    | Lints a, _ ->
-      words := !words + act;
-      Lints (Array.copy a)
-    | Lfile rows, Some (Lfile prows as pv)
-      when Array.length prows = Array.length rows ->
-      for l = 0 to act - 1 do
-        words := !words + Array.length rows.(l)
-      done;
-      if dirty land Hw.Lanes.mask_of_count act = 0 then pv
-      else begin
-        let dst = Array.make (Array.length rows) [||] in
-        for l = 0 to act - 1 do
-          if Hw.Lanes.test dirty l then dst.(l) <- Array.copy rows.(l)
-          else dst.(l) <- prows.(l)
-        done;
-        Lfile dst
-      end
-    | Lfile rows, _ ->
-      let dst = Array.make (Array.length rows) [||] in
-      for l = 0 to act - 1 do
-        words := !words + Array.length rows.(l);
-        dst.(l) <- Array.copy rows.(l)
-      done;
-      Lfile dst
-  in
-  let rec go regs prev =
-    match (regs, prev) with
-    | [], _ -> []
-    | (r : Spec.register) :: rtl, (n, pv) :: ptl when n = r.reg_name ->
-      (r.reg_name, snap_value (lanes_cell ln r.reg_name) (Some pv)) :: go rtl ptl
-    | r :: rtl, _ ->
-      (r.reg_name, snap_value (lanes_cell ln r.reg_name) None) :: go rtl []
-  in
-  let snap = go regs (match prev with Some p -> p | None -> []) in
-  Obs.Counters.ledger_add ledger Obs.Counters.Snapshot_words !words;
-  snap
 
 let diff a b =
   let names = List.map fst a in

@@ -135,14 +135,11 @@ val diff : (string * Value.t) list -> (string * Value.t) list -> string list
     lane's value side by side — a packed word for width-1 scalars
     (bit [l] = lane [l]), a raw int per lane for wider scalars, an
     int-array per lane for register files.  The representation is
-    exposed so the lane engines (commit, sequential and pipelined
-    loops, the consistency checker) can sweep the arrays directly.
+    exposed so the lane engines (commit, the cycle driver's packs,
+    the consistency checker) can sweep the arrays directly.
 
     Error contract: any shape or width problem raises immediately
-    ([Invalid_argument] or {!Hw.Eval.Eval_error}).  Lane drivers catch
-    at the pack level, discard their {!Obs.Counters.ledger}, and
-    replay every lane through the scalar path — so behaviour and WORK
-    counters match the scalar run exactly even for malformed inputs.
+    ([Invalid_argument] or {!Hw.Eval.Eval_error}).
 
     A lane state is single-domain mutable state, like {!t}. *)
 
@@ -159,24 +156,20 @@ type lane_value =
 type lane_cell = {
   lc_width : int;
   lc_value : lane_value;
-  mutable lc_dirty : int;
-      (** lane mask of changes since the last {!snapshot_visible_lanes};
-          lets snapshots alias unchanged storage instead of copying *)
   lc_srcs : Hw.Bitvec.t array option array;
       (** file cells only (else [[||]]): per lane, the physical image
           array last applied by {!reset_lanes} while the row is
-          untouched since — lets a reset from the same shared image
-          skip the row without reading it *)
+          untouched since — the lane twin of {!holds_image}: a reset
+          from the same shared image skips the row without reading
+          it, and a checker holding the same image knows the row equal
+          without a scan.  Every write to a row clears its entry. *)
 }
 
 type lanes
 
-val create_lanes : ?capacity:int -> Spec.t -> lanes
-(** One lane cell per spec register, all zero.  [capacity] defaults to
-    {!Hw.Lanes.max_lanes}. *)
-
-val lanes_spec : lanes -> Spec.t
-val lanes_capacity : lanes -> int
+val create_lanes : Spec.t -> lanes
+(** One lane cell per spec register, all zero, for
+    {!Hw.Lanes.max_lanes} lanes. *)
 
 val lanes_active : lanes -> int
 (** Current lane count — set by the latest {!reset_lanes}. *)
@@ -184,13 +177,11 @@ val lanes_active : lanes -> int
 val lanes_cell : lanes -> string -> lane_cell
 (** @raise Invalid_argument for unknown registers. *)
 
-val reset_lanes :
-  ledger:Obs.Counters.ledger -> inits:(string * Value.t) list array ->
-  lanes -> unit
+val reset_lanes : inits:(string * Value.t) list array -> lanes -> unit
 (** The lane mirror of {!reset}: lane [l] is initialised from
     [inits.(l)], with the spec's own [init] list and then zero as
     fallback.  The active lane count becomes [Array.length inits].
-    Stages one [State_resets] per lane into [ledger].
+    Counts one [State_resets] per lane, like one {!reset} per lane.
     @raise Invalid_argument on unknown init names (scalar message) or
     width/kind mismatches. *)
 
@@ -202,24 +193,6 @@ val bind_lanes : ?extern:(string -> bool) -> lanes -> Hw.Plan.lanes -> lanes_bou
     widths once here (the lane engine has no per-access width checks).
     Same name/shape error contract as {!bind_plan}. *)
 
-val lanes_bound_instance : lanes_bound -> Hw.Plan.lanes
-
 val load_lanes : lanes_bound -> unit
 (** Refresh every bound input slot from the lane cells (packed words
     stored, wide rows blitted), before {!Hw.Plan.run_lanes}. *)
-
-val snapshot_visible_lanes :
-  ?prev:(string * lane_value) list -> ledger:Obs.Counters.ledger ->
-  lanes -> (string * lane_value) list
-(** Snapshot of the visible registers across all active lanes, sorted
-    by name.  Stages the scalar-equivalent [Snapshot_words] (one word
-    per scalar register per lane, the row length per file) into
-    [ledger] — charged identically whether storage is copied or
-    aliased, so lane and scalar WORK rows stay bit-identical.
-
-    [?prev] is the {e immediately preceding} snapshot of the same run;
-    it is never mutated.  Cells untouched since it was taken
-    ([lc_dirty] clear) alias its storage outright; a dirty register
-    file copies only the dirty lanes' rows and aliases the rest.
-    Snapshots are immutable once taken — treat the returned values as
-    shared. *)

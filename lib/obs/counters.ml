@@ -161,28 +161,6 @@ let with_discarded f =
   Domain.DLS.set dls (Array.make n_ids 0);
   Fun.protect ~finally:(fun () -> Domain.DLS.set dls prev) f
 
-(* A ledger is a local accumulator for a speculative evaluation path:
-   counts are staged into a plain array and only become visible when
-   [ledger_flush] folds them into the calling domain's cell.  A path
-   that fails mid-way simply drops the ledger and re-runs through the
-   ordinary counted path, leaving the totals exactly as if the
-   speculative attempt never happened. *)
-type ledger = int array
-
-let ledger () = Array.make n_ids 0
-
-let ledger_add (l : ledger) id n =
-  let i = index id in
-  Array.unsafe_set l i (Array.unsafe_get l i + n)
-
-let ledger_flush (l : ledger) =
-  if Atomic.get on then begin
-    let a = Domain.DLS.get dls in
-    for i = 0 to n_ids - 1 do
-      if l.(i) <> 0 then a.(i) <- a.(i) + l.(i)
-    done
-  end
-
 let reset () =
   Mutex.lock lock;
   List.iter (fun a -> Array.fill a 0 n_ids 0) !cells;

@@ -101,32 +101,11 @@ val with_discarded : (unit -> 'a) -> 'a
 (** Run [f] with this domain's counts going to a scratch cell that is
     thrown away afterwards.  Unlike {!with_disabled} the effect is
     local to the calling domain, so it is safe inside pool workers:
-    other domains keep counting normally.  Used for scalar replays
-    whose work was already accounted by a lane-parallel run. *)
+    other domains keep counting normally.  For replays of work that
+    was already accounted. *)
 
 val reset : unit -> unit
 (** Zero every domain's cells (including domains already joined). *)
-
-(** {1 Ledgers}
-
-    A ledger stages counts for a speculative evaluation path (the
-    bit-parallel lane engine).  Nothing becomes visible until
-    {!ledger_flush}; a path that aborts simply drops the ledger and
-    re-runs through the ordinary counted path, keeping the WORK totals
-    bit-identical to the non-speculative run. *)
-
-type ledger
-
-val ledger : unit -> ledger
-(** A fresh, all-zero ledger. *)
-
-val ledger_add : ledger -> id -> int -> unit
-(** Stage [n] units of [id] into the ledger (unconditionally — the
-    enabled flag is consulted at flush time). *)
-
-val ledger_flush : ledger -> unit
-(** Fold the staged counts into the calling domain's cell.  No-op
-    while counting is disabled. *)
 
 (** {1 Snapshots} *)
 

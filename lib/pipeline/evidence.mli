@@ -1,6 +1,6 @@
 (** Bounded failure evidence for the trace checkers.
 
-    A checker ({!Schedule.check_lemma1}, the stall-engine invariants of
+    A checker ({!Schedule.lemma1_step}, the stall-engine invariants of
     [Proof_engine.Trace_invariants]) visits every cycle and counts
     every violation, but formats only the first {!shown} messages, in
     the order it finds them (cycle order); one final entry

@@ -1,4 +1,5 @@
 module State = Machine.State
+module SE = Stall_engine
 
 type ext_model = stage:int -> cycle:int -> bool
 
@@ -53,6 +54,11 @@ type result = {
   state : Machine.State.t;
 }
 
+type lane_result = {
+  lr_outcome : outcome;
+  lr_stats : stats;
+}
+
 let bool_bv b = Hw.Bitvec.of_bool b
 
 (* ------------------------------------------------------------------ *)
@@ -60,16 +66,17 @@ let bool_bv b = Hw.Bitvec.of_bool b
    in the generated machine: on the full-bit register outputs (feeding
    both the synthesized signals and the stall engine), inside the
    stall engine's input/output wiring, or on a pipeline register right
-   at the clock edge (a single-event upset).                           *)
+   at the clock edge (a single-event upset).  They act on the driver's
+   control words; an injected run has one lane, so a word is 0 or 1.   *)
 (* ------------------------------------------------------------------ *)
 
 type injection = {
-  inj_fullb : cycle:int -> bool array -> bool array;
+  inj_fullb : cycle:int -> int array -> int array;
   inj_compute :
     cycle:int ->
-    compute:(dhaz:bool array -> Stall_engine.signals) ->
-    dhaz:bool array ->
-    Stall_engine.signals;
+    compute:(dhaz:int array -> SE.lane_signals) ->
+    dhaz:int array ->
+    SE.lane_signals;
   inj_edge : cycle:int -> Machine.State.t -> unit;
 }
 
@@ -96,196 +103,340 @@ let deadlock_window ~n_stages = (4 * n_stages) + 64
 let retirement_gap ~last ~cycle = cycle - last + 1
 
 (* ------------------------------------------------------------------ *)
-(* The cycle driver, generic over how a cycle's combinational values
-   are produced.  Both the compiled (plan) and the reference (closure)
-   engines drive exactly this loop, so their schedules, statistics and
-   verdicts agree by construction.                                     *)
+(* The cycle driver.  One loop advances a pack of lanes (bit [l] of
+   every control word is lane [l]); the engine produces a cycle's
+   combinational values and commits its clock edge.  Three engines
+   drive it: the N-lane plan engine, and the scalar plan and reference
+   tree-walking engines, which run as one-lane packs.  Every decision
+   is made per lane in the same order, so a lane of a pack behaves
+   exactly like the one-lane run of its program.                       *)
 (* ------------------------------------------------------------------ *)
 
-type engine = {
-  eng_begin : cycle:int -> fullb:bool array -> ext_now:bool array -> unit;
-      (* bind the free inputs and evaluate the cycle's signals *)
-  eng_lookup : string -> Hw.Bitvec.t option;  (* on_signals view *)
-  eng_dhaz : int -> bool;
-  eng_mispredict : Fwd_spec.speculation -> bool;
-  eng_edge : ue:bool array -> firing:Fwd_spec.speculation option -> unit;
-      (* the clock edge: evaluate the writes of every stage with [ue]
-         and of the firing speculation's rollback against the pre-edge
-         state, then commit them all — stages in order, the rollback
-         last *)
+type observer = {
+  ob_signals : cycle:int -> (string -> Hw.Bitvec.t option) -> unit;
+  ob_cycle :
+    cycle:int -> running:int -> SE.lane_signals -> dhaz:int array ->
+    ext:int array -> tags:int array array -> unit;
+  ob_edge :
+    cycle:int -> running:int -> SE.lane_signals -> tags:int array array ->
+    unit;
+  ob_retire : cycle:int -> lane:int -> tag:int -> kind:retire_kind -> unit;
 }
 
-let run_loop ~engine ~state ?(ext = fun ~stage:_ ~cycle:_ -> false)
-    ?(callbacks = no_callbacks) ?inject ?(cancel = Exec.Cancel.never)
-    ~stop_after (t : Transform.t) =
+let no_observer =
+  {
+    ob_signals = (fun ~cycle:_ _ -> ());
+    ob_cycle = (fun ~cycle:_ ~running:_ _ ~dhaz:_ ~ext:_ ~tags:_ -> ());
+    ob_edge = (fun ~cycle:_ ~running:_ _ ~tags:_ -> ());
+    ob_retire = (fun ~cycle:_ ~lane:_ ~tag:_ ~kind:_ -> ());
+  }
+
+type engine = {
+  eng_state : State.t option;  (* the one-lane engines' state *)
+  eng_begin : running:int -> fullb:int array -> ext:int array -> unit;
+      (* bind the free inputs and evaluate the cycle's signals *)
+  eng_lookup : string -> Hw.Bitvec.t option;  (* ob_signals view *)
+  eng_dhaz : int -> int;  (* stage -> hazard word *)
+  eng_mispredict : int -> int;  (* speculation index -> mispredict word *)
+  eng_edge : ue:int array -> fires:int array -> unit;
+      (* the clock edge: the writes of every stage in [ue] and of each
+         speculation's rollback in [fires], all evaluated against the
+         pre-edge state, committed stages in order, rollbacks last *)
+}
+
+let word_any a = Array.fold_left ( lor ) 0 a
+
+let drive (e : engine) ?(ext = fun ~stage:_ ~cycle:_ -> false) ?inject
+    ?(obs = no_observer) ?(cancel = Exec.Cancel.never) ~stop_afters
+    (t : Transform.t) =
   (* Under injection the control invariants the unfaulted engine
      guarantees (a firing stage holds an instruction) no longer hold;
      the loop degrades to "no tag, no retirement" instead of
-     asserting. *)
+     raising. *)
   let faulty = inject <> None in
-  let inject = match inject with Some i -> i | None -> no_injection in
-  let m = t.Transform.machine in
-  let n = m.Machine.Spec.n_stages in
+  let n = t.Transform.machine.Machine.Spec.n_stages in
+  let specs = Array.of_list t.Transform.speculations in
+  let n_specs = Array.length specs in
+  let kinds =
+    Array.map
+      (fun (sp : Fwd_spec.speculation) -> Via_rollback sp.Fwd_spec.spec_label)
+      specs
+  in
+  let act = Array.length stop_afters in
   let bound = liveness_bound ~n_stages:n in
-  let deadlock_window = deadlock_window ~n_stages:n in
-  let fullb = Array.make n false in
-  let tags = Array.make n None in
-  tags.(0) <- Some 0;
-  let retired = ref 0 in
+  let window = deadlock_window ~n_stages:n in
+  let fullb = Array.make n 0 in
+  let extw = Array.make n 0 in
+  let dhaz = Array.make n 0 in
+  let misp = Array.make n 0 in
+  let misp_spec = Array.make n_specs 0 in
+  let fires = Array.make n_specs 0 in
+  let deepw = Array.make n 0 in  (* lanes whose deepest rollback is k *)
+  let taken = Array.make n 0 in
+  let sg = SE.lane_signals ~n_stages:n in
+  let tags = Array.init n (fun k -> Array.make act (if k = 0 then 0 else -1)) in
+  let retired = Array.make act 0 in
+  let idle = Array.make act 0 in
+  let last_retire = Array.make act 0 in
+  let out = Array.make act Out_of_cycles in
+  let out_cycles = Array.make act 0 in
+  let fetch_stall = Array.make act 0 in
+  let dhaz_c = Array.make act 0 in
+  let ext_c = Array.make act 0 in
+  let rollbacks = Array.make act 0 in
+  let squashed = Array.make act 0 in
+  let running = ref (Hw.Lanes.mask_of_count act) in
   let cycle = ref 0 in
-  let idle = ref 0 in
-  let last_retire = ref 0 in
-  let outcome = ref Out_of_cycles in
-  let fetch_stall_cycles = ref 0 in
-  let dhaz_cycles = ref 0 in
-  let ext_cycles = ref 0 in
-  let rollbacks = ref 0 in
-  let squashed = ref 0 in
-  (while
-     !retired < stop_after
-     && !outcome <> Deadlocked
-     && retirement_gap ~last:!last_retire ~cycle:!cycle <= bound
-   do
-     Exec.Cancel.check cancel;
-     (* Bind the free inputs (full and ext per stage) and evaluate the
-        synthesized signals in definition order.  A full-bit fault is
-        applied to the register outputs, so it feeds the synthesized
-        signals and the stall engine alike — the register itself is
-        untouched. *)
-     let ext_now = Array.init n (fun k -> ext ~stage:k ~cycle:!cycle) in
-     let fullb_eff = inject.inj_fullb ~cycle:!cycle fullb in
-     engine.eng_begin ~cycle:!cycle ~fullb:fullb_eff ~ext_now;
-     callbacks.on_signals ~cycle:!cycle engine.eng_lookup;
-     let dhaz = Array.init n engine.eng_dhaz in
-     (* Stall engine, with the injection as middleware: input-wire
-        faults perturb [dhaz], control-wire faults rewrite the
-        computed signals. *)
-     let mispredict ~stage ~stalled =
-       (not stalled)
-       && List.exists
-            (fun (sp : Fwd_spec.speculation) ->
-              sp.Fwd_spec.resolve_stage = stage && engine.eng_mispredict sp)
-            t.Transform.speculations
-     in
-     let compute ~dhaz =
-       Stall_engine.compute ~fullb:fullb_eff ~dhaz ~ext:ext_now ~mispredict
-     in
-     let s = inject.inj_compute ~cycle:!cycle ~compute ~dhaz in
-     let record =
-       {
-         cycle = !cycle;
-         full = Array.copy s.Stall_engine.full;
-         stall = Array.copy s.Stall_engine.stall;
-         dhaz = Array.copy dhaz;
-         ext = Array.copy ext_now;
-         rollback = Array.copy s.Stall_engine.rollback;
-         ue = Array.copy s.Stall_engine.ue;
-         tags = Array.copy tags;
-       }
-     in
-     callbacks.on_cycle record;
-     (* Which speculation fires?  Only the deepest rollback commits its
-        corrective writes; everything at or above it is squashed. *)
-     let deepest_rollback =
-       let rec find k = if k < 0 then None else if s.rollback.(k) then Some k else find (k - 1) in
-       find (n - 1)
-     in
-     let firing_spec =
-       match deepest_rollback with
-       | None -> None
-       | Some k ->
-         List.find_opt
-           (fun (sp : Fwd_spec.speculation) ->
-             sp.Fwd_spec.resolve_stage = k && engine.eng_mispredict sp)
-           t.Transform.speculations
-     in
-     (* Clock edge: registers, tags, full bits.  A transient fault
-        (single-event upset) flips its bit right after the edge, so
-        the consistency checker observes the corrupted state exactly
-        as downstream hardware would. *)
-     engine.eng_edge ~ue:s.ue ~firing:firing_spec;
-     inject.inj_edge ~cycle:!cycle state;
-     callbacks.on_edge record state;
-     let retirements = ref [] in
-     if s.ue.(n - 1) then (
-       match tags.(n - 1) with
-       | Some tag -> retirements := (tag, Normal) :: !retirements
-       | None -> assert faulty);
-     (match (deepest_rollback, firing_spec) with
-     | Some k, Some sp when sp.Fwd_spec.retires -> (
-       match tags.(k) with
-       | Some tag -> retirements := (tag, Via_rollback sp.Fwd_spec.spec_label) :: !retirements
-       | None -> assert faulty)
-     | Some _, Some _ | Some _, None | None, _ -> ());
-     (* Count evicted (non-retiring) instructions. *)
-     (match deepest_rollback with
-     | None -> ()
-     | Some k ->
-       incr rollbacks;
-       for j = 0 to k do
-         match tags.(j) with
-         | Some tag
-           when not (List.exists (fun (t', _) -> t' = tag) !retirements) ->
-           if s.full.(j) then incr squashed
-         | Some _ | None -> ()
-       done);
-     (* Tag shift. *)
-     let old_tags = Array.copy tags in
-     for st = n - 1 downto 1 do
-       tags.(st) <-
-         (if s.rollback_up.(st) then None
-          else if s.ue.(st - 1) then old_tags.(st - 1)
-          else if s.stall.(st) && s.full.(st) then old_tags.(st)
-          else None)
-     done;
-     (match (deepest_rollback, firing_spec) with
-     | Some k, Some sp ->
-       let base = match old_tags.(k) with Some tag -> tag | None -> 0 in
-       tags.(0) <- Some (base + if sp.Fwd_spec.retires then 1 else 0)
-     | Some k, None ->
-       (* A rollback with no matching speculation cannot happen: the
-          mispredict test selected one.  Keep the fetch tag. *)
-       ignore k
-     | None, _ ->
-       if s.ue.(0) then
-         tags.(0) <-
-           Some ((match old_tags.(0) with Some tag -> tag | None -> 0) + 1));
-     let fullb' = Stall_engine.next_fullb s in
-     Array.blit fullb' 0 fullb 0 n;
-     (* Statistics and liveness. *)
-     if s.stall.(0) then incr fetch_stall_cycles;
-     if Array.exists (fun b -> b) dhaz then incr dhaz_cycles;
-     if Array.exists (fun b -> b) ext_now then incr ext_cycles;
-     List.iter
-       (fun (tag, kind) ->
-         incr retired;
-         callbacks.on_retire ~tag ~kind state)
-       (List.sort compare !retirements);
-     if !retirements <> [] then last_retire := !cycle;
-     if Array.exists (fun b -> b) s.ue || !retirements <> [] then idle := 0
-     else begin
-       incr idle;
-       if !idle > deadlock_window then outcome := Deadlocked
-     end;
-     incr cycle
-   done);
-  if !retired >= stop_after then outcome := Completed;
-  Obs.Counters.add Obs.Counters.Sim_cycles !cycle;
-  Obs.Counters.add Obs.Counters.Sim_retired !retired;
-  {
-    outcome = !outcome;
-    stats =
+  let finish l oc =
+    running := Hw.Lanes.clear !running l;
+    out.(l) <- oc;
+    out_cycles.(l) <- !cycle;
+    Obs.Counters.add Obs.Counters.Sim_cycles !cycle;
+    Obs.Counters.add Obs.Counters.Sim_retired retired.(l)
+  in
+  let retire l tag kind =
+    retired.(l) <- retired.(l) + 1;
+    obs.ob_retire ~cycle:!cycle ~lane:l ~tag ~kind
+  in
+  let lost_tag what =
+    if not faulty then invalid_arg ("Pipesem: " ^ what ^ " lost its tag")
+  in
+  for l = 0 to act - 1 do
+    if stop_afters.(l) <= 0 then finish l Completed
+  done;
+  while !running <> 0 do
+    Exec.Cancel.check cancel;
+    let run_mask = !running in
+    let cy = !cycle in
+    (* Bind the free inputs (full and ext per stage) and evaluate the
+       synthesized signals.  A full-bit fault is applied to the
+       register outputs, so it feeds the synthesized signals and the
+       stall engine alike — the register itself is untouched. *)
+    let any_ext = ref false in
+    for k = 0 to n - 1 do
+      let x = ext ~stage:k ~cycle:cy in
+      if x then any_ext := true;
+      extw.(k) <- (if x then run_mask else 0)
+    done;
+    let fb =
+      match inject with None -> fullb | Some i -> i.inj_fullb ~cycle:cy fullb
+    in
+    e.eng_begin ~running:run_mask ~fullb:fb ~ext:extw;
+    obs.ob_signals ~cycle:cy e.eng_lookup;
+    for k = 0 to n - 1 do
+      dhaz.(k) <- e.eng_dhaz k land run_mask;
+      misp.(k) <- 0
+    done;
+    for i = 0 to n_specs - 1 do
+      let w = e.eng_mispredict i land run_mask in
+      let k = specs.(i).Fwd_spec.resolve_stage in
+      misp_spec.(i) <- w;
+      misp.(k) <- misp.(k) lor w
+    done;
+    (* The stall engine, with the injection as middleware: input-wire
+       faults perturb [dhaz], control-wire faults rewrite the computed
+       signals. *)
+    let s =
+      match inject with
+      | None ->
+        SE.compute_lanes sg ~mask:run_mask ~fullb:fb ~dhaz ~ext:extw
+          ~mispredict:misp;
+        sg
+      | Some i ->
+        i.inj_compute ~cycle:cy ~dhaz ~compute:(fun ~dhaz ->
+            SE.compute_lanes sg ~mask:run_mask ~fullb:fb ~dhaz ~ext:extw
+              ~mispredict:misp;
+            sg)
+    in
+    obs.ob_cycle ~cycle:cy ~running:run_mask s ~dhaz ~ext:extw ~tags;
+    (* Which speculation fires?  Only the deepest rollback commits its
+       corrective writes — the first speculation of that stage that
+       mispredicts; everything at or above it is squashed. *)
+    let claimed = ref 0 in
+    for k = n - 1 downto 0 do
+      let w = s.SE.l_rollback.(k) land lnot !claimed in
+      deepw.(k) <- w;
+      taken.(k) <- 0;
+      claimed := !claimed lor w
+    done;
+    for i = 0 to n_specs - 1 do
+      let k = specs.(i).Fwd_spec.resolve_stage in
+      let f = deepw.(k) land misp_spec.(i) land lnot taken.(k) in
+      taken.(k) <- taken.(k) lor f;
+      fires.(i) <- f
+    done;
+    (* Clock edge.  A transient fault (single-event upset) flips its
+       bit right after the edge, so the consistency checker observes
+       the corrupted state exactly as downstream hardware would. *)
+    e.eng_edge ~ue:s.SE.l_ue ~fires;
+    (match (inject, e.eng_state) with
+    | Some i, Some st -> i.inj_edge ~cycle:cy st
+    | _ -> ());
+    obs.ob_edge ~cycle:cy ~running:run_mask s ~tags;
+    let ue_last = s.SE.l_ue.(n - 1) in
+    let stall0 = s.SE.l_stall.(0) in
+    let anyd = word_any dhaz in
+    let ue_any = word_any s.SE.l_ue in
+    for l = 0 to act - 1 do
+      if Hw.Lanes.test run_mask l then begin
+        let d = ref (-1) in
+        for k = 0 to n - 1 do
+          if Hw.Lanes.test deepw.(k) l then d := k
+        done;
+        let d = !d in
+        let fi = ref (-1) in
+        for i = n_specs - 1 downto 0 do
+          if Hw.Lanes.test fires.(i) l then fi := i
+        done;
+        let fi = !fi in
+        (* Retirements and evictions, on the pre-edge tags. *)
+        let rn =
+          if Hw.Lanes.test ue_last l then begin
+            let tag = tags.(n - 1).(l) in
+            if tag < 0 then lost_tag "retiring stage";
+            tag
+          end
+          else -1
+        in
+        let rr =
+          if fi >= 0 && specs.(fi).Fwd_spec.retires then begin
+            let tag = tags.(d).(l) in
+            if tag < 0 then lost_tag "rollback";
+            tag
+          end
+          else -1
+        in
+        if d >= 0 then begin
+          rollbacks.(l) <- rollbacks.(l) + 1;
+          for j = 0 to d do
+            let tg = tags.(j).(l) in
+            if tg >= 0 && tg <> rn && tg <> rr && Hw.Lanes.test s.SE.l_full.(j) l
+            then squashed.(l) <- squashed.(l) + 1
+          done
+        end;
+        (* Tag shift, deepest stage first so each stage reads its
+           predecessor's pre-edge tag; the fetch tag follows the firing
+           rollback (restart after the rolled-back instruction) or
+           ue_0. *)
+        let old0 = tags.(0).(l) in
+        let tag0 =
+          if d >= 0 then
+            if fi >= 0 then
+              let b = tags.(d).(l) in
+              (if b >= 0 then b else 0)
+              + if specs.(fi).Fwd_spec.retires then 1 else 0
+            else old0
+          else if Hw.Lanes.test s.SE.l_ue.(0) l then
+            (if old0 >= 0 then old0 else 0) + 1
+          else old0
+        in
+        for st = n - 1 downto 1 do
+          tags.(st).(l) <-
+            (if Hw.Lanes.test s.SE.l_rollback_up.(st) l then -1
+             else if Hw.Lanes.test s.SE.l_ue.(st - 1) l then tags.(st - 1).(l)
+             else if
+               Hw.Lanes.test s.SE.l_stall.(st) l
+               && Hw.Lanes.test s.SE.l_full.(st) l
+             then tags.(st).(l)
+             else -1)
+        done;
+        tags.(0).(l) <- tag0;
+        (* Statistics, retirements in (tag, kind) order, liveness. *)
+        if Hw.Lanes.test stall0 l then fetch_stall.(l) <- fetch_stall.(l) + 1;
+        if Hw.Lanes.test anyd l then dhaz_c.(l) <- dhaz_c.(l) + 1;
+        if !any_ext then ext_c.(l) <- ext_c.(l) + 1;
+        if rr >= 0 && rn >= 0 && rr < rn then retire l rr kinds.(fi);
+        if rn >= 0 then retire l rn Normal;
+        if rr >= 0 && not (rn >= 0 && rr < rn) then retire l rr kinds.(fi);
+        if rn >= 0 || rr >= 0 then begin
+          last_retire.(l) <- cy;
+          idle.(l) <- 0
+        end
+        else if Hw.Lanes.test ue_any l then idle.(l) <- 0
+        else idle.(l) <- idle.(l) + 1
+      end
+    done;
+    SE.next_fullb_lanes ~mask:run_mask s fullb;
+    incr cycle;
+    for l = 0 to act - 1 do
+      if Hw.Lanes.test run_mask l then
+        if retired.(l) >= stop_afters.(l) then finish l Completed
+        else if idle.(l) > window then finish l Deadlocked
+        else if retirement_gap ~last:last_retire.(l) ~cycle:!cycle > bound then
+          finish l Out_of_cycles
+    done
+  done;
+  Array.init act (fun l ->
       {
-        cycles = !cycle;
-        retired = !retired;
-        fetch_stall_cycles = !fetch_stall_cycles;
-        dhaz_cycles = !dhaz_cycles;
-        ext_cycles = !ext_cycles;
-        rollbacks = !rollbacks;
-        squashed = !squashed;
-      };
-    state;
+        lr_outcome = out.(l);
+        lr_stats =
+          {
+            cycles = out_cycles.(l);
+            retired = retired.(l);
+            fetch_stall_cycles = fetch_stall.(l);
+            dhaz_cycles = dhaz_c.(l);
+            ext_cycles = ext_c.(l);
+            rollbacks = rollbacks.(l);
+            squashed = squashed.(l);
+          };
+      })
+
+(* The one-lane view the [callbacks] interface gives: lane 0's control
+   bits and tags as a cycle record. *)
+let observer_of_callbacks cb state =
+  let bools w = Array.map (fun x -> x land 1 <> 0) w in
+  let record = ref None in
+  {
+    ob_signals = cb.on_signals;
+    ob_cycle =
+      (fun ~cycle ~running:_ (s : SE.lane_signals) ~dhaz ~ext ~tags ->
+        let r =
+          {
+            cycle;
+            full = bools s.SE.l_full;
+            stall = bools s.SE.l_stall;
+            dhaz = bools dhaz;
+            ext = bools ext;
+            rollback = bools s.SE.l_rollback;
+            ue = bools s.SE.l_ue;
+            tags =
+              Array.map
+                (fun row -> if row.(0) < 0 then None else Some row.(0))
+                tags;
+          }
+        in
+        record := Some r;
+        cb.on_cycle r);
+    ob_edge =
+      (fun ~cycle:_ ~running:_ _ ~tags:_ ->
+        Option.iter (fun r -> cb.on_edge r state) !record);
+    ob_retire =
+      (fun ~cycle:_ ~lane:_ ~tag ~kind -> cb.on_retire ~tag ~kind state);
   }
+
+let record_words (r : cycle_record) =
+  let words a = Array.map (fun b -> if b then 1 else 0) a in
+  let n = Array.length r.full in
+  let rollback = words r.rollback in
+  let rollback_up = Array.make n 0 in
+  for k = n - 1 downto 0 do
+    rollback_up.(k) <-
+      rollback.(k) lor (if k = n - 1 then 0 else rollback_up.(k + 1))
+  done;
+  ( {
+      SE.l_full = words r.full;
+      l_stall = words r.stall;
+      l_rollback = rollback;
+      l_rollback_up = rollback_up;
+      l_ue = words r.ue;
+    },
+    Array.map (fun t -> [| Option.value ~default:(-1) t |]) r.tags )
+
+let state_lookup state name =
+  match Machine.State.get state name with
+  | Machine.Value.Scalar v -> Some v
+  | Machine.Value.File _ -> None
+  | exception Invalid_argument _ -> None
 
 (* ------------------------------------------------------------------ *)
 (* Compiled engine: one evaluation plan per transformed machine.       *)
@@ -298,9 +449,9 @@ type compiled = {
   c_full_slots : int array;
   c_ext_slots : int array;
   c_dhaz_slots : int array;
-  c_spec_slots : (Fwd_spec.speculation * int) list;     (* assq *)
+  c_spec_slots : int array;  (* per speculation, in declaration order *)
   c_stages : Machine.Commit.cstage array;
-  c_rollbacks : (Fwd_spec.speculation * Machine.Commit.cwrite list) list;
+  c_rollbacks : Machine.Commit.cwrite list array;  (* per speculation *)
 }
 
 let compile (t : Transform.t) =
@@ -318,20 +469,20 @@ let compile (t : Transform.t) =
   List.iter
     (fun (name, e) -> ignore (Hw.Plan.define b name e))
     t.Transform.signals;
+  let specs = Array.of_list t.Transform.speculations in
   let c_spec_slots =
-    List.map
-      (fun (sp : Fwd_spec.speculation) ->
-        (sp, Hw.Plan.root b sp.Fwd_spec.mispredict))
-      t.Transform.speculations
+    Array.map
+      (fun (sp : Fwd_spec.speculation) -> Hw.Plan.root b sp.Fwd_spec.mispredict)
+      specs
   in
   let c_stages =
     Array.init n (fun k -> Machine.Commit.compile_stage m b ~stage:k)
   in
   let c_rollbacks =
-    List.map
+    Array.map
       (fun (sp : Fwd_spec.speculation) ->
-        (sp, Machine.Commit.compile_writes m b sp.Fwd_spec.rollback_writes))
-      t.Transform.speculations
+        Machine.Commit.compile_writes m b sp.Fwd_spec.rollback_writes)
+      specs
   in
   let plan = Hw.Plan.build b in
   let c_dhaz_slots =
@@ -366,13 +517,11 @@ let plan c = c.c_plan
    stages, registers and synthesized signals — only initial values
    differ, the batched-path contract) can share one compiled plan.
    The returned [compiled] carries [t], so state creation and session
-   resets read [t]'s init, and its speculation tables are re-keyed
-   onto [t]'s own speculation records: the engines look them up by
-   physical equality on the records the running transform holds.
-   The structural guard is deliberately cheap: name-level equality
-   catches shape drift without re-walking expression trees
-   (transforms of one machine builder are expression-identical by
-   construction). *)
+   resets read [t]'s init; speculations are addressed by position, so
+   the slot tables carry over as they are.  The structural guard is
+   deliberately cheap: name-level equality catches shape drift without
+   re-walking expression trees (transforms of one machine builder are
+   expression-identical by construction). *)
 let rebind c (t : Transform.t) =
   let spec_shape (t : Transform.t) =
     List.map
@@ -397,62 +546,47 @@ let rebind c (t : Transform.t) =
     || c.c_tr.Transform.stage_dhaz <> t.Transform.stage_dhaz
     || spec_shape c.c_tr <> spec_shape t
   then invalid_arg "Pipesem.rebind: transforms differ in shape";
-  let rekey l =
-    List.map2 (fun (_, x) sp -> (sp, x)) l t.Transform.speculations
-  in
-  {
-    c with
-    c_tr = t;
-    c_spec_slots = rekey c.c_spec_slots;
-    c_rollbacks = rekey c.c_rollbacks;
-  }
+  { c with c_tr = t }
 
+(* The scalar plan engine: one lane, its words 0 or 1.  [eng_begin]
+   runs the whole tape, so every commit value, guard and address is
+   computed against the pre-edge state before the first commit writes
+   it. *)
 let plan_engine c state =
   let bound =
     State.bind_plan ~extern:(Hashtbl.mem c.c_free) state c.c_plan
   in
   let inst = State.bound_instance bound in
   let n = Array.length c.c_full_slots in
-  (* [eng_begin] runs the whole tape, so every commit value, guard and
-     address is computed against the pre-edge state before the first
-     commit writes it. *)
   let stages = Array.map (Machine.Commit.resolve_stage state) c.c_stages in
-  let rollbacks =
-    List.map
-      (fun (sp, ws) -> (sp, Machine.Commit.resolve_writes state ws))
-      c.c_rollbacks
-  in
-  let eng_begin ~cycle:_ ~fullb ~ext_now =
-    State.load bound;
-    for k = 0 to n - 1 do
-      Hw.Plan.set inst c.c_full_slots.(k) (bool_bv (k = 0 || fullb.(k)));
-      Hw.Plan.set inst c.c_ext_slots.(k) (bool_bv ext_now.(k))
-    done;
-    Hw.Plan.run inst
-  in
-  let eng_lookup name =
-    match Hw.Plan.read_name inst name with
-    | Some v -> Some v
-    | None -> (
-      match Machine.State.get state name with
-      | Machine.Value.Scalar v -> Some v
-      | Machine.Value.File _ -> None
-      | exception Invalid_argument _ -> None)
-  in
+  let rollbacks = Array.map (Machine.Commit.resolve_writes state) c.c_rollbacks in
+  let bit slot = if Hw.Plan.get_bool inst slot then 1 else 0 in
   {
-    eng_begin;
-    eng_lookup;
-    eng_dhaz = (fun k -> Hw.Plan.get_bool inst c.c_dhaz_slots.(k));
-    eng_mispredict =
-      (fun sp -> Hw.Plan.get_bool inst (List.assq sp c.c_spec_slots));
-    eng_edge =
-      (fun ~ue ~firing ->
+    eng_state = Some state;
+    eng_begin =
+      (fun ~running:_ ~fullb ~ext ->
+        State.load bound;
         for k = 0 to n - 1 do
-          if ue.(k) then Machine.Commit.commit inst stages.(k)
+          Hw.Plan.set inst c.c_full_slots.(k)
+            (bool_bv (k = 0 || fullb.(k) land 1 <> 0));
+          Hw.Plan.set inst c.c_ext_slots.(k) (bool_bv (ext.(k) land 1 <> 0))
         done;
-        Option.iter
-          (fun sp -> Machine.Commit.commit inst (List.assq sp rollbacks))
-          firing);
+        Hw.Plan.run inst);
+    eng_lookup =
+      (fun name ->
+        match Hw.Plan.read_name inst name with
+        | Some v -> Some v
+        | None -> state_lookup state name);
+    eng_dhaz = (fun k -> bit c.c_dhaz_slots.(k));
+    eng_mispredict = (fun i -> bit c.c_spec_slots.(i));
+    eng_edge =
+      (fun ~ue ~fires ->
+        for k = 0 to n - 1 do
+          if ue.(k) land 1 <> 0 then Machine.Commit.commit inst stages.(k)
+        done;
+        for i = 0 to Array.length fires - 1 do
+          if fires.(i) land 1 <> 0 then Machine.Commit.commit inst rollbacks.(i)
+        done);
   }
 
 (* A session: one persistent state with the plan bound to it once.
@@ -470,13 +604,22 @@ let session c =
   let state = State.create c.c_tr.Transform.machine in
   { s_c = c; s_state = state; s_engine = plan_engine c state }
 
-let run_session ?ext ?callbacks ?inject ?cancel ?init ~stop_after s =
+let session_state s = s.s_state
+
+let run_observed ?ext ?inject ?cancel ?init ?obs ~stop_after s =
   Obs.Span.with_span "pipesem.run" @@ fun () ->
   (* The reset also repairs state left dirty by a cancelled, faulted
      or raising previous run on this session. *)
   State.reset ?init s.s_c.c_tr.Transform.machine s.s_state;
-  run_loop ~engine:s.s_engine ~state:s.s_state ?ext ?callbacks ?inject
-    ?cancel ~stop_after s.s_c.c_tr
+  (drive s.s_engine ?ext ?inject ?obs ?cancel ~stop_afters:[| stop_after |]
+     s.s_c.c_tr).(0)
+
+let result_of state r = { outcome = r.lr_outcome; stats = r.lr_stats; state }
+
+let run_session ?ext ?callbacks ?inject ?cancel ?init ~stop_after s =
+  let obs = Option.map (fun cb -> observer_of_callbacks cb s.s_state) callbacks in
+  result_of s.s_state
+    (run_observed ?ext ?inject ?cancel ?init ?obs ~stop_after s)
 
 (* Per-domain session cache, keyed by physical equality on the
    compiled machine: pool workers allocate (and plan-bind) one
@@ -501,375 +644,108 @@ let local_session c =
 let run_compiled ?ext ?callbacks ?inject ?cancel ~stop_after c =
   run_session ?ext ?callbacks ?inject ?cancel ~stop_after (session c)
 
+let run ?ext ?callbacks ?inject ?cancel ~stop_after t =
+  run_compiled ?ext ?callbacks ?inject ?cancel ~stop_after (compile t)
+
 (* ------------------------------------------------------------------ *)
-(* Bit-parallel lane loop: the same cycle driver, advancing a whole
-   pack of programs per iteration.  The control fabric (full, stall,
-   rollback, ue, tags) lives in packed words/word arrays; register
-   values in the SoA lane state.  Every decision the scalar loop makes
-   per run is made here per lane, in the same per-cycle order, so a
-   lane's outcome, stats and observer view are bit-identical to a solo
-   scalar run of the same program.
-
-   Injection hooks are not supported: lane drivers only engage for
-   runs whose injection is absent or the physical [no_injection]
-   record (structural mutants).  [faulty] relaxes the missing-tag
-   asserts exactly like the scalar loop's [inject <> None].
-
-   Work accounting goes into the caller's ledger; any exception means
-   the caller discards it and replays each lane through the scalar
-   path, which reproduces behaviour and counters exactly.             *)
+(* Lane packs: the plan evaluated as a {!Hw.Plan.lanes} instance over
+   the SoA lane state, up to {!Hw.Lanes.max_lanes} programs per run.
+   The pack accounts the work solo runs of its lanes would: one tape
+   run per cycle of every running lane, and the scalar-equivalent
+   cells written.                                                      *)
 (* ------------------------------------------------------------------ *)
-
-type lane_result = {
-  lr_outcome : outcome;
-  lr_stats : stats;
-  lr_divergence : int;
-      (* first cycle a stall/rollback word split this lane from the
-         pack's majority; -1 = never diverged *)
-}
-
-type lane_obs = {
-  lob_pre_edge :
-    cycle:int -> Stall_engine.lane_signals -> tags:int array array ->
-    running:int -> unit;
-      (* after signal evaluation, before the clock edge; [tags] are
-         the pre-shift tags (-1 = none), stage-major, lane-indexed *)
-  lob_post_edge :
-    cycle:int -> Stall_engine.lane_signals -> tags:int array array ->
-    running:int -> unit;
-      (* after the clock edge commits, tags still pre-shift *)
-  lob_retire : cycle:int -> lane:int -> tag:int -> rollback:string option -> unit;
-      (* after [lob_post_edge], in (tag, kind) order per lane *)
-}
-
-let no_lane_obs =
-  {
-    lob_pre_edge = (fun ~cycle:_ _ ~tags:_ ~running:_ -> ());
-    lob_post_edge = (fun ~cycle:_ _ ~tags:_ ~running:_ -> ());
-    lob_retire = (fun ~cycle:_ ~lane:_ ~tag:_ ~rollback:_ -> ());
-  }
-
-type lane_session = {
-  lns_c : compiled;
-  lns_state : State.lanes;
-  lns_inst : Hw.Plan.lanes;
-  lns_bound : State.lanes_bound;
-}
-
-let lanes_session ?capacity c =
-  Obs.Counters.bump Obs.Counters.Sessions;
-  let state = State.create_lanes ?capacity c.c_tr.Transform.machine in
-  let inst = Hw.Plan.lanes ?capacity c.c_plan in
-  let bound = State.bind_lanes ~extern:(Hashtbl.mem c.c_free) state inst in
-  { lns_c = c; lns_state = state; lns_inst = inst; lns_bound = bound }
-
-let lanes_state ls = ls.lns_state
-
-let local_lane_sessions : (compiled * lane_session) list ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref [])
-
-let local_lanes_session c =
-  let cache = Domain.DLS.get local_lane_sessions in
-  match List.assq_opt c !cache with
-  | Some s -> s
-  | None ->
-    let s = lanes_session c in
-    cache := take 8 ((c, s) :: !cache);
-    s
 
 (* get_bool on a wide slot is a nonzero test; mirror that when
    lifting a slot to a packed word. *)
-let word_of_slot inst ~act s =
+let word_of_slot inst s =
   if Hw.Plan.lanes_is_bool inst s then Hw.Plan.lanes_word inst s
   else begin
     let v = Hw.Plan.lanes_ints inst s in
     let w = ref 0 in
-    for l = 0 to act - 1 do
+    for l = 0 to Hw.Plan.lanes_active inst - 1 do
       if v.(l) <> 0 then w := !w lor (1 lsl l)
     done;
     !w
   end
 
-let run_lanes_session ?(ext = fun ~stage:_ ~cycle:_ -> false)
-    ?(cancel = Exec.Cancel.never) ?(obs = no_lane_obs) ?(faulty = false)
-    ~ledger ~inits ~stop_afters ls =
+let pack_engine c st inst bound =
+  let n = Array.length c.c_full_slots in
+  let tape_len = Hw.Plan.n_instrs c.c_plan in
+  let cells w = Obs.Counters.add Obs.Counters.Cells_written w in
+  {
+    eng_state = None;
+    eng_begin =
+      (fun ~running ~fullb ~ext ->
+        State.load_lanes bound;
+        for k = 0 to n - 1 do
+          Hw.Plan.lanes_set_word inst c.c_full_slots.(k)
+            (if k = 0 then running else fullb.(k));
+          Hw.Plan.lanes_set_word inst c.c_ext_slots.(k) ext.(k)
+        done;
+        Hw.Plan.run_lanes inst;
+        let r = Hw.Lanes.popcount running in
+        Obs.Counters.add Obs.Counters.Plan_runs r;
+        Obs.Counters.add Obs.Counters.Plan_ops (tape_len * r));
+    eng_lookup = (fun _ -> None);
+    eng_dhaz = (fun k -> word_of_slot inst c.c_dhaz_slots.(k));
+    eng_mispredict = (fun i -> word_of_slot inst c.c_spec_slots.(i));
+    eng_edge =
+      (fun ~ue ~fires ->
+        for k = 0 to n - 1 do
+          if ue.(k) <> 0 then
+            cells
+              (Machine.Commit.lanes_stage_updates inst st ~mask:ue.(k)
+                 c.c_stages.(k))
+        done;
+        for i = 0 to Array.length fires - 1 do
+          if fires.(i) <> 0 then
+            cells
+              (Machine.Commit.lanes_writes_updates inst st ~mask:fires.(i)
+                 c.c_rollbacks.(i))
+        done);
+  }
+
+type pack = {
+  p_c : compiled;
+  p_state : State.lanes;
+  p_inst : Hw.Plan.lanes;
+  p_engine : engine;
+}
+
+let pack c =
+  Obs.Counters.bump Obs.Counters.Sessions;
+  let state = State.create_lanes c.c_tr.Transform.machine in
+  let inst = Hw.Plan.lanes c.c_plan in
+  let bound = State.bind_lanes ~extern:(Hashtbl.mem c.c_free) state inst in
+  {
+    p_c = c;
+    p_state = state;
+    p_inst = inst;
+    p_engine = pack_engine c state inst bound;
+  }
+
+let pack_state p = p.p_state
+
+let run_pack ?ext ?cancel ?obs ~inits ~stop_afters p =
   Obs.Span.with_span "pipesem.run_lanes" @@ fun () ->
-  let c = ls.lns_c in
-  let t = c.c_tr in
-  let m = t.Transform.machine in
-  let n = m.Machine.Spec.n_stages in
   let act = Array.length inits in
   if Array.length stop_afters <> act then
-    invalid_arg "Pipesem.run_lanes_session: inits/stop_afters length mismatch";
-  State.reset_lanes ~ledger ~inits ls.lns_state;
-  Hw.Plan.lanes_set_active ls.lns_inst act;
-  let inst = ls.lns_inst in
-  let all = Hw.Lanes.mask_of_count act in
-  (* Lane packs account the same per-program op counts as the scalar
-     engine: one whole-tape run per cycle of every running lane. *)
-  let tape_len = Hw.Plan.n_instrs c.c_plan in
-  let bound = liveness_bound ~n_stages:n in
-  let deadlock_window = deadlock_window ~n_stages:n in
-  let fullb = Array.make n 0 in
-  let tags = Array.init n (fun _ -> Array.make act (-1)) in
-  Array.fill tags.(0) 0 act 0;
-  let old_tags = Array.init n (fun _ -> Array.make act (-1)) in
-  let running = ref all in
-  let cycle = ref 0 in
-  let retired = Array.make act 0 in
-  let idle = Array.make act 0 in
-  let last_retire = Array.make act 0 in
-  let out = Array.make act Out_of_cycles in
-  let out_cycles = Array.make act 0 in
-  let fetch_stall = Array.make act 0 in
-  let dhaz_c = Array.make act 0 in
-  let ext_c = Array.make act 0 in
-  let rollbacks = Array.make act 0 in
-  let squashed = Array.make act 0 in
-  let diverged = Array.make act (-1) in
-  let deep = Array.make act (-1) in
-  let fspec : Fwd_spec.speculation option array = Array.make act None in
-  let deepw = Array.make n 0 in
-  let taken = Array.make n 0 in
-  let deactivate l oc =
-    running := Hw.Lanes.clear !running l;
-    out.(l) <- oc;
-    out_cycles.(l) <- !cycle;
-    Obs.Counters.ledger_add ledger Obs.Counters.Sim_cycles out_cycles.(l);
-    Obs.Counters.ledger_add ledger Obs.Counters.Sim_retired retired.(l)
-  in
-  (* stop_after <= 0 completes without entering the loop, like the
-     scalar while condition *)
-  for l = 0 to act - 1 do
-    if stop_afters.(l) <= 0 then deactivate l Completed
-  done;
-  while !running <> 0 do
-    Exec.Cancel.check cancel;
-    let run_mask = !running in
-    let n_running = Hw.Lanes.popcount run_mask in
-    (* ---- begin: bind free inputs, evaluate the pack's signals ---- *)
-    State.load_lanes ls.lns_bound;
-    let ext_now = Array.init n (fun k -> ext ~stage:k ~cycle:!cycle) in
-    for k = 0 to n - 1 do
-      Hw.Plan.lanes_set_word inst c.c_full_slots.(k)
-        (if k = 0 then all else fullb.(k));
-      Hw.Plan.lanes_set_word inst c.c_ext_slots.(k)
-        (if ext_now.(k) then all else 0)
-    done;
-    Hw.Plan.run_lanes inst;
-    Obs.Counters.ledger_add ledger Obs.Counters.Plan_runs n_running;
-    Obs.Counters.ledger_add ledger Obs.Counters.Plan_ops (tape_len * n_running);
-    let dhaz =
-      Array.init n (fun k ->
-          word_of_slot inst ~act c.c_dhaz_slots.(k) land run_mask)
-    in
-    let extw =
-      Array.init n (fun k -> if ext_now.(k) then run_mask else 0)
-    in
-    let spec_words =
-      List.map
-        (fun (sp, slot) -> (sp, word_of_slot inst ~act slot land run_mask))
-        c.c_spec_slots
-    in
-    let misp = Array.make n 0 in
-    List.iter
-      (fun ((sp : Fwd_spec.speculation), w) ->
-        misp.(sp.Fwd_spec.resolve_stage) <-
-          misp.(sp.Fwd_spec.resolve_stage) lor w)
-      spec_words;
-    let s =
-      Stall_engine.compute_lanes ~mask:run_mask ~fullb ~dhaz ~ext:extw
-        ~mispredict:misp
-    in
-    (* ---- divergence mask: lanes leaving the pack's majority ---- *)
-    let flag w =
-      let wr = w land run_mask in
-      if wr <> 0 && wr <> run_mask then
-        Hw.Lanes.iter ~mask:(Hw.Lanes.minority ~mask:run_mask w) (fun l ->
-            if diverged.(l) < 0 then diverged.(l) <- !cycle)
-    in
-    for k = 0 to n - 1 do
-      flag s.Stall_engine.l_stall.(k);
-      flag s.Stall_engine.l_rollback.(k)
-    done;
-    obs.lob_pre_edge ~cycle:!cycle s ~tags ~running:run_mask;
-    (* ---- deepest rollback and firing speculation per lane ---- *)
-    Array.fill deep 0 act (-1);
-    Array.fill fspec 0 act None;
-    Array.fill deepw 0 n 0;
-    Array.fill taken 0 n 0;
-    for k = 0 to n - 1 do
-      let w = s.Stall_engine.l_rollback.(k) in
-      if w <> 0 then
-        for l = 0 to act - 1 do
-          if Hw.Lanes.test w l then deep.(l) <- k
-        done
-    done;
-    for l = 0 to act - 1 do
-      if deep.(l) >= 0 then deepw.(deep.(l)) <- Hw.Lanes.set deepw.(deep.(l)) l
-    done;
-    let fires =
-      List.map
-        (fun ((sp : Fwd_spec.speculation), w) ->
-          let k = sp.Fwd_spec.resolve_stage in
-          let f = deepw.(k) land w land lnot taken.(k) in
-          taken.(k) <- taken.(k) lor f;
-          Hw.Lanes.iter ~mask:f (fun l -> fspec.(l) <- Some sp);
-          (sp, f))
-        spec_words
-    in
-    (* ---- clock edge: stage writes then rollback writes ---- *)
-    for k = 0 to n - 1 do
-      let mask = s.Stall_engine.l_ue.(k) in
-      if mask <> 0 then
-        Obs.Counters.ledger_add ledger Obs.Counters.Cells_written
-          (Machine.Commit.lanes_stage_updates inst ls.lns_state ~mask
-             c.c_stages.(k))
-    done;
-    List.iter
-      (fun (sp, f) ->
-        if f <> 0 then
-          Obs.Counters.ledger_add ledger Obs.Counters.Cells_written
-            (Machine.Commit.lanes_writes_updates inst ls.lns_state ~mask:f
-               (List.assq sp c.c_rollbacks)))
-      fires;
-    obs.lob_post_edge ~cycle:!cycle s ~tags ~running:run_mask;
-    (* ---- retirements (kept per lane for the sorted callbacks) ---- *)
-    let rets : (int * string option) list array = Array.make act [] in
-    for l = 0 to act - 1 do
-      if Hw.Lanes.test run_mask l then begin
-        if Hw.Lanes.test s.Stall_engine.l_ue.(n - 1) l then begin
-          let tag = tags.(n - 1).(l) in
-          if tag >= 0 then rets.(l) <- (tag, None) :: rets.(l)
-          else if not faulty then
-            invalid_arg "Pipesem.run_lanes_session: retiring stage lost its tag"
-        end;
-        (match fspec.(l) with
-        | Some sp when sp.Fwd_spec.retires ->
-          let tag = tags.(deep.(l)).(l) in
-          if tag >= 0 then
-            rets.(l) <- (tag, Some sp.Fwd_spec.spec_label) :: rets.(l)
-          else if not faulty then
-            invalid_arg "Pipesem.run_lanes_session: rollback lost its tag"
-        | Some _ | None -> ());
-        (* Normal before Via_rollback at equal tags, like the scalar
-           [List.sort compare] on retire kinds. *)
-        rets.(l) <-
-          List.sort
-            (fun (t1, k1) (t2, k2) ->
-              if t1 <> t2 then compare t1 t2 else compare k1 k2)
-            rets.(l)
-      end
-    done;
-    (* ---- squashed (evicted, non-retiring) instructions ---- *)
-    for l = 0 to act - 1 do
-      if Hw.Lanes.test run_mask l && deep.(l) >= 0 then begin
-        rollbacks.(l) <- rollbacks.(l) + 1;
-        for j = 0 to deep.(l) do
-          let tg = tags.(j).(l) in
-          if
-            tg >= 0
-            && (not (List.exists (fun (t', _) -> t' = tg) rets.(l)))
-            && Hw.Lanes.test s.Stall_engine.l_full.(j) l
-          then squashed.(l) <- squashed.(l) + 1
-        done
-      end
-    done;
-    (* ---- tag shift ---- *)
-    for st = 0 to n - 1 do
-      Array.blit tags.(st) 0 old_tags.(st) 0 act
-    done;
-    for st = n - 1 downto 1 do
-      let rbup = s.Stall_engine.l_rollback_up.(st) in
-      let ue1 = s.Stall_engine.l_ue.(st - 1) in
-      let stf = s.Stall_engine.l_stall.(st) land s.Stall_engine.l_full.(st) in
-      let cur = tags.(st) in
-      let prev = old_tags.(st - 1) in
-      let self = old_tags.(st) in
-      for l = 0 to act - 1 do
-        if Hw.Lanes.test run_mask l then
-          cur.(l) <-
-            (if Hw.Lanes.test rbup l then -1
-             else if Hw.Lanes.test ue1 l then prev.(l)
-             else if Hw.Lanes.test stf l then self.(l)
-             else -1)
-      done
-    done;
-    for l = 0 to act - 1 do
-      if Hw.Lanes.test run_mask l then
-        if deep.(l) >= 0 then (
-          match fspec.(l) with
-          | Some sp ->
-            let b = old_tags.(deep.(l)).(l) in
-            let base = if b >= 0 then b else 0 in
-            tags.(0).(l) <-
-              base + (if sp.Fwd_spec.retires then 1 else 0)
-          | None -> (* cannot happen; keep the fetch tag *) ())
-        else if Hw.Lanes.test s.Stall_engine.l_ue.(0) l then begin
-          let b = old_tags.(0).(l) in
-          tags.(0).(l) <- (if b >= 0 then b else 0) + 1
-        end
-    done;
-    let fb' = Stall_engine.next_fullb_lanes ~mask:run_mask s in
-    Array.blit fb' 0 fullb 0 n;
-    (* ---- statistics, retire callbacks, liveness ---- *)
-    let stall0 = s.Stall_engine.l_stall.(0) in
-    let anyd = Array.fold_left ( lor ) 0 dhaz in
-    let any_ext = Array.exists (fun b -> b) ext_now in
-    let ue_any = Array.fold_left ( lor ) 0 s.Stall_engine.l_ue in
-    for l = 0 to act - 1 do
-      if Hw.Lanes.test run_mask l then begin
-        if Hw.Lanes.test stall0 l then fetch_stall.(l) <- fetch_stall.(l) + 1;
-        if Hw.Lanes.test anyd l then dhaz_c.(l) <- dhaz_c.(l) + 1;
-        if any_ext then ext_c.(l) <- ext_c.(l) + 1;
-        List.iter
-          (fun (tag, rb) ->
-            retired.(l) <- retired.(l) + 1;
-            obs.lob_retire ~cycle:!cycle ~lane:l ~tag ~rollback:rb)
-          rets.(l);
-        if rets.(l) <> [] then last_retire.(l) <- !cycle;
-        if Hw.Lanes.test ue_any l || rets.(l) <> [] then idle.(l) <- 0
-        else idle.(l) <- idle.(l) + 1
-      end
-    done;
-    incr cycle;
-    for l = 0 to act - 1 do
-      if Hw.Lanes.test run_mask l then
-        if retired.(l) >= stop_afters.(l) then deactivate l Completed
-        else if idle.(l) > deadlock_window then deactivate l Deadlocked
-        else if retirement_gap ~last:last_retire.(l) ~cycle:!cycle > bound
-        then deactivate l Out_of_cycles
-    done
-  done;
-  Array.init act (fun l ->
-      {
-        lr_outcome = out.(l);
-        lr_stats =
-          {
-            cycles = out_cycles.(l);
-            retired = retired.(l);
-            fetch_stall_cycles = fetch_stall.(l);
-            dhaz_cycles = dhaz_c.(l);
-            ext_cycles = ext_c.(l);
-            rollbacks = rollbacks.(l);
-            squashed = squashed.(l);
-          };
-        lr_divergence = diverged.(l);
-      })
-
-let run ?ext ?callbacks ?inject ?cancel ~stop_after t =
-  run_compiled ?ext ?callbacks ?inject ?cancel ~stop_after (compile t)
+    invalid_arg "Pipesem.run_pack: inits/stop_afters length mismatch";
+  State.reset_lanes ~inits p.p_state;
+  Hw.Plan.lanes_set_active p.p_inst act;
+  drive p.p_engine ?ext ?obs ?cancel ~stop_afters p.p_c.c_tr
 
 (* ------------------------------------------------------------------ *)
 (* Reference engine: the original tree-walking interpreter with its
-   per-cycle string-keyed overlay.  Kept as a documented compatibility
-   shim: the compiled path is benchmarked and property-checked against
-   it (same driver loop, so any divergence is an evaluation bug).      *)
+   per-cycle string-keyed overlay, a one-lane engine like the scalar
+   plan engine.  The compiled path is benchmarked and property-checked
+   against it (same driver, so any divergence is an evaluation bug).   *)
 (* ------------------------------------------------------------------ *)
 
 let reference_engine (t : Transform.t) state =
   let m = t.Transform.machine in
   let n = m.Machine.Spec.n_stages in
+  let specs = Array.of_list t.Transform.speculations in
   let base_env = State.eval_env state in
   let overlay : (string, Hw.Bitvec.t) Hashtbl.t = Hashtbl.create 64 in
   let env =
@@ -882,56 +758,58 @@ let reference_engine (t : Transform.t) state =
       lookup_file = base_env.Hw.Eval.lookup_file;
     }
   in
-  let eng_begin ~cycle:_ ~fullb ~ext_now =
-    Hashtbl.reset overlay;
-    for k = 0 to n - 1 do
-      Hashtbl.replace overlay (Transform.full_signal k)
-        (bool_bv (k = 0 || fullb.(k)));
-      Hashtbl.replace overlay (Transform.ext_signal k) (bool_bv ext_now.(k))
-    done;
-    List.iter
-      (fun (name, e) -> Hashtbl.replace overlay name (Hw.Eval.eval env e))
-      t.Transform.signals
-  in
-  let eng_lookup name =
-    match Hashtbl.find_opt overlay name with
-    | Some v -> Some v
-    | None -> (
-      match Machine.State.get state name with
-      | Machine.Value.Scalar v -> Some v
-      | Machine.Value.File _ -> None
-      | exception Invalid_argument _ -> None)
-  in
+  let bit b = if b then 1 else 0 in
   {
-    eng_begin;
-    eng_lookup;
+    eng_state = Some state;
+    eng_begin =
+      (fun ~running:_ ~fullb ~ext ->
+        Hashtbl.reset overlay;
+        for k = 0 to n - 1 do
+          Hashtbl.replace overlay (Transform.full_signal k)
+            (bool_bv (k = 0 || fullb.(k) land 1 <> 0));
+          Hashtbl.replace overlay (Transform.ext_signal k)
+            (bool_bv (ext.(k) land 1 <> 0))
+        done;
+        List.iter
+          (fun (name, e) -> Hashtbl.replace overlay name (Hw.Eval.eval env e))
+          t.Transform.signals);
+    eng_lookup =
+      (fun name ->
+        match Hashtbl.find_opt overlay name with
+        | Some v -> Some v
+        | None -> state_lookup state name);
     eng_dhaz =
       (fun k ->
-        Hw.Bitvec.to_bool (Hashtbl.find overlay t.Transform.stage_dhaz.(k)));
+        bit (Hw.Bitvec.to_bool (Hashtbl.find overlay t.Transform.stage_dhaz.(k))));
     eng_mispredict =
-      (fun sp -> Hw.Eval.eval_bool env sp.Fwd_spec.mispredict);
+      (fun i -> bit (Hw.Eval.eval_bool env specs.(i).Fwd_spec.mispredict));
     eng_edge =
-      (fun ~ue ~firing ->
+      (fun ~ue ~fires ->
         (* every update list is evaluated before the first is applied *)
         let stages =
-          List.filter (fun k -> ue.(k)) (List.init n Fun.id)
+          List.filter (fun k -> ue.(k) land 1 <> 0) (List.init n Fun.id)
           |> List.map (fun k -> Machine.Commit.stage_updates m ~stage:k ~env state)
         in
-        let rollback =
-          Option.map
-            (fun (sp : Fwd_spec.speculation) ->
-              Machine.Commit.writes_updates m
-                ~writes:sp.Fwd_spec.rollback_writes ~env state)
-            firing
+        let rollbacks =
+          List.filter_map
+            (fun i ->
+              if fires.(i) land 1 = 0 then None
+              else
+                Some
+                  (Machine.Commit.writes_updates m
+                     ~writes:specs.(i).Fwd_spec.rollback_writes ~env state))
+            (List.init (Array.length specs) Fun.id)
         in
-        List.iter (Machine.Commit.apply state) (stages @ Option.to_list rollback));
+        List.iter (Machine.Commit.apply state) (stages @ rollbacks));
   }
 
 let run_reference ?ext ?callbacks ?inject ?cancel ~stop_after
     (t : Transform.t) =
   Obs.Span.with_span "pipesem.run_reference" @@ fun () ->
   let state = State.create t.Transform.machine in
-  run_loop ~engine:(reference_engine t state) ~state ?ext ?callbacks ?inject
-    ?cancel ~stop_after t
+  let obs = Option.map (fun cb -> observer_of_callbacks cb state) callbacks in
+  result_of state
+    (drive (reference_engine t state) ?ext ?inject ?obs ?cancel
+       ~stop_afters:[| stop_after |] t).(0)
 
 let cpi s = if s.retired = 0 then infinity else float_of_int s.cycles /. float_of_int s.retired

@@ -36,6 +36,10 @@ type cycle_record = {
   tags : int option array;  (** pre-edge instruction tags per stage *)
 }
 
+(** The one-lane view of a run: what the tracer, hazard attribution,
+    coverage and diagram tools observe.  The cycle driver calls these
+    through its packed {!observer}, building a [cycle_record] per cycle
+    only when callbacks are given. *)
 type callbacks = {
   on_signals : cycle:int -> (string -> Hw.Bitvec.t option) -> unit;
       (** after the synthesized combinational signals have been
@@ -47,8 +51,7 @@ type callbacks = {
       (** after signal computation, before the clock edge *)
   on_edge : cycle_record -> Machine.State.t -> unit;
       (** after the clock edge: the record describes the cycle that
-          just committed (pre-edge tags), the state is post-edge.
-          Used by the data-consistency checker. *)
+          just committed (pre-edge tags), the state is post-edge *)
   on_retire : tag:int -> kind:retire_kind -> Machine.State.t -> unit;
       (** after the clock edge of the retiring cycle; the state passed
           is live — snapshot what you need *)
@@ -60,32 +63,36 @@ val no_callbacks : callbacks
 
     Hooks that place a fault exactly where it would sit in the
     generated machine; built by [Fault.Inject], consumed by the
-    detection-coverage campaigns.  With an injection present, the run
-    loop relaxes the control invariants of the unfaulted engine (a
-    stage may fire with no instruction in flight — it then simply
-    retires nothing) instead of asserting. *)
+    detection-coverage campaigns.  They act on the cycle driver's
+    control words ({!Stall_engine.lane_signals}); an injected run is a
+    one-lane run, so every word is [0] or [1].  With an injection
+    present, the driver relaxes the control invariants of the
+    unfaulted engine (a stage may fire with no instruction in flight —
+    it then simply retires nothing) instead of raising. *)
 
 type injection = {
-  inj_fullb : cycle:int -> bool array -> bool array;
+  inj_fullb : cycle:int -> int array -> int array;
       (** applied to the full-bit register {e outputs} before the
           cycle's signal evaluation and the stall engine (stuck-at
           faults on [full_k]); must not mutate its argument *)
   inj_compute :
     cycle:int ->
-    compute:(dhaz:bool array -> Stall_engine.signals) ->
-    dhaz:bool array ->
-    Stall_engine.signals;
+    compute:(dhaz:int array -> Stall_engine.lane_signals) ->
+    dhaz:int array ->
+    Stall_engine.lane_signals;
       (** middleware around the stall engine: perturb [dhaz] before
           calling [compute] (dropped-interlock faults) or rewrite the
           returned signals (stuck-at faults on [stall_k], [ue_k] and
-          the rollback/squash wires) *)
+          the rollback/squash wires).  [compute] returns the driver's
+          own record: copy before changing it. *)
   inj_edge : cycle:int -> Machine.State.t -> unit;
       (** right after the clock edge, before the [on_edge] callback:
           transient single-event bit flips in pipeline registers *)
 }
 
 val no_injection : injection
-(** The identity injection ([run ?inject:None] behaves identically). *)
+(** The identity injection ([run ?inject:None] behaves identically,
+    except that the driver's invariants stay asserted). *)
 
 (** {1 What ends a run}
 
@@ -119,8 +126,10 @@ val liveness_bound : n_stages:int -> int
 val retirement_gap : last:int -> cycle:int -> int
 (** The gap a retirement in cycle [cycle] closes after the previous
     one, in cycle [last] ([0] before the first retirement): both end
-    cycles count.  The cycle drivers stop a run once the gap of any
-    later retirement would exceed {!liveness_bound}. *)
+    cycles count.  The cycle driver stops a run once the gap of any
+    later retirement would exceed {!liveness_bound}, and
+    {!Proof_engine.Symsim} stops each symbolic path by the same
+    rule. *)
 
 type stats = {
   cycles : int;
@@ -151,8 +160,8 @@ val compile : Transform.t -> compiled
     (the plan is immutable — instances are private to sessions).
 
     The plan is the hash-consed tape {!Hw.Plan.build} returns, and it
-    is the one tape of the shape: the scalar, session and lanes engines
-    all bind it and run it whole every cycle, so a run's [Plan_ops] is
+    is the one tape of the shape: the scalar engine and lane packs
+    both bind it and run it whole every cycle, so a run's [Plan_ops] is
     its [Plan_runs] times {!Hw.Plan.n_instrs}.  Every synthesized
     signal stays readable by name on the running instance (the
     [on_signals] callback view used by the tracer and hazard
@@ -180,11 +189,10 @@ val rebind : compiled -> Transform.t -> compiled
     transforms come from the same machine builder and differ only in
     initial values (the program image).
     This is the batched-path contract from the sweep engine, promoted
-    to a public operation: plan slots are shape-only, and state
-    creation reads initial values from the {e rebound} transform, and
-    the speculation tables are re-keyed onto [t]'s speculation
-    records, so runs of the result behave exactly as if [t] had been
-    compiled directly.  The service layer uses this to compile each machine
+    to a public operation: plan slots are shape-only, speculations are
+    addressed by position, and state creation reads initial values
+    from the {e rebound} transform, so runs of the result behave
+    exactly as if [t] had been compiled directly.  The service layer uses this to compile each machine
     shape once and serve every program against it.
 
     @raise Invalid_argument when the shapes differ. *)
@@ -207,13 +215,13 @@ val run_compiled :
 
 (** {1 Sessions (compile once, run many programs)}
 
-    For BMC sweeps, workload sweeps and fault campaigns the machine
-    {e shape} is fixed and only the initial register-file contents
-    (the program, its data) vary per point.  A session makes the
-    program data instead of structure: it owns one persistent
-    {!Machine.State.t} with the compiled plan bound to it once;
-    {!run_session} resets the state in place — plan bindings survive,
-    see {!Machine.State.reset} — applies per-program initial-value
+    For workload sweeps and fault campaigns the machine {e shape} is
+    fixed and only the initial register-file contents (the program,
+    its data) vary per point.  A session makes the program data
+    instead of structure: it owns one persistent {!Machine.State.t}
+    with the compiled plan bound to it once; {!run_session} resets the
+    state in place — plan bindings survive, see
+    {!Machine.State.reset} — applies per-program initial-value
     overrides, and replays the machine.  Cost per point drops from
     build + compile + bind + run to reset + run.
 
@@ -234,6 +242,9 @@ val local_session : compiled -> session
     task.  Do not use from a task that re-enters the pool (and may
     help execute other tasks) while a run on the session is in
     progress. *)
+
+val session_state : session -> Machine.State.t
+(** The session's state: what its runs read and write. *)
 
 val run_session :
   ?ext:ext_model ->
@@ -268,88 +279,101 @@ val run_reference :
   stop_after:int ->
   Transform.t ->
   result
-(** Closure-path compatibility shim: the original tree-walking
-    interpreter with a per-cycle string-keyed overlay, driving the
-    {e same} cycle loop as the compiled path (stall engine, tags,
-    retirement, statistics are shared code).  Kept as the oracle for
-    differential tests and the interpreted baseline in the benchmark
-    suite; simulation users should call {!run}. *)
+(** The original tree-walking interpreter with a per-cycle
+    string-keyed overlay, as a one-lane engine of the {e same} cycle
+    driver as the compiled path (stall engine, tags, retirement,
+    statistics are shared code).  Kept as the oracle for differential
+    tests and the interpreted baseline in the benchmark suite;
+    simulation users should call {!run}. *)
 
 val cpi : stats -> float
 (** Cycles per retired instruction. *)
 
-(** {1 Bit-parallel lane runs (up to 62 programs per cycle loop)}
+(** {1 The cycle driver and lane packs}
 
-    The lane mirror of a session: the compiled control/data plan
-    evaluated as a {!Hw.Plan.lanes} pack over a {!Machine.State.lanes}
-    SoA state, advancing every lane one cycle per loop iteration.  The
-    per-cycle decision order is identical to the scalar loop, so each
-    lane's outcome, statistics and observer view match a solo scalar
-    run of the same program bit for bit.
+    Every run above goes through one stall-engine cycle driver that
+    advances a {e pack} of lanes: bit [l] of each control word
+    ({!Stall_engine.lane_signals}) is lane [l]'s.  The scalar and
+    reference engines are one-lane packs whose words are [0] or [1];
+    a {!pack} evaluates the compiled plan as a {!Hw.Plan.lanes}
+    instance over a {!Machine.State.lanes} SoA state, up to
+    {!Hw.Lanes.max_lanes} programs per cycle loop.  Each lane makes
+    the decisions of its one-lane run in the same order, so its
+    outcome, statistics, observer view and WORK counts are those of
+    the one-lane run of its program.
 
-    Restrictions: injection hooks are not supported (fault campaigns
-    only use lanes for structural mutants, whose injection record is
-    the physical {!no_injection}); the [ext] model is queried once per
-    global cycle and shared by all lanes, so it must be a pure function
-    of [stage]/[cycle].  Work counts are staged into the caller's
-    {!Obs.Counters.ledger}; on any exception the caller discards the
-    ledger and replays the lanes through the scalar path. *)
+    An {!observer} sees the pack: the [callbacks] above are its
+    one-lane adapter. *)
+
+type observer = {
+  ob_signals : cycle:int -> (string -> Hw.Bitvec.t option) -> unit;
+      (** as [on_signals]; a pack's lookup finds nothing *)
+  ob_cycle :
+    cycle:int -> running:int -> Stall_engine.lane_signals ->
+    dhaz:int array -> ext:int array -> tags:int array array -> unit;
+      (** after signal evaluation, before the clock edge.  [running]
+          masks the lanes still simulating; [dhaz]/[ext] are the stall
+          engine's inputs before any injection; [tags] is stage-major,
+          lane-indexed, [-1] = no tag, pre-edge.  All arrays are the
+          driver's own: read only, do not retain. *)
+  ob_edge :
+    cycle:int -> running:int -> Stall_engine.lane_signals ->
+    tags:int array array -> unit;
+      (** after the clock edge committed stage and rollback writes
+          (and an injection's [inj_edge]); [tags] still pre-edge *)
+  ob_retire : cycle:int -> lane:int -> tag:int -> kind:retire_kind -> unit;
+      (** per retirement, after [ob_edge], in (tag, kind) order within
+          a lane *)
+}
+
+val no_observer : observer
+
+val record_words : cycle_record -> Stall_engine.lane_signals * int array array
+(** A recorded cycle as the one-lane control words and tags an
+    observer sees ([rollback_up] re-derived from [rollback]): lets the
+    per-cycle checkers ({!Schedule.lemma1_step}, the stall-engine
+    invariants) run over recorded or hand-damaged traces. *)
 
 type lane_result = {
   lr_outcome : outcome;
   lr_stats : stats;
-  lr_divergence : int;
-      (** first cycle this lane's stall/rollback bits split from the
-          pack's majority; [-1] if it never diverged *)
 }
 
-type lane_obs = {
-  lob_pre_edge :
-    cycle:int -> Stall_engine.lane_signals -> tags:int array array ->
-    running:int -> unit;
-      (** after signal evaluation, before the clock edge.  [tags] is
-          stage-major, lane-indexed, [-1] = no tag, pre-shift; the
-          arrays are live — read only, do not retain. *)
-  lob_post_edge :
-    cycle:int -> Stall_engine.lane_signals -> tags:int array array ->
-    running:int -> unit;
-      (** after the edge committed stage and rollback writes; [tags]
-          still pre-shift *)
-  lob_retire : cycle:int -> lane:int -> tag:int -> rollback:string option -> unit;
-      (** per retirement, in (tag, kind) order within a lane *)
-}
+val run_observed :
+  ?ext:ext_model ->
+  ?inject:injection ->
+  ?cancel:Exec.Cancel.token ->
+  ?init:(string * Machine.Value.t) list ->
+  ?obs:observer ->
+  stop_after:int ->
+  session ->
+  lane_result
+(** {!run_session} with a packed observer instead of callbacks: the
+    one-lane run the consistency checker drives. *)
 
-val no_lane_obs : lane_obs
+type pack
 
-type lane_session
+val pack : compiled -> pack
+(** Fresh SoA state ({!Hw.Lanes.max_lanes} lanes) with a lanes
+    instance of {!plan} bound once; reusable across {!run_pack}
+    calls.  Single-domain mutable state, like a {!session}. *)
 
-val lanes_session : ?capacity:int -> compiled -> lane_session
-(** Fresh SoA state + a lanes instance of {!plan} bound once; reusable
-    across {!run_lanes_session} calls. *)
+val pack_state : pack -> Machine.State.lanes
+(** The pack's state: what its runs read and write. *)
 
-val lanes_state : lane_session -> Machine.State.lanes
-
-val local_lanes_session : compiled -> lane_session
-(** The calling domain's cached lane session (physical equality on
-    [compiled]), capacity {!Hw.Lanes.max_lanes}. *)
-
-val run_lanes_session :
+val run_pack :
   ?ext:ext_model ->
   ?cancel:Exec.Cancel.token ->
-  ?obs:lane_obs ->
-  ?faulty:bool ->
-  ledger:Obs.Counters.ledger ->
+  ?obs:observer ->
   inits:(string * Machine.Value.t) list array ->
   stop_afters:int array ->
-  lane_session ->
+  pack ->
   lane_result array
 (** Reset lane [l] from [inits.(l)] and simulate until it retires
     [stop_afters.(l)] instructions (per-lane deadlock window and
-    liveness bound as in the scalar loop); finished lanes are peeled from the
-    pack while the rest keep running.  [faulty] relaxes the
-    missing-retire-tag asserts exactly like the scalar loop's
-    [inject <> None].  Each cycle the ledger counts one [Plan_runs]
-    and {!Hw.Plan.n_instrs} [Plan_ops] per running lane, what a solo
-    scalar run of each lane counts.  Raises on any width/shape
-    problem — callers discard the ledger and fall back to scalar
-    runs. *)
+    liveness bound); finished lanes leave the pack while the rest keep
+    running.  The [ext] model is queried once per cycle and shared by
+    all lanes, so it must be a pure function of [stage]/[cycle].  Each
+    cycle counts one [Plan_runs] and {!Hw.Plan.n_instrs} [Plan_ops]
+    per running lane, and the cells each lane writes — what the
+    one-lane runs count.  An exception aborts the whole pack. *)

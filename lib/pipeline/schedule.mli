@@ -28,12 +28,28 @@ val of_trace : n_stages:int -> Pipesem.cycle_record list -> table
     order, starting at cycle 0).  The table has one more row than there
     are records. *)
 
+val lemma1_step :
+  Evidence.sink ->
+  cycle:int ->
+  lane:int ->
+  row:int array ->
+  Stall_engine.lane_signals ->
+  tags:int array array ->
+  unit
+(** Check all three Lemma 1 properties plus the tag cross-validation
+    on one cycle of lane [lane] of a run, as the cycle driver presents
+    it to an observer ({!Pipesem.observer}[.ob_cycle]); [row] holds
+    [I(k, cycle)] per stage and advances to [I(k, cycle + 1)].  Every
+    violation is counted into the sink.  Start [row] at zeros in cycle
+    0 and stop at the first rollback: the lemma is about rollback-free
+    execution.  The consistency checker runs this once per cycle. *)
+
 val check_lemma1 :
   n_stages:int -> Pipesem.cycle_record list -> (unit, Evidence.t) result
-(** Check all three Lemma 1 properties plus the tag cross-validation on
-    a rollback-free trace.  Every cycle is checked and every violation
-    counted; the messages are capped as {!Evidence} describes.  Traces
-    containing rollbacks are rejected with one explanatory message (the
-    paper's proofs "omit rollback"). *)
+(** {!lemma1_step} over a recorded rollback-free trace.  Every cycle is
+    checked and every violation counted; the messages are capped as
+    {!Evidence} describes.  Traces containing rollbacks are rejected
+    with one explanatory message (the paper's proofs "omit
+    rollback"). *)
 
 val has_rollback : Pipesem.cycle_record list -> bool

@@ -39,7 +39,9 @@ let next_fullb s =
    word op per stage serves the whole pack.  [mispredict.(k)] is the
    raw per-lane misprediction word of stage k (the OR of that stage's
    speculation comparators); the [land lnot stall] conjunct below is
-   the scalar path's [not stalled] guard.  All outputs are masked. *)
+   the scalar path's [not stalled] guard.  All outputs are masked and
+   written in place: the cycle driver computes every cycle into the
+   same record. *)
 type lane_signals = {
   l_full : int array;
   l_stall : int array;
@@ -48,40 +50,39 @@ type lane_signals = {
   l_ue : int array;
 }
 
-let compute_lanes ~mask ~fullb ~dhaz ~ext ~mispredict =
+let lane_signals ~n_stages =
+  let z () = Array.make n_stages 0 in
+  { l_full = z (); l_stall = z (); l_rollback = z (); l_rollback_up = z ();
+    l_ue = z () }
+
+let compute_lanes s ~mask ~fullb ~dhaz ~ext ~mispredict =
   let n = Array.length fullb in
-  let full = Array.init n (fun k -> if k = 0 then mask else fullb.(k) land mask) in
-  let stall = Array.make n 0 in
+  let full = s.l_full and stall = s.l_stall and rollback = s.l_rollback in
+  let rollback_up = s.l_rollback_up in
+  for k = 0 to n - 1 do
+    full.(k) <- (if k = 0 then mask else fullb.(k) land mask)
+  done;
   for k = n - 1 downto 0 do
     let below = if k = n - 1 then 0 else stall.(k + 1) in
     stall.(k) <- (dhaz.(k) lor ext.(k) lor below) land full.(k)
   done;
-  let rollback =
-    Array.init n (fun k -> full.(k) land lnot stall.(k) land mispredict.(k))
-  in
-  let rollback_up = Array.make n 0 in
   for k = n - 1 downto 0 do
+    rollback.(k) <- full.(k) land lnot stall.(k) land mispredict.(k);
     let above = if k = n - 1 then 0 else rollback_up.(k + 1) in
     rollback_up.(k) <- rollback.(k) lor above
   done;
-  let ue =
-    Array.init n (fun k ->
-        full.(k) land lnot stall.(k) land lnot rollback_up.(k))
-  in
-  {
-    l_full = full;
-    l_stall = stall;
-    l_rollback = rollback;
-    l_rollback_up = rollback_up;
-    l_ue = ue;
-  }
+  for k = 0 to n - 1 do
+    s.l_ue.(k) <- full.(k) land lnot stall.(k) land lnot rollback_up.(k)
+  done
 
-let next_fullb_lanes ~mask s =
-  let n = Array.length s.l_full in
-  Array.init n (fun k ->
-      if k = 0 then mask
-      else (s.l_ue.(k - 1) lor s.l_stall.(k)) land lnot s.l_rollback_up.(k)
-           land mask)
+let next_fullb_lanes ~mask s fullb =
+  for k = 0 to Array.length fullb - 1 do
+    fullb.(k) <-
+      (if k = 0 then mask
+       else
+         (s.l_ue.(k - 1) lor s.l_stall.(k)) land lnot s.l_rollback_up.(k)
+         land mask)
+  done
 
 let exprs ~n_stages ~dhaz ~mispredict =
   Obs.Span.with_span "stall_engine.exprs" @@ fun () ->

@@ -43,7 +43,9 @@ val next_fullb : signals -> bool array
 (** {1 Lane-parallel form}
 
     The same equations over packed lane words (bit [l] = lane [l]):
-    one word op per stage advances every lane in the pack. *)
+    one word op per stage advances every lane in the pack.  This is
+    the form the cycle driver ({!Pipesem}) runs; a one-lane run's words
+    are [0] or [1]. *)
 
 type lane_signals = {
   l_full : int array;
@@ -53,20 +55,26 @@ type lane_signals = {
   l_ue : int array;
 }
 
+val lane_signals : n_stages:int -> lane_signals
+(** An all-zero record to compute into. *)
+
 val compute_lanes :
+  lane_signals ->
   mask:int ->
   fullb:int array ->
   dhaz:int array ->
   ext:int array ->
   mispredict:int array ->
-  lane_signals
-(** [mask] selects the live lanes; all outputs are masked.
-    [mispredict.(k)] is the raw misprediction word of stage [k] (OR of
-    the stage's speculation comparators) — the scalar path's
-    [not stalled] guard is applied here via [∧ ¬stall]. *)
+  unit
+(** Overwrite the record with this cycle's signals.  [mask] selects the
+    live lanes; all outputs are masked.  [mispredict.(k)] is the raw
+    misprediction word of stage [k] (OR of the stage's speculation
+    comparators) — the scalar form's [not stalled] guard is applied
+    here via [∧ ¬stall]. *)
 
-val next_fullb_lanes : mask:int -> lane_signals -> int array
-(** The lane mirror of {!next_fullb}; index 0 is [mask]. *)
+val next_fullb_lanes : mask:int -> lane_signals -> int array -> unit
+(** The lane mirror of {!next_fullb}, written into the given full-bit
+    register words; index 0 becomes [mask]. *)
 
 val exprs :
   n_stages:int ->

@@ -24,7 +24,6 @@ val exhaustive :
   ?ext:Pipeline.Pipesem.ext_model ->
   ?pool:Exec.Pool.t ->
   ?inject:Pipeline.Pipesem.injection ->
-  ?lanes:bool ->
   ?cancel:Exec.Cancel.token ->
   ?load:(int list -> (string * Machine.Value.t) list) ->
   build:(int list -> Pipeline.Transform.t) ->
@@ -62,17 +61,6 @@ val exhaustive :
     exhaustive sweep hunt a mutant the loaded workload masks); a
     per-program exception is recorded as that program's failure
     instead of aborting the sweep.  [cancel] aborts the whole sweep
-    by raising {!Exec.Cancel.Cancelled}.
-
-    [lanes] (with [load]) packs consecutive programs into ≤62-lane
-    bit-parallel packs checked by {!Consistency.check_lanes}: one
-    cycle loop advances the whole pack, with outcomes, failure order
-    and WORK counters bit-identical to the scalar batched path.
-    Failing lanes are peeled off and replayed through the scalar path
-    (counters discarded) to extract the evidence string; a replay
-    that comes back clean is reported as a lane/scalar divergence.
-    Ignored without [load], or when [inject] carries real hooks
-    (only the physical {!Pipeline.Pipesem.no_injection} record of
-    structural mutants is lane-compatible). *)
+    by raising {!Exec.Cancel.Cancelled}. *)
 
 val pp : Format.formatter -> outcome -> unit

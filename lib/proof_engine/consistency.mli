@@ -9,10 +9,17 @@
 
     The specification values come from running the prepared sequential
     machine ({!Machine.Seqsem.run}); the implementation values from the
-    pipelined simulator, via its [on_edge] hook.  For a speculation
-    with [retires = true] (precise interrupts) resolving in the last
-    stage, the rollback commit is checked against the full visible
-    state [R_S^{i+1}].
+    pipelined simulator, read after each clock edge by the checker's
+    observer ({!Pipeline.Pipesem.observer}).  For a speculation with
+    [retires = true] (precise interrupts) resolving in the last stage,
+    the rollback commit is checked against the full visible state
+    [R_S^{i+1}].
+
+    There is one checker.  {!check} and {!check_batched} run it on a
+    one-lane run, {!check_lanes} on each lane of a pack; in the same
+    pass it checks Lemma 1 ({!Pipeline.Schedule.lemma1_step}) and the
+    stall-engine invariants ({!Trace_invariants.step}) once per cycle,
+    and accounts the run's liveness gaps.
 
     A visible register file matches without an entry scan when its
     reference value is physically the image the register was last
@@ -46,7 +53,11 @@ type report = {
   edge_checks : int;       (** individual register comparisons made *)
   violations : violation list;
   lemma1 : lemma1_status;
-      (** scheduling-function properties on the same trace *)
+      (** scheduling-function properties on the same run *)
+  invariants : (unit, Pipeline.Evidence.t) result;
+      (** the stall-engine invariants ({!Trace_invariants}) on the same
+          run: every violation counted, the first
+          {!Pipeline.Evidence.shown} messages kept *)
   outcome : Pipeline.Pipesem.outcome;
   stats : Pipeline.Pipesem.stats;
   final_visible_match : bool option;
@@ -54,8 +65,6 @@ type report = {
           exactly the sequential instruction count: whether the visible
           registers of the last stage match at the end; [None] when the
           comparison does not apply *)
-  trace : Pipeline.Pipesem.cycle_record list;
-      (** the recorded per-cycle signals, for further invariant checks *)
   liveness : Liveness.report;
       (** the liveness account of this same run (its retirements —
           [liveness.checked] — and inter-retirement gaps,
@@ -136,7 +145,7 @@ val check_batched :
     sequential reference.  [reference] supplies the specification
     trace explicitly, as in {!check}. *)
 
-(** {1 Hardened entry point} *)
+(** {1 Failures} *)
 
 type failure = {
   failing_phase : string;  (** e.g. ["plan compilation"] *)
@@ -144,90 +153,43 @@ type failure = {
 }
 
 val failure_of_exn : exn -> failure
-(** The typed failure {!check_result} reports for an exception the
-    co-simulation raised. *)
-
-val check_result :
-  ?ext:Pipeline.Pipesem.ext_model ->
-  ?max_instructions:int ->
-  ?reference:Machine.Seqsem.trace ->
-  ?compiled:Pipeline.Pipesem.compiled ->
-  ?inject:Pipeline.Pipesem.injection ->
-  ?cancel:Exec.Cancel.token ->
-  Pipeline.Transform.t ->
-  (report, failure) result
-(** {!check}, but any exception the co-simulation raises (a mutated
-    machine breaking plan compilation, a corrupted address escaping
-    the state tables, ...) is returned as a typed [Error] instead of
-    propagating — one broken mutant must not abort a campaign batch.
-    {!Exec.Cancel.Cancelled} is {e not} caught: a tripped cancellation
-    token is the caller's signal, not a property of the machine under
-    test. *)
-
-val check_batched_result :
-  ?ext:Pipeline.Pipesem.ext_model ->
-  ?max_instructions:int ->
-  ?reference:Machine.Seqsem.trace ->
-  ?inject:Pipeline.Pipesem.injection ->
-  ?cancel:Exec.Cancel.token ->
-  ?init:(string * Machine.Value.t) list ->
-  shape ->
-  (report, failure) result
-(** {!check_batched} with the same exception hardening as
-    {!check_result}.  The session reset recovers the per-domain state
-    after a failure, so one broken program cannot poison the next
-    task's run. *)
+(** An exception the co-simulation raised — a mutated machine breaking
+    plan compilation, a corrupted address escaping the state tables,
+    ... — as a typed failure, for callers that must not let one broken
+    mutant abort a batch.  Such callers let {!Exec.Cancel.Cancelled}
+    through: a tripped cancellation token is the caller's signal, not
+    a property of the machine under test. *)
 
 val pp_report : Format.formatter -> report -> unit
 (** One summary line — lemma 1 as ["ok"], ["skipped (rollbacks)"] or
     ["N violations"] with N the true total, however few messages were
     kept — then the first ten violations. *)
 
-(** {1 Lane-parallel checking (up to 62 programs per co-simulation)}
+(** {1 Lane packs (up to 62 programs per co-simulation)}
 
-    The bit-parallel mirror of {!check_batched}: one
-    {!Pipeline.Pipesem.run_lanes_session} pipelined run checked
-    against one SoA sequential reference run (or caller-supplied
-    scalar traces), with the scalar checker's per-tag violation
-    buffering, rollback cancellation, scheduling-function lemma and
-    final-state comparison replicated per lane.  [lv_ok] equals the
-    scalar [ok report] verdict for the same program.
-
-    All work counters are staged in a {!Obs.Counters.ledger} and
-    flushed only when the whole pack succeeds; any exception discards
-    the staged work and silently re-checks every lane through the
-    scalar batched path with counters live, so WORK totals stay
-    bit-identical to a scalar sweep either way. *)
+    {!check_batched} for a pack: one {!Pipeline.Pipesem.run_pack} run
+    of the pipelined machine, each lane checked by the same checker
+    against its own sequential trace.  Lane [l]'s report is the report
+    {!check_batched} returns for the same program and reference, its
+    WORK counts those of that one-lane check. *)
 
 type lane_verdict = {
-  lv_ok : bool;
-  lv_outcome : Pipeline.Pipesem.outcome;
-  lv_stats : Pipeline.Pipesem.stats;
-  lv_divergence : int;
-      (** first cycle the lane's stall/rollback bits split from the
-          pack's majority; [-1] if never.  Informational: a diverged
-          lane is still checked exactly. *)
+  lv_ok : bool;  (** [ok lv_report] *)
+  lv_stats : Pipeline.Pipesem.stats;  (** [lv_report.stats] *)
+  lv_report : report;
 }
 
 val check_lanes :
   ?ext:Pipeline.Pipesem.ext_model ->
   ?cancel:Exec.Cancel.token ->
-  ?faulty:bool ->
-  ?max_instructions:int ->
-  ?references:Machine.Seqsem.trace array ->
+  references:Machine.Seqsem.trace array ->
   inits:(string * Machine.Value.t) list array ->
   shape ->
   lane_verdict array
-(** Check lane [l] initialized from [inits.(l)].  Without
-    [references], one SoA sequential reference is run for the pack
-    ([max_instructions] each, default 200, like {!check_batched}).
-    With [references] (per-lane scalar traces, e.g. a sweep's), lane
-    [l] runs [references.(l).instructions] instructions, and a file
-    lane still holding the very array its reference value is
-    ([State.lane_cell.lc_srcs]) matches without a scan, as in the
-    scalar checker.  [faulty]
-    relaxes the lane loop's retire-tag asserts and makes the fallback
-    replay pass {!Pipeline.Pipesem.no_injection}, matching how fault
-    campaigns drive structural mutants.  [lv_stats]/[lv_outcome] are
-    unspecified for a lane whose scalar fallback errored ([lv_ok] is
-    [false] there). *)
+(** Check lane [l], initialized from [inits.(l)], against
+    [references.(l)] over [references.(l).instructions] instructions
+    (a sweep's golden traces).  A file lane still holding the very
+    array its reference value is ([State.lane_cell.lc_srcs]) matches
+    without a scan, as in the one-lane checker.  The pack runs on the
+    calling domain's cached pack for the shape.  An exception aborts
+    the whole pack. *)

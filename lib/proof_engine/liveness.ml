@@ -21,7 +21,7 @@ type gaps = {
 }
 
 let gaps () = { cycle = 0; last_retire = 0; retired = 0; widest = 0 }
-let on_cycle g (r : Pipesem.cycle_record) = g.cycle <- r.Pipesem.cycle
+let on_cycle g ~cycle = g.cycle <- cycle
 
 (* [on_cycle] has already seen the retiring cycle: the run reports a
    cycle before its retirements. *)
@@ -31,13 +31,13 @@ let on_retire g =
   if gap > g.widest then g.widest <- gap;
   g.last_retire <- g.cycle
 
-let of_run ~n_stages g (result : Pipesem.result) =
-  let cycles = result.Pipesem.stats.Pipesem.cycles in
+let of_run ~n_stages g (r : Pipesem.lane_result) =
+  let cycles = r.Pipesem.lr_stats.Pipesem.cycles in
   {
     checked = g.retired;
     max_gap = g.widest;
     bound = default_bound ~n_stages;
-    outcome = result.Pipesem.outcome;
+    outcome = r.Pipesem.lr_outcome;
     idle = (if g.retired = 0 then cycles else cycles - g.last_retire - 1);
   }
 
@@ -45,18 +45,18 @@ let check ?ext ?compiled ?inject ?cancel ~stop_after
     (t : Pipeline.Transform.t) =
   Obs.Span.with_span "verify.liveness" @@ fun () ->
   let g = gaps () in
-  let callbacks =
+  let obs =
     {
-      Pipesem.no_callbacks with
-      Pipesem.on_cycle = on_cycle g;
-      on_retire = (fun ~tag:_ ~kind:_ _ -> on_retire g);
+      Pipesem.no_observer with
+      Pipesem.ob_cycle =
+        (fun ~cycle ~running:_ _ ~dhaz:_ ~ext:_ ~tags:_ -> on_cycle g ~cycle);
+      ob_retire = (fun ~cycle:_ ~lane:_ ~tag:_ ~kind:_ -> on_retire g);
     }
   in
-  let result =
-    let c = match compiled with Some c -> c | None -> Pipesem.compile t in
-    Pipesem.run_compiled ?ext ~callbacks ?inject ?cancel ~stop_after c
-  in
-  of_run ~n_stages:t.Pipeline.Transform.base.Machine.Spec.n_stages g result
+  let c = match compiled with Some c -> c | None -> Pipesem.compile t in
+  of_run ~n_stages:t.Pipeline.Transform.base.Machine.Spec.n_stages g
+    (Pipesem.run_observed ?ext ?inject ?cancel ~obs ~stop_after
+       (Pipesem.session c))
 
 let outcome_label = function
   | Pipesem.Completed -> "completed"

@@ -10,15 +10,16 @@
     the pipelined machine, and compares it against the bound.
 
     The bound B is defined once, {!Pipeline.Pipesem.liveness_bound},
-    and the cycle drivers enforce it: a run stops as
+    and the cycle driver enforces it: a run stops as
     [Out_of_cycles] at the end of the first cycle after which any
     later retirement would exceed B (gaps measured by
     {!Pipeline.Pipesem.retirement_gap}, as here).  So a run that
     completed is within the bound, and one that did not complete
     fails liveness whether it deadlocked or was stopped.
 
-    The measurement is {!gaps}, fed from a run's [on_cycle] and
-    [on_retire] callbacks.  The data-consistency co-simulation feeds
+    The measurement is {!gaps}, fed from a run's observer
+    ({!Pipeline.Pipesem.observer}) once per cycle and per
+    retirement.  The data-consistency co-simulation feeds
     one too ({!Consistency.report}[.liveness]), so verification reads
     its liveness verdict off the run it already made; {!check} is the
     standalone run, for callers without a co-simulation. *)
@@ -47,13 +48,13 @@ type gaps
 
 val gaps : unit -> gaps
 
-val on_cycle : gaps -> Pipeline.Pipesem.cycle_record -> unit
-(** Call from the run's [on_cycle] callback. *)
+val on_cycle : gaps -> cycle:int -> unit
+(** Call once per cycle, before the cycle's retirements. *)
 
 val on_retire : gaps -> unit
-(** Call from the run's [on_retire] callback, once per retirement. *)
+(** Call once per retirement. *)
 
-val of_run : n_stages:int -> gaps -> Pipeline.Pipesem.result -> report
+val of_run : n_stages:int -> gaps -> Pipeline.Pipesem.lane_result -> report
 (** The report of the finished run the gaps were fed from, against
     {!default_bound}. *)
 

@@ -196,14 +196,14 @@ let suite ?ext ?max_instructions ?reference ?compiled ?pool ?inject ?cancel
     | Some f -> (
       match f tag with None -> "" | Some text -> Printf.sprintf " (%s)" text)
   in
-  (* Discharge in two parallel waves.  Wave 1: the co-simulation run
-     and the per-rule structural proofs are mutually independent (the
-     BDD checker builds a private manager per rule; the co-simulation
-     instantiates the shared immutable plan privately).  Wave 2:
-     everything that consumes the recorded trace.  Liveness needs no
-     run of its own: the co-simulation accounts its retirements'
-     gaps.  Results are assembled in the fixed obligation order, so
-     the statuses are bit-identical to the serial discharge.
+  (* The co-simulation run and the per-rule structural proofs are
+     mutually independent (the BDD checker builds a private manager
+     per rule; the co-simulation instantiates the shared immutable plan
+     privately), so with a pool they run in parallel.  The run itself
+     checks Lemma 1, the stall-engine invariants and liveness; only
+     the symbolic strengthening consumes its report afterwards.
+     Results are assembled in the fixed obligation order, so the
+     statuses are bit-identical to the serial discharge.
 
      Every task is hardened: a diverging or structurally broken
      machine (a campaign mutant) yields a [Failed] status on the
@@ -255,11 +255,12 @@ let suite ?ext ?max_instructions ?reference ?compiled ?pool ?inject ?cancel
   in
   (* A short symbolic co-simulation strengthens the data-consistency
      evidence from "on this run" to "for all initial data" when the
-     machine's symbolic state is small enough.  Only attempted without
-     an external reference (the symbolic checker uses the machine's own
-     sequential semantics), without ext stalls, and without fault
-     injection (the symbolic checker replays the unfaulted semantics,
-     so its verdict would not be about the machine under test). *)
+     machine's symbolic state is small enough, or finds a counterexample
+     the run missed.  Only attempted without an external reference (the
+     symbolic checker uses the machine's own sequential semantics),
+     without ext stalls, and without fault injection (the symbolic
+     checker replays the unfaulted semantics, so its verdict would not
+     be about the machine under test). *)
   let symbolic_task (report : Consistency.report) =
     match (reference, ext, inject) with
     | None, None, None -> (
@@ -272,7 +273,7 @@ let suite ?ext ?max_instructions ?reference ?compiled ?pool ?inject ?cancel
             | Spec.File _ | Spec.Simple -> true)
           t.Transform.base.Spec.registers
       in
-      if not small then None
+      if not small then `Nothing
       else
         match
           Symsim.check ~max_paths:8
@@ -280,31 +281,26 @@ let suite ?ext ?max_instructions ?reference ?compiled ?pool ?inject ?cancel
             t
         with
         | Symsim.Proved { instructions; variables; _ } ->
-          Some
+          `Proved
             (Printf.sprintf
                "; additionally proved for ALL initial data over %d                 instructions (%d symbolic variables)"
                instructions variables)
-        | Symsim.Mismatch _ | Symsim.Control_depends_on_data _
-        | (exception Exec.Cancel.Cancelled) -> raise Exec.Cancel.Cancelled
-        | (exception _) -> None)
-    | _ -> None
-  in
-  let n = t.Transform.base.Spec.n_stages in
-  let wave2 report =
-    Exec.Pool.map_opt pool
-      (fun task -> task ())
-      [
-        (fun () -> `Sym (symbolic_task report));
-        (fun () ->
-          `Ti (Trace_invariants.check ~n_stages:n report.Consistency.trace));
-      ]
+        | Symsim.Mismatch { register; _ } as o ->
+          `Mismatch
+            ( register,
+              Format.asprintf "symbolic co-simulation found a counterexample: %a"
+                Symsim.pp_outcome o )
+        | Symsim.Control_depends_on_data _ | Symsim.Stopped _ -> `Nothing
+        | exception Exec.Cancel.Cancelled -> raise Exec.Cancel.Cancelled
+        | exception _ -> `Nothing)
+    | _ -> `Nothing
   in
   let statuses =
     match report with
     | Error ((e, _) as raised) ->
       (* The co-simulation itself died: every obligation that depends
          on its trace fails with the same typed evidence, and the
-         structural TOP proofs (wave 1) still stand on their own. *)
+         structural TOP proofs still stand on their own. *)
       let f = Consistency.failure_of_exn e in
       let failed =
         Failed
@@ -312,37 +308,27 @@ let suite ?ext ?max_instructions ?reference ?compiled ?pool ?inject ?cancel
              f.Consistency.failing_phase f.Consistency.message)
       in
       `All_cosim_failed (failed, raised)
-    | Ok report ->
-      let symbolic_evidence, ti =
-        match wave2 report with
-        | [ `Sym s; `Ti ti ] -> (s, ti)
-        | _ -> assert false
-      in
-      `Statuses (report, symbolic_evidence, ti)
+    | Ok report -> `Statuses (report, symbolic_task report)
   in
   let lemma1_status, engine_status, consistency_status, cosim_global_status,
       lv_status, runs =
     match statuses with
     | `All_cosim_failed (failed, raised) ->
       (failed, failed, (fun _ -> failed), failed, failed, Error raised)
-    | `Statuses (report, symbolic_evidence, ti) ->
+    | `Statuses (report, symbolic) ->
+      let cycles = report.Consistency.stats.Pipeline.Pipesem.cycles in
       let lemma1_status =
         match report.Consistency.lemma1 with
         | Consistency.Lemma_ok ->
-          Discharged
-            (Printf.sprintf "checked on a %d-cycle trace"
-               (List.length report.Consistency.trace))
+          Discharged (Printf.sprintf "checked on a %d-cycle trace" cycles)
         | Consistency.Lemma_skipped_rollback ->
           Discharged "not applicable: the trace contains rollbacks (paper 6.1)"
         | Consistency.Lemma_failed e ->
           Failed (String.concat "; " e.Pipeline.Evidence.messages)
       in
       let engine_status =
-        match ti with
-        | Ok () ->
-          Discharged
-            (Printf.sprintf "re-derived on a %d-cycle trace"
-               (List.length report.Consistency.trace))
+        match report.Consistency.invariants with
+        | Ok () -> Discharged (Printf.sprintf "re-derived on a %d-cycle trace" cycles)
         | Error e -> Failed (String.concat "; " e.Pipeline.Evidence.messages)
       in
       let consistency_status register =
@@ -352,15 +338,17 @@ let suite ?ext ?max_instructions ?reference ?compiled ?pool ?inject ?cancel
               String.equal v.Consistency.register register)
             report.Consistency.violations
         in
-        match mine with
-        | [] ->
+        match (mine, symbolic) with
+        | [], `Mismatch (r, counterexample) when String.equal r register ->
+          Failed counterexample
+        | [], _ ->
           if report.Consistency.outcome = Pipeline.Pipesem.Completed then
             Discharged
               (Printf.sprintf "co-simulated %d instructions, %d comparisons%s"
                  report.Consistency.instructions report.Consistency.edge_checks
-                 (Option.value ~default:"" symbolic_evidence))
+                 (match symbolic with `Proved suffix -> suffix | _ -> ""))
           else Failed "run did not complete"
-        | v :: _ ->
+        | v :: _, _ ->
           Failed
             (Printf.sprintf
                "cycle %d stage %d instr %d%s: register %s diverged, expected \

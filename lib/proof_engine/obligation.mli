@@ -75,17 +75,18 @@ val discharge_all :
   Pipeline.Transform.t ->
   obligation list
 (** Generate and check.  Structural obligations are checked on the
-    netlist; behavioural ones by one co-simulation run with full trace
-    recording, whose retirements also give the liveness verdict
+    netlist; behavioural ones by one co-simulation run, which checks
+    Lemma 1 and the stall-engine invariants cycle by cycle and whose
+    retirements also give the liveness verdict
     ({!Consistency.report}[.liveness]; LV's evidence is
     {!Liveness.evidence}).  Failing trace checks carry capped messages
     ({!Pipeline.Evidence}).  [compiled] reuses an existing evaluation
     plan for the co-simulation.
 
     With [pool], the independent checks fan out over the domain pool:
-    first the co-simulation alongside every per-rule structural (BDD)
-    proof, then the trace-invariant re-derivation and the symbolic
-    strengthening concurrently.  Each task either
+    the co-simulation (which checks Lemma 1 and the stall-engine
+    invariants as it runs) alongside every per-rule structural (BDD)
+    proof; the symbolic strengthening follows.  Each task either
     builds private state (a BDD manager per rule) or instantiates the
     shared immutable plan privately, and the statuses are assembled in
     the fixed obligation order — the result is bit-identical to the
@@ -99,6 +100,11 @@ val discharge_all :
     failing obligation never masks the others.  [inject] runs the
     behavioural checks against a faulted machine and disables the
     symbolic strengthening (which replays unfaulted semantics).
+    Without [inject], [ext] and [reference], a small machine's
+    data-consistency evidence is strengthened by {!Symsim}: a proof
+    adds "for ALL initial data" to the DC statuses, and a
+    counterexample fails the DC obligation of its register with
+    {!Symsim.pp_outcome}'s text.
     Only {!Exec.Cancel.Cancelled} propagates, when [cancel] fires. *)
 
 val all_discharged : obligation list -> bool

@@ -10,6 +10,7 @@ type outcome =
       assignment : (string * int) list;
     }
   | Control_depends_on_data of { cycle : int; what : string }
+  | Stopped of { cycle : int; retired : int; instructions : int }
 
 exception Symbolic_control of { cycle : int; what : string }
 
@@ -291,6 +292,7 @@ type path_state = {
   ps_fullb : bool array;
   ps_tags : int option array;
   mutable ps_retired : int;
+  mutable ps_last_retire : int;
   mutable ps_cycle : int;
 }
 
@@ -302,6 +304,7 @@ let copy_path ps =
     ps_fullb = Array.copy ps.ps_fullb;
     ps_tags = Array.copy ps.ps_tags;
     ps_retired = ps.ps_retired;
+    ps_last_retire = ps.ps_last_retire;
     ps_cycle = ps.ps_cycle;
   }
 
@@ -338,8 +341,12 @@ let check ?symbolic ?(max_paths = 64) ~instructions (t : Pipeline.Transform.t) =
             (fun (r : Spec.register) -> r.Spec.visible && r.Spec.stage = k)
             base.Spec.registers)
     in
-    let max_cycles = (instructions * 4 * n) + 200 in
+    (* A path ends like a run of the cycle drivers: once any later
+       retirement would close a gap over the liveness bound, it cannot
+       finish; the first such path makes the outcome [Stopped]. *)
+    let bound = Pipeline.Pipesem.liveness_bound ~n_stages:n in
     let mismatch = ref None in
+    let stopped = ref None in
     (* One cycle of the pipelined machine under a path constraint.
        [Need_split] is raised before any mutation, so the caller can
        fork from the same state. *)
@@ -462,14 +469,17 @@ let check ?symbolic ?(max_paths = 64) ~instructions (t : Pipeline.Transform.t) =
           | Some tag -> compare_regs ~tag visible_of_stage.(k)
           | None -> ()
       done;
-      if s.Pipeline.Stall_engine.ue.(n - 1) then
+      if s.Pipeline.Stall_engine.ue.(n - 1) then begin
         ps.ps_retired <- ps.ps_retired + 1;
+        ps.ps_last_retire <- ps.ps_cycle
+      end;
       (match (deepest_rollback, firing_spec) with
       | Some k, Some sp when sp.Pipeline.Fwd_spec.retires ->
         (match ps.ps_tags.(k) with
         | Some tag ->
           compare_regs ~tag (Spec.visible_registers base);
-          ps.ps_retired <- ps.ps_retired + 1
+          ps.ps_retired <- ps.ps_retired + 1;
+          ps.ps_last_retire <- ps.ps_cycle
         | None -> ())
       | _ -> ());
       let old_tags = Array.copy ps.ps_tags in
@@ -497,8 +507,18 @@ let check ?symbolic ?(max_paths = 64) ~instructions (t : Pipeline.Transform.t) =
       ps.ps_cycle <- ps.ps_cycle + 1
     in
     let rec run_path pathc ps =
-      if !mismatch <> None then ()
-      else if ps.ps_retired >= instructions || ps.ps_cycle >= max_cycles then ()
+      if !mismatch <> None || ps.ps_retired >= instructions then ()
+      else if
+        Pipeline.Pipesem.retirement_gap ~last:ps.ps_last_retire
+          ~cycle:ps.ps_cycle
+        > bound
+      then begin
+        if !stopped = None then
+          stopped :=
+            Some
+              (Stopped
+                 { cycle = ps.ps_cycle; retired = ps.ps_retired; instructions })
+      end
       else
         match run_cycle pathc ps with
         | () -> run_path pathc ps
@@ -520,14 +540,15 @@ let check ?symbolic ?(max_paths = 64) ~instructions (t : Pipeline.Transform.t) =
         ps_fullb = Array.make n false;
         ps_tags = Array.make n None;
         ps_retired = 0;
+        ps_last_retire = 0;
         ps_cycle = 0;
       }
     in
     ps.ps_tags.(0) <- Some 0;
     run_path B.tru ps;
-    match !mismatch with
-    | Some m -> m
-    | None ->
+    match (!mismatch, !stopped) with
+    | Some m, _ | None, Some m -> m
+    | None, None ->
       Proved
         {
           instructions;
@@ -553,3 +574,8 @@ let pp_outcome ppf = function
   | Control_depends_on_data { cycle; what } ->
     Format.fprintf ppf "control depends on symbolic data at cycle %d (%s)"
       cycle what
+  | Stopped { cycle; retired; instructions } ->
+    Format.fprintf ppf
+      "NOT PROVED: a path stopped at the liveness bound after %d cycles, %d \
+       of %d instructions retired"
+      cycle retired instructions

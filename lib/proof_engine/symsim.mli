@@ -20,6 +20,10 @@
     constraint and all paths must prove.  [max_paths] (default 64)
     bounds the case explosion; exhausting it yields
     [Control_depends_on_data] — fall back to the trace checkers.
+    Each path ends like a run of the cycle driver
+    ({!Pipeline.Pipesem}): when its instructions have retired, or once
+    no retirement can come within {!Pipeline.Pipesem.liveness_bound} of
+    the last one — then the outcome is [Stopped], not a proof.
 
     State spaces: a symbolic register file with [2^a] entries of [w]
     bits costs [2^a * w] BDD variables; keep [a] and [w] small (the
@@ -36,6 +40,11 @@ type outcome =
               ["file[index]"] entries) *)
     }
   | Control_depends_on_data of { cycle : int; what : string }
+  | Stopped of { cycle : int; retired : int; instructions : int }
+      (** not proved: a path stopped short of [instructions] retired at
+          the cycle driver's liveness bound
+          ({!Pipeline.Pipesem.liveness_bound}) — the machine cannot
+          finish the program *)
 
 val check :
   ?symbolic:string list ->

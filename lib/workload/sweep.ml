@@ -18,6 +18,16 @@ exception Verification_failed of string
 let memory_wait_states ~every ~wait ~stage ~cycle =
   stage = 3 && cycle mod every < wait
 
+(* A verified point's row, or the failure the sweep stops on. *)
+let row_of_report (p : Dlx.Progs.t) report =
+  if not (Proof_engine.Consistency.ok report) then
+    raise
+      (Verification_failed
+         (Format.asprintf "%s: %a" p.Dlx.Progs.prog_name
+            Proof_engine.Consistency.pp_report report));
+  Stats.of_stats ~label:p.Dlx.Progs.prog_name ~n_stages:5
+    report.Proof_engine.Consistency.stats
+
 let sim_of_program ?(config = default) (p : Dlx.Progs.t) =
   let program = Dlx.Progs.program p in
   let tr =
@@ -36,19 +46,10 @@ let sim_of_program ?(config = default) (p : Dlx.Progs.t) =
 
 let run_program ?(config = default) (p : Dlx.Progs.t) =
   let sim = sim_of_program ~config p in
-  let stats =
-    if config.verify then begin
-      let report = Sim.verify ?ext:config.ext sim in
-      if not (Proof_engine.Consistency.ok report) then
-        raise
-          (Verification_failed
-             (Format.asprintf "%s: %a" p.Dlx.Progs.prog_name
-                Proof_engine.Consistency.pp_report report));
-      report.Proof_engine.Consistency.stats
-    end
-    else (Sim.run ?ext:config.ext sim).Pipeline.Pipesem.stats
-  in
-  Stats.of_stats ~label:p.Dlx.Progs.prog_name ~n_stages:5 stats
+  if config.verify then row_of_report p (Sim.verify ?ext:config.ext sim)
+  else
+    Stats.of_stats ~label:p.Dlx.Progs.prog_name ~n_stages:5
+      (Sim.run ?ext:config.ext sim).Pipeline.Pipesem.stats
 
 (* The machine shape of a sweep is fixed by the config (variant +
    options): only the program and its data image differ between
@@ -66,30 +67,21 @@ let run_batched ~config ~shape (p : Dlx.Progs.t) =
   let program = Dlx.Progs.program p in
   let n = p.Dlx.Progs.dyn_instructions in
   let init = Dlx.Seq_dlx.image ~data:p.Dlx.Progs.data ~program () in
-  let stats =
-    if config.verify then begin
-      let reference =
-        Dlx.Seq_dlx.ref_trace ~data:p.Dlx.Progs.data config.variant ~program
-          ~instructions:n
-      in
-      let report =
-        Proof_engine.Consistency.check_batched ?ext:config.ext
-          ~max_instructions:n ~reference ~init shape
-      in
-      if not (Proof_engine.Consistency.ok report) then
-        raise
-          (Verification_failed
-             (Format.asprintf "%s: %a" p.Dlx.Progs.prog_name
-                Proof_engine.Consistency.pp_report report));
-      report.Proof_engine.Consistency.stats
-    end
-    else
+  if config.verify then begin
+    let reference =
+      Dlx.Seq_dlx.ref_trace ~data:p.Dlx.Progs.data config.variant ~program
+        ~instructions:n
+    in
+    row_of_report p
+      (Proof_engine.Consistency.check_batched ?ext:config.ext
+         ~max_instructions:n ~reference ~init shape)
+  end
+  else
+    Stats.of_stats ~label:p.Dlx.Progs.prog_name ~n_stages:5
       (Pipeline.Pipesem.run_session ?ext:config.ext ~init ~stop_after:n
          (Pipeline.Pipesem.local_session
             (Proof_engine.Consistency.shape_compiled shape)))
         .Pipeline.Pipesem.stats
-  in
-  Stats.of_stats ~label:p.Dlx.Progs.prog_name ~n_stages:5 stats
 
 (* Each sweep point generates its own program, so the points share no
    mutable state and fan out over the pool.  The fan-out is {e
@@ -112,16 +104,12 @@ let sweep_span name ?pool points f =
         ("j", string_of_int j) ]
   @@ fun () -> Exec.Pool.map_opt_sharded pool f points
 
-(* Lane mode: consecutive points pack into ≤62-lane words, one
-   bit-parallel verified run per pack ({!Consistency.check_lanes}).
-   Each point still generates its own program and golden reference
-   trace (scalar, identical to the batched path); only the pipelined
-   verification run is shared.  A lane whose verdict is not ok is
-   replayed through the scalar path — with its counters discarded,
-   the lane run already accounted the point — which either raises the
-   byte-identical [Verification_failed] or (divergence) supplies the
-   scalar row.  Rows and WORK counters match the scalar batched sweep
-   bit for bit. *)
+(* Lane mode: consecutive points pack into <=62-lane words, one
+   verified pack run per pack ({!Consistency.check_lanes}).  Each
+   point still generates its own program and golden reference trace;
+   only the pipelined verification run is shared, and each lane's
+   report is the one the scalar batched path returns, so rows,
+   failure messages and WORK counters match it bit for bit. *)
 let run_lane_pack ~config ~shape pack =
   let progs =
     List.map
@@ -147,14 +135,8 @@ let run_lane_pack ~config ~shape pack =
   in
   List.mapi
     (fun l (pt, (p : Dlx.Progs.t), _, _) ->
-      let v = verdicts.(l) in
-      if v.Proof_engine.Consistency.lv_ok then
-        ( pt,
-          Stats.of_stats ~label:p.Dlx.Progs.prog_name ~n_stages:5
-            v.Proof_engine.Consistency.lv_stats )
-      else
-        Obs.Counters.with_discarded (fun () ->
-            (pt, run_batched ~config ~shape p)))
+      let report = verdicts.(l).Proof_engine.Consistency.lv_report in
+      (pt, row_of_report p report))
     progs
 
 let rec chunk n l =

@@ -52,10 +52,10 @@ val dependency_sweep :
     [lanes] (batched, verified sweeps only; ignored otherwise) packs
     consecutive points into ≤62-lane bit-parallel packs: one
     {!Proof_engine.Consistency.check_lanes} run verifies the whole
-    pack against the points' individual golden traces.  Rows, failure
-    behaviour and WORK counters are bit-identical to the scalar
-    batched sweep; a lane the pack cannot represent is transparently
-    replayed through the scalar path. *)
+    pack against the points' individual golden traces.  Each lane's
+    report is the one the scalar batched sweep computes for its
+    point, so rows, failure messages and WORK counters are
+    bit-identical to it. *)
 
 val branch_sweep :
   ?config:config -> ?pool:Exec.Pool.t -> ?batched:bool -> ?lanes:bool ->

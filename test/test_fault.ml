@@ -201,56 +201,6 @@ let test_hang_times_out_without_aborting () =
       (sibling.Campaign.out_class = Campaign.Detected)
   | _ -> Alcotest.fail "expected two outcomes in mutant order"
 
-let test_lane_campaign_determinism () =
-  (* Per-mutant BMC sweeps through the bit-parallel lane engine: same
-     mutants, same classification breakdown, same evidence strings and
-     same WORK counters with [~lanes] on or off — structural mutants
-     go bit-parallel, behavioural ones (injection hooks) stay scalar,
-     neither may change a verdict. *)
-  let alphabet =
-    [
-      Core.Toy.encode ~dst:1 ~src1:1 ~src2:1;
-      Core.Toy.encode ~dst:2 ~src1:1 ~src2:2;
-    ]
-  in
-  let target () =
-    Campaign.make_target ~instructions:toy_instructions
-      ~bmc:((fun program -> Core.Toy.transform ~program ()), alphabet, 3)
-      ~bmc_load:(fun program -> Core.Toy.image ~program)
-      (toy_tr ())
-  in
-  let mutants =
-    Mutate.sample ~seed:9 ~count:6
-      (Mutate.enumerate ~transients:2 ~seed:9 (toy_tr ()))
-  in
-  let counted f =
-    Obs.Counters.reset ();
-    let r = f () in
-    (r, Obs.Counters.work_snapshot ())
-  in
-  let scalar, w_scalar = counted (fun () -> Campaign.run (target ()) mutants) in
-  let lanes, w_lanes =
-    counted (fun () -> Campaign.run ~lanes:true (target ()) mutants)
-  in
-  let pooled, w_pooled =
-    counted (fun () ->
-        Exec.Pool.with_pool ~size:4 @@ fun pool ->
-        Campaign.run ~pool ~lanes:true (target ()) mutants)
-  in
-  let _, summary = scalar in
-  Alcotest.(check bool) "some mutants structural" true
-    (List.exists (fun m -> m.Mutate.mut_structural) mutants);
-  Alcotest.(check bool) "campaign detected something" true
-    (summary.Campaign.detected > 0);
-  Alcotest.(check bool) "lanes = scalar outcomes + summary" true
-    (lanes = scalar);
-  Alcotest.(check bool) "pooled lanes = scalar outcomes + summary" true
-    (pooled = scalar);
-  Alcotest.(check (list (pair string int))) "WORK lanes = scalar" w_scalar
-    w_lanes;
-  Alcotest.(check (list (pair string int))) "WORK pooled lanes = scalar"
-    w_scalar w_pooled
-
 (* ------------------------------------------------------------------ *)
 (* Checkpoint / resume                                                 *)
 (* ------------------------------------------------------------------ *)
@@ -329,8 +279,6 @@ let () =
             test_campaign_deterministic_across_pools;
           Alcotest.test_case "hang times out without aborting" `Quick
             test_hang_times_out_without_aborting;
-          Alcotest.test_case "lane-mode BMC sweeps deterministic" `Quick
-            test_lane_campaign_determinism;
         ] );
       ( "checkpoint",
         [

@@ -1,15 +1,15 @@
-(* The lane-aware differential battery: the bit-parallel 62-lane BMC
-   path (Bmc.exhaustive ~lanes / Consistency.check_lanes) must be
-   observationally identical to the scalar batched path — verdicts,
-   failure enumeration order, evidence strings, per-program statistics
-   and the deterministic WORK counters — on random machines and random
+(* The lane-aware differential battery: every lane of a pack, checked
+   by Consistency.check_lanes against its own sequential reference,
+   must return exactly the report its one-lane check returns —
+   violation texts, lemma-1 and stall-engine evidence, final-state
+   match, liveness, statistics — with the same deterministic WORK
+   counters, on random machines, their structural mutants and random
    packings, serially and through the domain pool.  Failures print the
    qcheck seed so they replay with `QCHECK_SEED=<n> dune runtest`. *)
 
 module Pool = Exec.Pool
 module C = Proof_engine.Consistency
 module G = Proof_engine.Machine_gen
-module Bmc = Proof_engine.Bmc
 module Mutate = Fault.Mutate
 
 let qcheck_seed =
@@ -28,12 +28,93 @@ let counted f =
 let work = Alcotest.(list (pair string int))
 
 (* ------------------------------------------------------------------ *)
-(* Property: lanes = scalar on random machines and random packings     *)
+(* The two ways of checking a batch                                    *)
+(* ------------------------------------------------------------------ *)
+
+(* Each program alone: one one-lane check per program. *)
+let one_lane shape ~references ~inits =
+  Array.to_list
+    (Array.mapi
+       (fun l (r : Machine.Seqsem.trace) ->
+         C.check_batched ~max_instructions:r.Machine.Seqsem.instructions
+           ~reference:r ~init:inits.(l) shape)
+       references)
+
+let rec chunk n l =
+  if l = [] then []
+  else
+    let rec split k acc = function
+      | rest when k = 0 -> (List.rev acc, rest)
+      | [] -> (List.rev acc, [])
+      | x :: tl -> split (k - 1) (x :: acc) tl
+    in
+    let pack, rest = split n [] l in
+    pack :: chunk n rest
+
+(* Packs of up to Hw.Lanes.max_lanes consecutive programs, one pack
+   per pool task. *)
+let packed ?pool shape ~references ~inits =
+  let lanes = List.combine (Array.to_list references) (Array.to_list inits) in
+  Exec.Pool.map_opt pool
+    (fun pack ->
+      let references = Array.of_list (List.map fst pack) in
+      let inits = Array.of_list (List.map snd pack) in
+      Array.to_list
+        (Array.map
+           (fun v -> v.C.lv_report)
+           (C.check_lanes ~references ~inits shape)))
+    (chunk Hw.Lanes.max_lanes lanes)
+  |> List.concat
+
+(* Reports and WORK of the pack runs, serial and at -j 4, against the
+   one-lane checks; [Error] when the checks raise (a mutant can break
+   the co-simulation), which both ways must then do. *)
+let compare_batch ~what shape ~references ~inits =
+  let run f = counted (fun () -> match f () with r -> Ok r | exception e -> Error e) in
+  let solo, w_solo = run (fun () -> one_lane shape ~references ~inits) in
+  let serial, w_serial = run (fun () -> packed shape ~references ~inits) in
+  let pooled, w_pooled =
+    run (fun () ->
+        Pool.with_pool ~size:4 (fun pool -> packed ~pool shape ~references ~inits))
+  in
+  match (solo, serial, pooled) with
+  | Ok solo, Ok serial, Ok pooled ->
+    List.iteri
+      (fun l r ->
+        if List.nth serial l <> r then
+          Alcotest.failf "%s: lane %d report differs from its one-lane check" what l;
+        if List.nth pooled l <> r then
+          Alcotest.failf "%s: lane %d pooled report differs" what l)
+      solo;
+    Alcotest.check work (what ^ ": WORK packs = one-lane") w_solo w_serial;
+    Alcotest.check work (what ^ ": WORK pooled packs = one-lane") w_solo w_pooled;
+    solo
+  | Error _, Error _, Error _ -> []
+  | _ -> Alcotest.failf "%s: packs and one-lane checks disagree on raising" what
+
+(* A sampled machine's programs with their references, from the
+   program's own (unmutated) sequential machine. *)
+let gen_batch p ~max_instructions programs =
+  let references =
+    Array.of_list
+      (List.map
+         (fun program ->
+           Machine.Seqsem.run ~max_instructions (G.machine p ~program))
+         programs)
+  in
+  let inits = Array.of_list (List.map (fun program -> G.image p ~program) programs) in
+  (references, inits)
+
+let gen_transform p program =
+  Pipeline.Transform.run ~hints:(G.hints p) (G.machine p ~program)
+
+(* ------------------------------------------------------------------ *)
+(* Property: pack lanes = one-lane checks on random machines           *)
 (* ------------------------------------------------------------------ *)
 
 (* One case: a sampled machine, an alphabet of [width] distinct
-   encodings and a program length — so the pack holds width^length
-   programs (1..64, crossing the 62-lane chunk boundary at 64). *)
+   encodings and a program length — so the batch holds width^length
+   programs (1..64, crossing the 62-lane pack boundary at 63 and 64). *)
 type case = { mseed : int; width : int; length : int }
 
 let pp_lane_case { mseed; width; length } =
@@ -50,134 +131,90 @@ let arb_lane_case =
       let+ length = int_range 1 3 in
       { mseed; width; length })
 
-let bmc_setup { mseed; width; _ } =
-  let p = G.sample_params ~seed:mseed in
-  let build program =
-    Pipeline.Transform.run ~hints:(G.hints p) (G.machine p ~program)
-  in
-  let load program = G.image p ~program in
-  let alphabet =
-    List.init width (fun i ->
-        G.encode p ~late:(i land 1 = 1)
-          ~dst:((i mod 3) + 1)
-          ~src1:1 ~src2:((i mod 2) + 1))
-  in
-  (build, load, alphabet)
+let rec enumerate alphabet = function
+  | 0 -> [ [] ]
+  | n ->
+    List.concat_map
+      (fun rest -> List.map (fun i -> i :: rest) alphabet)
+      (enumerate alphabet (n - 1))
 
 let check_lane_case case =
-  let build, load, alphabet = bmc_setup case in
-  let run ?pool ?lanes () =
-    Bmc.exhaustive ?pool ?lanes ~load ~build ~alphabet ~length:case.length ()
+  let p = G.sample_params ~seed:case.mseed in
+  let alphabet =
+    List.init case.width (fun i ->
+        G.encode p ~late:(i land 1 = 1) ~dst:((i mod 3) + 1) ~src1:1
+          ~src2:((i mod 2) + 1))
   in
-  let scalar, w_scalar = counted (fun () -> run ()) in
-  let lanes, w_lanes = counted (fun () -> run ~lanes:true ()) in
-  let pooled, w_pooled =
-    counted (fun () ->
-        Pool.with_pool ~size:4 (fun pool -> run ~pool ~lanes:true ()))
-  in
-  if lanes <> scalar then
-    QCheck.Test.fail_reportf "lane outcome <> scalar:@.%s" (pp_lane_case case);
-  if pooled <> scalar then
-    QCheck.Test.fail_reportf "pooled lane outcome <> scalar:@.%s"
-      (pp_lane_case case);
-  if w_lanes <> w_scalar then
-    QCheck.Test.fail_reportf "lane WORK <> scalar:@.%s" (pp_lane_case case);
-  if w_pooled <> w_scalar then
-    QCheck.Test.fail_reportf "pooled lane WORK <> scalar:@.%s"
-      (pp_lane_case case);
+  let programs = enumerate alphabet case.length in
+  let references, inits = gen_batch p ~max_instructions:(case.length + 4) programs in
+  let t = gen_transform p (List.hd programs) in
+  let what = pp_lane_case case in
+  ignore (compare_batch ~what (C.shape t) ~references ~inits);
+  (* The first structural mutants of the sampled machine, checked
+     against the unmutated references. *)
+  List.iter
+    (fun (m : Mutate.mutant) ->
+      ignore
+        (compare_batch
+           ~what:(what ^ " mutant " ^ m.Mutate.mut_id)
+           (C.shape m.Mutate.mut_tr) ~references ~inits))
+    (List.filteri
+       (fun i _ -> i < 2)
+       (List.filter
+          (fun (m : Mutate.mutant) -> m.Mutate.mut_structural)
+          (Mutate.enumerate ~transients:0 ~seed:case.mseed t)));
   true
 
-let prop_lanes_equal_scalar =
+let prop_packs_equal_one_lane =
   QCheck.Test.make
-    ~name:"lane BMC = scalar BMC (outcome + WORK), serial and -j 4" ~count:12
-    arb_lane_case check_lane_case
+    ~name:"pack lanes = one-lane checks (report + WORK), serial and -j 4"
+    ~count:12 arb_lane_case check_lane_case
 
 (* ------------------------------------------------------------------ *)
-(* Partial packs: lane counts 1, 2, 62 must not read garbage           *)
+(* Pack sizes 1, 2, 61, 62, 63, 64                                     *)
 (* ------------------------------------------------------------------ *)
 
-(* check_lanes verdicts against per-program scalar reports: outcome,
-   ok and the full per-run statistics must agree lane by lane.  Any
-   garbage bit leaking from an unused lane shows up as a stats or
-   verdict difference. *)
-let test_partial_packs () =
+(* Distinct programs, deterministic in the lane index.  Any garbage
+   bit leaking from an unused lane shows up as a report difference. *)
+let sized_batch count =
   let p = G.sample_params ~seed:42 in
-  let t = Pipeline.Transform.run ~hints:(G.hints p) (G.machine p ~program:[]) in
-  let shape = C.shape t in
-  let max_instructions = 8 in
+  let programs =
+    List.init count (fun i ->
+        List.init 4 (fun j ->
+            G.encode p ~late:((i + j) land 1 = 1)
+              ~dst:((((i * 7) + j) mod 3) + 1)
+              ~src1:(((i + j) mod 2) + 1)
+              ~src2:((i mod 2) + 1)))
+  in
+  let references, inits = gen_batch p ~max_instructions:8 programs in
+  (C.shape (gen_transform p (List.hd programs)), references, inits)
+
+let test_partial_packs () =
   List.iter
     (fun count ->
-      (* distinct programs, deterministic in the lane index *)
-      let programs =
-        List.init count (fun i ->
-            List.init 4 (fun j ->
-                G.encode p ~late:((i + j) land 1 = 1)
-                  ~dst:(((i * 7) + j) mod 3 + 1)
-                  ~src1:((i + j) mod 2 + 1)
-                  ~src2:((i mod 2) + 1)))
+      let shape, references, inits = sized_batch count in
+      let reports =
+        compare_batch ~what:(Printf.sprintf "%d programs" count) shape
+          ~references ~inits
       in
-      let inits = Array.of_list (List.map (fun pr -> G.image p ~program:pr) programs) in
-      let verdicts = C.check_lanes ~max_instructions ~inits shape in
-      List.iteri
-        (fun l pr ->
-          match
-            C.check_batched_result ~max_instructions
-              ~init:(G.image p ~program:pr) shape
-          with
-          | Error _ -> Alcotest.failf "count %d lane %d: scalar check errored" count l
-          | Ok report ->
-            let v = verdicts.(l) in
-            Alcotest.(check bool)
-              (Printf.sprintf "count %d lane %d: ok" count l)
-              (C.ok report) v.C.lv_ok;
-            Alcotest.(check bool)
-              (Printf.sprintf "count %d lane %d: outcome" count l)
-              true
-              (v.C.lv_outcome = report.C.outcome);
-            Alcotest.(check bool)
-              (Printf.sprintf "count %d lane %d: stats" count l)
-              true
-              (v.C.lv_stats = report.C.stats))
-        programs)
+      Alcotest.(check int) (Printf.sprintf "%d reports" count) count
+        (List.length reports))
     [ 1; 2; 61; 62 ]
 
-(* 63 and 64 programs cross the 62-lane chunk boundary inside the BMC
-   driver: a full pack plus a 1- or 2-lane remainder pack. *)
+(* 63 and 64 programs cross the 62-lane pack boundary: a full pack
+   plus a 1- or 2-lane remainder pack. *)
 let test_chunk_boundaries () =
-  let p = G.sample_params ~seed:7 in
-  let build program =
-    Pipeline.Transform.run ~hints:(G.hints p) (G.machine p ~program)
-  in
-  let load program = G.image p ~program in
   List.iter
-    (fun n_programs ->
-      let alphabet, length =
-        if n_programs = 64 then
-          ( List.init 4 (fun i ->
-                G.encode p ~late:(i land 1 = 1) ~dst:((i mod 3) + 1) ~src1:1
-                  ~src2:2),
-            3 )
-        else
-          ( List.init n_programs (fun i ->
-                G.encode p
-                  ~late:(i land 1 = 1)
-                  ~dst:((i mod 3) + 1)
-                  ~src1:((i / 3) mod 3 + 1)
-                  ~src2:((i / 9) mod 3 + 1)),
-            1 )
+    (fun count ->
+      let shape, references, inits = sized_batch count in
+      let reports =
+        compare_batch ~what:(Printf.sprintf "%d programs" count) shape
+          ~references ~inits
       in
-      let run ?lanes () = Bmc.exhaustive ?lanes ~load ~build ~alphabet ~length () in
-      let scalar, w_scalar = counted (fun () -> run ()) in
-      let lanes, w_lanes = counted (fun () -> run ~lanes:true ()) in
-      Alcotest.(check int)
-        (Printf.sprintf "%d programs enumerated" n_programs)
-        n_programs scalar.Bmc.programs;
-      Alcotest.(check bool)
-        (Printf.sprintf "%d programs: lanes = scalar" n_programs)
-        true (lanes = scalar);
-      Alcotest.check work
-        (Printf.sprintf "%d programs: WORK lanes = scalar" n_programs)
-        w_scalar w_lanes)
+      Alcotest.(check int) (Printf.sprintf "%d reports" count) count
+        (List.length reports);
+      Alcotest.(check bool) (Printf.sprintf "%d programs consistent" count) true
+        (List.for_all C.ok reports))
     [ 63; 64 ]
 
 (* ------------------------------------------------------------------ *)
@@ -185,11 +222,9 @@ let test_chunk_boundaries () =
 (* ------------------------------------------------------------------ *)
 
 (* Pack three copies of a hazard-free program with one program whose
-   late-unit dependency forces an interlock stall.  The divergence
-   mask must flag exactly the odd lane, at the first cycle its scalar
-   stall/rollback vectors leave the pack's majority — computed here
-   from the scalar per-cycle traces, independently of the lane
-   engine. *)
+   late-unit dependency forces an interlock stall: the odd lane's run
+   leaves the pack's majority, and every lane must still report what
+   its one-lane check reports. *)
 let test_directed_divergence () =
   let p =
     {
@@ -201,8 +236,6 @@ let test_directed_divergence () =
       seed = 5;
     }
   in
-  let t = Pipeline.Transform.run ~hints:(G.hints p) (G.machine p ~program:[]) in
-  let shape = C.shape t in
   (* A: independent non-late ops; B: a late op immediately consumed. *)
   let prog_a =
     [
@@ -218,55 +251,30 @@ let test_directed_divergence () =
       G.encode p ~late:false ~dst:2 ~src1:5 ~src2:3;
     ]
   in
-  let max_instructions = List.length prog_a + 4 in
-  let trace_of pr =
-    match
-      C.check_batched_result ~max_instructions ~init:(G.image p ~program:pr)
-        shape
-    with
-    | Ok report ->
-      Alcotest.(check bool) "scalar run consistent" true (C.ok report);
-      List.map
-        (fun (r : Pipeline.Pipesem.cycle_record) ->
-          (Array.to_list r.Pipeline.Pipesem.stall,
-           Array.to_list r.Pipeline.Pipesem.rollback))
-        report.C.trace
-    | Error _ -> Alcotest.fail "scalar trace failed"
+  let references, inits =
+    gen_batch p ~max_instructions:(List.length prog_a + 4)
+      [ prog_a; prog_a; prog_a; prog_b ]
   in
-  let ta = trace_of prog_a and tb = trace_of prog_b in
-  let rec first_diff i = function
-    | a :: ar, b :: br -> if a <> b then i else first_diff (i + 1) (ar, br)
-    | _ -> Alcotest.fail "programs never diverge; pick different programs"
-  in
-  let expected = first_diff 0 (ta, tb) in
-  let inits =
-    Array.of_list
-      (List.map
-         (fun pr -> G.image p ~program:pr)
-         [ prog_a; prog_a; prog_a; prog_b ])
-  in
-  let verdicts = C.check_lanes ~max_instructions ~inits shape in
-  Array.iteri
-    (fun l (v : C.lane_verdict) ->
-      Alcotest.(check bool) (Printf.sprintf "lane %d ok" l) true v.C.lv_ok;
-      if l < 3 then
-        Alcotest.(check int)
-          (Printf.sprintf "majority lane %d never flagged" l)
-          (-1) v.C.lv_divergence
-      else
-        Alcotest.(check int) "odd lane flagged at the scalar divergence cycle"
-          expected v.C.lv_divergence)
-    verdicts
+  let shape = C.shape (gen_transform p prog_a) in
+  match compare_batch ~what:"divergent pack" shape ~references ~inits with
+  | [ a; a'; a''; b ] ->
+    List.iter
+      (fun r -> Alcotest.(check bool) "consistent" true (C.ok r))
+      [ a; a'; a''; b ];
+    Alcotest.(check bool) "majority lanes agree" true (a = a' && a = a'');
+    Alcotest.(check bool) "the odd lane stalls" true
+      (b.C.stats.Pipeline.Pipesem.dhaz_cycles
+      > a.C.stats.Pipeline.Pipesem.dhaz_cycles)
+  | _ -> Alcotest.fail "expected four reports"
 
 (* ------------------------------------------------------------------ *)
-(* Evidence: a faulty machine's lane sweep = scalar sweep              *)
+(* Evidence: a faulty machine's lanes = its one-lane checks            *)
 (* ------------------------------------------------------------------ *)
 
-(* Structural mutants of the toy machine, swept exhaustively with and
-   without lanes: the outcome records — including the enumeration
-   order and evidence strings extracted by the peeled lanes' scalar
-   replays — must be identical.  This is the lane path's
-   counterexample-extraction contract. *)
+(* Structural mutants of the toy machine over every length-3 program
+   of a small alphabet: each lane's violations, lemma-1 and
+   stall-engine evidence must be those of its one-lane check.  This
+   is the pack's counterexample contract. *)
 let test_faulty_evidence_equality () =
   let alphabet =
     [
@@ -274,6 +282,18 @@ let test_faulty_evidence_equality () =
       Core.Toy.encode ~dst:2 ~src1:1 ~src2:1;
       Core.Toy.encode ~dst:1 ~src1:2 ~src2:2;
     ]
+  in
+  let programs = enumerate alphabet 3 in
+  let references =
+    Array.of_list
+      (List.map
+         (fun program ->
+           Machine.Seqsem.run ~max_instructions:7
+             (Core.Toy.transform ~program ()).Pipeline.Transform.base)
+         programs)
+  in
+  let inits =
+    Array.of_list (List.map (fun program -> Core.Toy.image ~program) programs)
   in
   let structurals =
     List.filter
@@ -286,20 +306,11 @@ let test_faulty_evidence_equality () =
   List.iteri
     (fun i (m : Mutate.mutant) ->
       if i < 6 then begin
-        let build program =
-          Mutate.rewrite m.Mutate.mut_fault (Core.Toy.transform ~program ())
+        let shape = C.shape (Mutate.rewrite m.Mutate.mut_fault (Core.Toy.transform ~program:(List.hd programs) ())) in
+        let reports =
+          compare_batch ~what:("mutant " ^ m.Mutate.mut_id) shape ~references ~inits
         in
-        let run ?lanes () =
-          Bmc.exhaustive ?lanes ~inject:Pipeline.Pipesem.no_injection
-            ~load:(fun program -> Core.Toy.image ~program)
-            ~build ~alphabet ~length:3 ()
-        in
-        let scalar = run () in
-        let lanes = run ~lanes:true () in
-        if scalar.Bmc.failures <> [] then incr detected;
-        Alcotest.(check bool)
-          (Printf.sprintf "mutant %s: lanes = scalar" m.Mutate.mut_id)
-          true (lanes = scalar)
+        if List.exists (fun r -> r.C.violations <> []) reports then incr detected
       end)
     structurals;
   Alcotest.(check bool) "some mutants produced counterexamples" true
@@ -310,8 +321,8 @@ let test_faulty_evidence_equality () =
 (* ------------------------------------------------------------------ *)
 
 let test_dlx_bmc_lanes () =
-  (* The benchmark's DLX BMC row: 64 programs over the ALU alphabet,
-     through both paths, serial and pooled. *)
+  (* 64 DLX programs over an ALU alphabet, the 62-lane boundary
+     crossed, serial and pooled. *)
   let alphabet =
     Dlx.Isa.
       [
@@ -321,26 +332,28 @@ let test_dlx_bmc_lanes () =
         encode (Xor (3, 1, 2));
       ]
   in
+  let programs = enumerate alphabet 3 in
   let build program = Dlx.Seq_dlx.transform Dlx.Seq_dlx.Base ~program in
-  let load program = Dlx.Seq_dlx.image ~program () in
-  let run ?pool ?lanes () =
-    Bmc.exhaustive ?pool ?lanes ~load ~build ~alphabet ~length:3 ()
+  let references =
+    Array.of_list
+      (List.map
+         (fun program ->
+           Machine.Seqsem.run ~max_instructions:7
+             (build program).Pipeline.Transform.base)
+         programs)
   in
-  let scalar, w_scalar = counted (fun () -> run ()) in
-  let lanes, w_lanes = counted (fun () -> run ~lanes:true ()) in
-  let pooled, w_pooled =
-    counted (fun () ->
-        Pool.with_pool ~size:4 (fun pool -> run ~pool ~lanes:true ()))
+  let inits =
+    Array.of_list (List.map (fun program -> Dlx.Seq_dlx.image ~program ()) programs)
   in
-  Alcotest.(check int) "64 programs" 64 scalar.Bmc.programs;
-  Alcotest.(check bool) "no counterexamples" true (Bmc.ok scalar);
-  Alcotest.(check bool) "lanes = scalar" true (lanes = scalar);
-  Alcotest.(check bool) "pooled lanes = scalar" true (pooled = scalar);
-  Alcotest.check work "WORK lanes = scalar" w_scalar w_lanes;
-  Alcotest.check work "WORK pooled lanes = scalar" w_scalar w_pooled
+  let reports =
+    compare_batch ~what:"dlx" (C.shape (build (List.hd programs))) ~references
+      ~inits
+  in
+  Alcotest.(check int) "64 programs" 64 (List.length reports);
+  Alcotest.(check bool) "no counterexamples" true (List.for_all C.ok reports)
 
 let test_dlx_speculating_sweep_lanes () =
-  (* Branch-predicting sweeps roll back and squash: the lane engine's
+  (* Branch-predicting sweeps roll back and squash: the pack's
      rollback commit order, Via_rollback retirement checks and squash
      accounting must reproduce the scalar rows (which embed the
      per-point stats) exactly. *)
@@ -356,11 +369,8 @@ let test_dlx_speculating_sweep_lanes () =
       ~length:40 ~seed:11 ()
   in
   let scalar, w_scalar = counted (fun () -> run ()) in
-  (* WORK equality alone cannot tell a genuine lane run from the
-     scalar fallback (the fallback is WORK-identical by construction).
-     The span trace can: a lane run records [pipesem.run_lanes] and no
-     scalar [pipesem.run]; a fallback would record one [pipesem.run]
-     per lane. *)
+  (* The span trace tells a pack run from one-lane runs: a pack
+     records [pipesem.run_lanes] and no one-lane [pipesem.run]. *)
   Obs.Span.set_enabled true;
   let lanes, w_lanes = counted (fun () -> run ~lanes:true ()) in
   let spans = List.map (fun r -> r.Obs.Span.span_name) (Obs.Span.records ()) in
@@ -369,7 +379,7 @@ let test_dlx_speculating_sweep_lanes () =
     "lane engine ran" true
     (List.mem "pipesem.run_lanes" spans);
   Alcotest.(check bool)
-    "no scalar fallback" false (List.mem "pipesem.run" spans);
+    "no one-lane runs" false (List.mem "pipesem.run" spans);
   Alcotest.(check bool) "rows lanes = scalar" true (lanes = scalar);
   Alcotest.check work "WORK lanes = scalar" w_scalar w_lanes;
   (* The base-variant dependency sweep, for the stall-only profile. *)
@@ -428,20 +438,20 @@ let test_store_against_image_lanes () =
   Obs.Span.set_enabled false;
   Alcotest.(check bool) "lane engine ran" true
     (List.mem "pipesem.run_lanes" spans);
-  Alcotest.(check bool) "no scalar fallback" false
+  Alcotest.(check bool) "no one-lane runs" false
     (List.mem "pipesem.run" spans);
   Alcotest.(check (list bool)) "lane verdicts" expected
     (Array.to_list (Array.map (fun v -> v.C.lv_ok) verdicts))
 
 (* ------------------------------------------------------------------ *)
-(* The liveness bound ends a lane's run where it ends a scalar run     *)
+(* The liveness bound ends a lane's run where it ends a one-lane run   *)
 (* ------------------------------------------------------------------ *)
 
 (* A hook-free livelock: dlx5_intr with its interrupt check tied to
    "taken" and made non-retiring squashes and refetches the instruction
    in stage 4 on every cycle it gets there, so fetch stays busy and
    nothing retires.  Lanes that must retire stop at the liveness bound
-   (104 cycles on five stages), exactly like the scalar run of each. *)
+   (104 cycles on five stages), exactly like the one-lane run of each. *)
 let test_liveness_bound_lanes () =
   let p = Dlx.Progs.fib 5 in
   let tr =
@@ -462,12 +472,10 @@ let test_liveness_bound_lanes () =
   in
   let c = Pipeline.Pipesem.compile tr in
   let stop_afters = [| 0; 1; p.Dlx.Progs.dyn_instructions |] in
-  let ledger = Obs.Counters.ledger () in
   let lanes =
-    Pipeline.Pipesem.run_lanes_session ~ledger
+    Pipeline.Pipesem.run_pack
       ~inits:(Array.map (fun _ -> []) stop_afters)
-      ~stop_afters
-      (Pipeline.Pipesem.lanes_session c)
+      ~stop_afters (Pipeline.Pipesem.pack c)
   in
   Alcotest.(check int) "B on five stages" 104
     (Pipeline.Pipesem.liveness_bound ~n_stages:5);
@@ -476,9 +484,9 @@ let test_liveness_bound_lanes () =
       let scalar = Pipeline.Pipesem.run_compiled ~stop_after c in
       let lane = lanes.(l) in
       let name = Printf.sprintf "lane %d (stop_after %d)" l stop_after in
-      Alcotest.(check bool) (name ^ ": outcome = scalar") true
+      Alcotest.(check bool) (name ^ ": outcome = one-lane") true
         (lane.Pipeline.Pipesem.lr_outcome = scalar.Pipeline.Pipesem.outcome);
-      Alcotest.(check bool) (name ^ ": stats = scalar") true
+      Alcotest.(check bool) (name ^ ": stats = one-lane") true
         (lane.Pipeline.Pipesem.lr_stats = scalar.Pipeline.Pipesem.stats);
       if stop_after > 0 then begin
         Alcotest.(check bool) (name ^ ": out of cycles") true
@@ -509,5 +517,5 @@ let () =
           Alcotest.test_case "stops at the liveness bound" `Quick
             test_liveness_bound_lanes;
         ] );
-      ("properties", List.map to_alcotest [ prop_lanes_equal_scalar ]);
+      ("properties", List.map to_alcotest [ prop_packs_equal_one_lane ]);
     ]

@@ -239,9 +239,10 @@ let test_compile_reuse () =
 
 (* The scalar engine's allocation per simulated cycle on the
    verification hot path: a warm session replaying a DLX kernel.  Slots
-   hold raw ints and commits write straight into resolved state cells,
-   so what is left is the cycle driver's own bookkeeping and the boxes
-   of the values committed. *)
+   hold raw ints, commits write straight into resolved state cells and
+   the cycle driver computes every cycle into preallocated control
+   words, so what is left is the boxes of the values committed: 116,
+   166 and 111 words per cycle on the three kernels below. *)
 let words_per_cycle machine kernel =
   let spec =
     { Service.Request.default_spec with Service.Request.machine; kernel = Some kernel }
@@ -261,13 +262,14 @@ let words_per_cycle machine kernel =
 
 let test_alloc_per_cycle () =
   List.iter
-    (fun (machine, kernel) ->
+    (fun (machine, kernel, bound) ->
       let w = words_per_cycle machine kernel in
-      if w > 500. then
-        Alcotest.failf "%s %s: %.0f minor words per cycle (bound 500)"
-          (Service.Machine_spec.to_string machine) kernel w)
+      if w > bound then
+        Alcotest.failf "%s %s: %.0f minor words per cycle (bound %.0f)"
+          (Service.Machine_spec.to_string machine) kernel w bound)
     Service.Machine_spec.
-      [ (Dlx5, "fib_10"); (Dlx5_intr, "fib_10"); (Dlx6, "strlen_25") ]
+      [ (Dlx5, "fib_10", 125.); (Dlx5_intr, "fib_10", 175.);
+        (Dlx6, "strlen_25", 120.) ]
 
 (* One tape per shape: every cycle runs the compiled tape whole, so a
    scalar session counts [n_instrs] plan ops per plan run, and a lane
@@ -324,14 +326,7 @@ let test_one_tape_accounting () =
           scalar_ops := !scalar_ops + ops)
         inits;
       let (_ : P.lane_result array), runs, ops =
-        plan_work (fun () ->
-            let ledger = Obs.Counters.ledger () in
-            let r =
-              P.run_lanes_session ~ledger ~inits ~stop_afters
-                (P.lanes_session c)
-            in
-            Obs.Counters.ledger_flush ledger;
-            r)
+        plan_work (fun () -> P.run_pack ~inits ~stop_afters (P.pack c))
       in
       Alcotest.(check int) (name ^ ": lane pack runs = scalar") !scalar_runs runs;
       Alcotest.(check int) (name ^ ": lane pack plan_ops = scalar") !scalar_ops

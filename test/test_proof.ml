@@ -335,6 +335,53 @@ let test_verify_skips_structural () =
       | O.Pending | O.Failed _ -> Alcotest.fail (o.O.ob_id ^ " not discharged"))
     tops
 
+(* A symbolic counterexample is a failed verification, not a
+   cancellation.  Verified without an injection (so the symbolic
+   co-simulation runs), toy3 with a stuck hit comparator fails; on a
+   program whose concrete run hides the fault, the failure is the
+   symbolic counterexample on DC.REG. *)
+let test_symbolic_counterexample () =
+  let is_hit (m : Fault.Mutate.mutant) =
+    String.starts_with ~prefix:"hit:" m.Fault.Mutate.mut_id
+  in
+  let _, mutants = toy_mutants () in
+  let hits = List.filter is_hit mutants in
+  Alcotest.(check (list string)) "the four stuck hits"
+    [ "hit:$hit_1_srcA_2=0"; "hit:$hit_1_srcA_2=1"; "hit:$hit_1_srcB_2=0";
+      "hit:$hit_1_srcB_2=1" ]
+    (List.map (fun (m : Fault.Mutate.mutant) -> m.Fault.Mutate.mut_id) hits);
+  List.iter
+    (fun (m : Fault.Mutate.mutant) ->
+      Alcotest.(check bool) (m.Fault.Mutate.mut_id ^ " fails") false
+        (Core.verified (Core.verify ~max_instructions:6 m.Fault.Mutate.mut_tr)))
+    hits;
+  (* REG[1] := REG[1] + REG[0] leaves REG[1] unchanged for the concrete
+     REG[0] = 0, so the consumer's stale read goes unnoticed by the
+     run; for all data it does not. *)
+  let program =
+    Core.Toy.[ encode ~dst:1 ~src1:1 ~src2:0; encode ~dst:3 ~src1:1 ~src2:1 ]
+  in
+  let m =
+    List.find
+      (fun (m : Fault.Mutate.mutant) -> m.Fault.Mutate.mut_id = "hit:$hit_1_srcA_2=0")
+      (Fault.Mutate.enumerate ~seed:1 (Core.Toy.transform ~program ()))
+  in
+  let v = Core.verify ~max_instructions:2 m.Fault.Mutate.mut_tr in
+  Alcotest.(check bool) "the run is consistent" true (C.ok v.Core.consistency);
+  Alcotest.(check bool) "not verified" false (Core.verified v);
+  List.iter
+    (fun (o : O.obligation) ->
+      match (o.O.ob_id, o.O.ob_status) with
+      | "DC.REG", O.Failed e ->
+        Alcotest.(check string) "the counterexample"
+          "symbolic co-simulation found a counterexample: MISMATCH at \
+           instruction 1 register REG under {REG[0]=1}"
+          e
+      | "DC.REG", _ -> Alcotest.fail "DC.REG not failed"
+      | id, O.Failed e -> Alcotest.failf "%s failed: %s" id e
+      | _ -> ())
+    v.Core.obligations
+
 (* ---------------- fault injection ---------------- *)
 
 (* Sabotage the forwarding: replace a g network by the plain register
@@ -683,6 +730,8 @@ let () =
             test_verify_keeps_backtrace;
           Alcotest.test_case "raising run skips structural proofs" `Quick
             test_verify_skips_structural;
+          Alcotest.test_case "a symbolic counterexample fails verification"
+            `Quick test_symbolic_counterexample;
         ] );
       ( "fault injection",
         [

@@ -3,7 +3,9 @@
 
 module S = Proof_engine.Symsim
 
-let proved = function S.Proved _ -> true | S.Mismatch _ | S.Control_depends_on_data _ -> false
+let proved = function
+  | S.Proved _ -> true
+  | S.Mismatch _ | S.Control_depends_on_data _ | S.Stopped _ -> false
 
 let check_proved name outcome =
   if not (proved outcome) then
@@ -140,6 +142,37 @@ let test_path_budget_rejection () =
   | S.Control_depends_on_data _ -> ()
   | o -> Alcotest.failf "expected budget rejection, got %a" S.pp_outcome o
 
+(* A machine that never finishes: toy3 with stage 1's data hazard
+   tied to 1 stalls stage 1 forever.  The cycle driver deadlocks; a
+   symbolic path stops at the liveness bound (88 cycles on three
+   stages) with nothing retired, and is not a proof. *)
+let test_never_finishes_not_proved () =
+  let tr = Core.Toy.transform ~program:Core.Toy.default_program () in
+  let stuck =
+    {
+      tr with
+      Pipeline.Transform.signals =
+        List.map
+          (fun (n, e) -> if n = "$dhaz_stage_1" then (n, Hw.Expr.tru) else (n, e))
+          tr.Pipeline.Transform.signals;
+    }
+  in
+  let r = Pipeline.Pipesem.run ~stop_after:6 stuck in
+  Alcotest.(check bool) "the driver deadlocks" true
+    (r.Pipeline.Pipesem.outcome = Pipeline.Pipesem.Deadlocked);
+  Alcotest.(check int) "nothing retires" 0
+    r.Pipeline.Pipesem.stats.Pipeline.Pipesem.retired;
+  match S.check ~symbolic:[ "REG" ] ~instructions:6 stuck with
+  | S.Stopped { cycle; retired; instructions } ->
+    Alcotest.(check int) "stopped at the liveness bound" 88 cycle;
+    Alcotest.(check int) "nothing retired" 0 retired;
+    Alcotest.(check int) "of six" 6 instructions;
+    Alcotest.(check bool) "printed as not proved" true
+      (String.starts_with ~prefix:"NOT PROVED"
+         (Format.asprintf "%a" S.pp_outcome
+            (S.Stopped { cycle; retired; instructions })))
+  | o -> Alcotest.failf "expected a stopped path, got %a" S.pp_outcome o
+
 let test_unknown_symbolic_register () =
   let tr = Core.Toy.transform ~program:[] () in
   match S.check ~symbolic:[ "nope" ] ~instructions:1 tr with
@@ -167,6 +200,8 @@ let () =
             test_data_dependent_interlock_split;
           Alcotest.test_case "path budget rejection" `Quick
             test_path_budget_rejection;
+          Alcotest.test_case "a run that never finishes is not proved"
+            `Quick test_never_finishes_not_proved;
           Alcotest.test_case "unknown register" `Quick
             test_unknown_symbolic_register;
         ] );
