@@ -882,9 +882,11 @@ let perf_bmc ~jobs () =
     "  sweep (%d points): rebuild %.2f ms, batched %.2f ms: speedup %.2fx, \
      rows bit-identical@."
     (List.length biases) (ns_sr /. 1e6) (ns_sb /. 1e6) (ns_sr /. ns_sb);
+  (* A ratio, higher is better: the name carries "speedup", which is
+     how the history trend gate reads a row's direction. *)
   add_entry
     (Obs.Export.entry ~ns_per_run:(ns_sr /. ns_sb)
-       "PERF.sweep_batched_vs_rebuild")
+       "PERF.sweep_batched_speedup")
 
 (* ------------------------------------------------------------------ *)
 (* PERF-BMC-LANES: bit-parallel lane verification vs scalar batched    *)

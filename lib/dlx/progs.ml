@@ -9,14 +9,12 @@ let program t = Asm.assemble t.items
 
 exception Runaway of string
 
-(* One golden-model state per domain, refilled for every count: the
-   kernels below are counted at module initialisation, and a fresh
-   state is two 4K-word memories. *)
-let counting_state =
-  Domain.DLS.new_key (fun () -> Refmodel.create ~program:[] ())
-
 (* Dynamic instruction count: run the golden model until it reaches the
-   halt loop (the "$halt" label sits right after the body). *)
+   halt loop (the "$halt" label sits right after the body).  The
+   kernels below are counted at module initialisation and every
+   generated sweep point once, so the count refills the domain's
+   [Refmodel.local_state] instead of allocating two 4096-word
+   memories. *)
 let dyn_count ?(config = Refmodel.default_config) ~items ~data () =
   (* Instruction words before the "$halt" label. *)
   let rec body_words acc = function
@@ -27,7 +25,7 @@ let dyn_count ?(config = Refmodel.default_config) ~items ~data () =
       :: rest -> body_words (acc + 1) rest
   in
   let halt_addr = body_words 0 items * 4 in
-  let s = Domain.DLS.get counting_state in
+  let s = Refmodel.local_state () in
   Refmodel.reset ~data ~program:(Asm.assemble items) s;
   let limit = 200_000 in
   let rec go () =

@@ -20,6 +20,15 @@ exception Runaway of string
 (** A program did not reach its halt loop within 200k instructions
     (the payload says so). *)
 
+val dyn_count :
+  ?config:Refmodel.config -> items:Asm.item list -> data:(int * int) list ->
+  unit -> int
+(** The dynamic instruction count of [items] (which must contain the
+    ["$halt"] label): golden-model steps from reset until [dpc] reaches
+    the label, on the domain's {!Refmodel.local_state}.
+    @raise Runaway when the halt loop is not reached.
+    @raise Asm.Asm_error on an undefined or duplicate label. *)
+
 val make :
   ?config:Refmodel.config -> ?data:(int * int) list -> string ->
   Asm.item list -> t

@@ -61,6 +61,9 @@ let create ?data ~program () =
   reset ?data ~program s;
   s
 
+let local_key = Domain.DLS.new_key (fun () -> create ~program:[] ())
+let local_state () = Domain.DLS.get local_key
+
 let add_overflows a b =
   let s = signed a + signed b in
   s < -0x80000000 || s > 0x7FFFFFFF

@@ -48,6 +48,13 @@ val reset : ?data:(int * int) list -> program:int list -> state -> unit
 (** Refill a state in place to what [create ?data ~program ()]
     returns, without allocating. *)
 
+val local_state : unit -> state
+(** The calling domain's own state, for a run that {!reset}s it first
+    and keeps nothing of it afterwards ({!Progs.dyn_count},
+    {!Seq_dlx.ref_trace}): one state per domain instead of two fresh
+    4096-word memories per run.  It holds whatever the domain's last
+    such run left. *)
+
 val step : ?config:config -> state -> unit
 (** Execute one instruction (the one at [dpc]). *)
 

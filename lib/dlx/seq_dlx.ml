@@ -163,8 +163,9 @@ let w ?guard ?addr dst value =
 (* Initial images                                                      *)
 (* ------------------------------------------------------------------ *)
 
-(* Images are read-only initial values: [State.reset] and
-   [State.reset_lanes] copy out of them and remember the physical
+(* Images are read-only initial values: [State.reset] points a file
+   register at its image until the register's first write,
+   [State.reset_lanes] copies out of them, both remember the physical
    array they were reset from, and [ref_trace] starts its MEM snapshots
    from the same array.  Handing every consumer of one program the
    {e same physical} image is what lets resets skip refill work and
@@ -569,14 +570,19 @@ let visible_names variant =
    a step wrote, so no step scans or deep-copies the 4096-word
    memory, and MEM starts as [mem_of_data]'s array — the one the
    simulator is reset from — so checkers can match it by pointer until
-   the first store. *)
+   the first store.  The golden model runs on the domain's
+   [Refmodel.local_state]: a fresh state is two 4096-word memories,
+   more than a short sweep point's whole trace costs, and snapshots
+   copy values out of it, so nothing refers to it once the trace
+   returns. *)
 let ref_trace ?(data = []) variant ~program ~instructions =
   let config =
     match variant with
     | With_interrupts { sisr } -> { Refmodel.with_interrupts = true; sisr }
     | Base | Branch_predict -> Refmodel.default_config
   in
-  let s = Refmodel.create ~data ~program () in
+  let s = Refmodel.local_state () in
+  Refmodel.reset ~data ~program s;
   let bv32 v = Hw.Bitvec.make ~width:32 v in
   let scalar v = Machine.Value.scalar (bv32 v) in
   let with_entry file i v =

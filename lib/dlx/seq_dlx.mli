@@ -58,11 +58,11 @@ val image :
     MEM from [data], exactly as {!machine} initializes them.  The
     [?init] override that drives one compiled machine shape (fixed
     variant and options) across many programs in batched sweeps.
-    Read-only: consumers copy out of it ({!Machine.State.reset}) and
-    remember the array.  The MEM value is physically the one
-    {!machine} and {!ref_trace} use for the same [data] (on this
-    domain, while the bounded memo keeps it); the empty-[data] MEM
-    table is one array shared by all. *)
+    Read-only: a reset state shares its arrays until the register's
+    first write ({!Machine.State.reset}) and remembers them.  The MEM
+    value is physically the one {!machine} and {!ref_trace} use for
+    the same [data] (on this domain, while the bounded memo keeps it);
+    the empty-[data] MEM table is one array shared by all. *)
 
 val transform :
   ?options:Pipeline.Fwd_spec.options ->

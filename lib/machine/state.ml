@@ -6,25 +6,30 @@
    cells' [lc_srcs]: the image array the cell was last filled from by
    [create] or [reset], kept only while the cell is untouched since.
    Every write path ([set], [set_scalar], [write_file], [restore])
-   clears it.  While it is set the cell's contents equal the image's —
-   images are never mutated, and nobody writes a file array obtained
-   from [get] — so a checker holding the same physical image knows the
-   two are equal without reading them ([holds_image]). *)
+   clears it.  While it is set the cell's file {e is} the image —
+   copy-on-write: [create] and [reset] point the cell at it, and the
+   first in-place write ([cell_write_file], [reset]'s zero-fill) copies
+   the array first.  Images are never mutated, and nobody writes a file
+   array obtained from [get], so a checker holding the same physical
+   image knows the two are equal without reading them
+   ([holds_image]). *)
 type cell = { mutable v : Value.t; mutable src : Hw.Bitvec.t array option }
 type t = (string, cell) Hashtbl.t
 
 let provenance = function Value.File a -> Some a | Value.Scalar _ -> None
+
+(* A cell holding [v] itself: a scalar is immutable, a file is shared
+   until its first write. *)
+let shared v = { v; src = provenance v }
 
 let create (m : Spec.t) =
   let tbl = Hashtbl.create 64 in
   List.iter
     (fun (r : Spec.register) ->
       Hashtbl.replace tbl r.reg_name
-        {
-          v = Spec.initial_value m r;
-          src =
-            Option.bind (List.assoc_opt r.reg_name m.Spec.init) provenance;
-        })
+        (match List.assoc_opt r.reg_name m.Spec.init with
+        | Some v -> shared v
+        | None -> { v = Spec.initial_value m r; src = None }))
     m.registers;
   tbl
 
@@ -36,26 +41,12 @@ let reset ?(init = []) (m : Spec.t) t =
         invalid_arg (Printf.sprintf "State.reset: unknown register %s" n))
     init;
   (* Registers are reset in place (cells survive) so plan bindings
-     capturing a cell stay wired across resets.
-     Refill an existing cell without allocating: register files are
-     rewritten in the cell's own array (keeping session resets off the
-     GC), and only entries that differ are stored — after the first
-     reset the arrays share their entries with the source image, so a
-     reset is a pointer scan plus the handful of entries the last run
-     dirtied.  The sharing also feeds the [Value.equal] pointer
-     shortcut. *)
-  let refill c v =
-    (match (c.v, v) with
-    | Value.File dst, Value.File src
-      when dst != src && Array.length dst = Array.length src ->
-      (* [unsafe]: i < length src = length dst. *)
-      for i = 0 to Array.length src - 1 do
-        let s = Array.unsafe_get src i in
-        if Array.unsafe_get dst i != s then Array.unsafe_set dst i s
-      done
-    | _ -> c.v <- Value.copy v);
-    c.src <- provenance v
-  in
+     capturing a cell stay wired across resets.  A register with an
+     image is pointed at it in O(1) — copy-on-write, see [cell] — so a
+     reset costs nothing for a 4096-word memory the run never writes,
+     and the sharing feeds the [Value.equal] pointer shortcut.  A file
+     without an image is zero-filled in its own array, unless that
+     array is still an image. *)
   List.iter
     (fun (r : Spec.register) ->
       let v =
@@ -64,16 +55,18 @@ let reset ?(init = []) (m : Spec.t) t =
         | None -> List.assoc_opt r.reg_name m.Spec.init
       in
       match (Hashtbl.find_opt t r.reg_name, v) with
-      | Some c, Some v -> refill c v
+      | Some c, Some v ->
+        c.v <- v;
+        c.src <- provenance v
       | Some c, None -> (
-        c.src <- None;
-        match (c.v, r.kind) with
-        | Value.File dst, Spec.File { addr_bits }
+        match (c.v, c.src, r.kind) with
+        | Value.File dst, None, Spec.File { addr_bits }
           when Array.length dst = 1 lsl addr_bits ->
           Array.fill dst 0 (Array.length dst) (Hw.Bitvec.zero r.width)
-        | _ -> c.v <- Spec.initial_value m r)
-      | None, Some v ->
-        Hashtbl.replace t r.reg_name { v = Value.copy v; src = provenance v }
+        | _ ->
+          c.v <- Spec.initial_value m r;
+          c.src <- None)
+      | None, Some v -> Hashtbl.replace t r.reg_name (shared v)
       | None, None ->
         Hashtbl.replace t r.reg_name
           { v = Spec.initial_value m r; src = None })
@@ -115,8 +108,14 @@ let set t name v =
    place — so a resolved cell stays the register's. *)
 let cell_set_scalar c v = store c (Value.Scalar v)
 
+(* The copy half of copy-on-write: a cell still holding its image
+   writes into a copy of it. *)
 let cell_write_file c ~addr ~data =
-  forget_image c;
+  (match c.src with
+  | Some _ ->
+    c.v <- Value.copy c.v;
+    c.src <- None
+  | None -> ());
   Value.write_entry c.v addr data
 
 let get_scalar t name = Value.read_scalar (get t name)

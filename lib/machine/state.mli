@@ -2,13 +2,19 @@
     pipelined simulators.
 
     {b Read-only conventions.}  Two rules make file provenance
-    ({!holds_image}) sound:
+    ({!holds_image}) and copy-on-write files sound:
     - an {e image} — a register-file value passed as an initial value
       to {!create} (through the spec's [init]) or {!reset} — is never
       mutated afterwards, by anyone;
     - a file value returned by {!get} is never written in place; a
       file changes only through {!write_file}, {!set}, {!set_scalar}
-      or {!restore}. *)
+      or {!restore}.
+
+    {b Copy-on-write files.}  A file register filled from an image
+    shares the image's array until its first write: {!get} returns the
+    image itself, and the first {!write_file} copies it before storing
+    the entry.  So a reset costs the same for a 4096-word memory as
+    for a scalar, and a run pays one copy per file it writes. *)
 
 type t
 
@@ -20,8 +26,9 @@ val create : Spec.t -> t
 val reset : ?init:(string * Value.t) list -> Spec.t -> t -> unit
 (** Return the state to [create m] semantics without reallocating
     cells: every spec register is restored to its initial value, with
-    entries of [init] (deep-copied) taking precedence over the spec's
-    own [init] list, and registers the spec does not know are removed.
+    entries of [init] (shared until the register's first write, see
+    above) taking precedence over the spec's own [init] list, and
+    registers the spec does not know are removed.
     Because cells are reset {e in place}, plan bindings made with
     {!bind_plan} remain valid across resets — this is what lets one
     compiled session serve many programs (see
@@ -43,7 +50,8 @@ val set_scalar : t -> string -> Hw.Bitvec.t -> unit
 val read_file : t -> string -> Hw.Bitvec.t -> Hw.Bitvec.t
 
 val write_file : t -> string -> addr:Hw.Bitvec.t -> data:Hw.Bitvec.t -> unit
-(** Writes one entry, in place.  Like {!set}, {!set_scalar} and
+(** Writes one entry, in place — into a copy of the image first if the
+    register still shares one.  Like {!set}, {!set_scalar} and
     {!restore}, it makes the register forget its image, even when the
     written value equals the old one. *)
 

@@ -213,14 +213,24 @@ let check left right =
     let c = new_ctx () in
     let ctx = c.fctx in
     let lv = blast ctx left and rv = blast ctx right in
-    let diff =
-      Array.map2 (B.xor ctx.man) lv rv
-      |> Array.fold_left (B.disj ctx.man) B.fls
+    (* The miter one bit at a time, stopping at the first bit that can
+       differ.  The OR of every bit's difference can need a BDD
+       exponential in the width under [new_ctx]'s variable order (a mux
+       with swapped selects compares two candidates bit by bit), while
+       each bit's own difference stays small.  An equal bit's [xor] is
+       false, and ORing falses builds nothing, so a proof builds the
+       same nodes as one OR would. *)
+    let rec first_diff i =
+      if i = Array.length lv then None
+      else
+        let d = B.xor ctx.man lv.(i) rv.(i) in
+        if B.is_fls d then first_diff (i + 1) else Some d
     in
-    if B.is_fls diff then
+    match first_diff 0 with
+    | None ->
       Equivalent
         { variables = c.next_var; bdd_nodes = B.node_count ctx.man }
-    else
+    | Some diff ->
       let sat = Option.get (B.any_sat ctx.man diff) in
       let assign v = List.assoc_opt v sat = Some true in
       let cex_inputs =

@@ -186,34 +186,15 @@ let generate ~seed ~length profile =
   in
   let body = Asm.Insn (Isa.Addi (1, 0, 256)) :: List.rev !items in
   let data = List.init 64 (fun i -> (64 + i, (i * 97) land 0xFFF)) in
-  Progs.
-    {
-      prog_name = Printf.sprintf "rand_s%d_n%d" seed length;
-      (* Leaf functions live after the halt so straight-line execution
-         never falls into them. *)
-      items = body @ Asm.halt @ funcs;
-      data;
-      dyn_instructions = 0;  (* filled below *)
-    }
-  |> fun p ->
-  (* Measure the dynamic instruction count on the golden model. *)
-  let s = Refmodel.create ~data:p.Progs.data ~program:(Progs.program p) () in
-  let halt_addr =
-    4
-    * List.length
-        (List.filter
-           (fun i -> match i with Asm.Label _ -> false | _ -> true)
-           (body))
-  in
-  let rec measure () =
-    if s.Refmodel.dpc = halt_addr || s.Refmodel.instret > 100_000 then
-      s.Refmodel.instret
-    else begin
-      Refmodel.step s;
-      measure ()
-    end
-  in
-  { p with Progs.dyn_instructions = measure () }
+  (* Leaf functions live after the halt so straight-line execution
+     never falls into them. *)
+  let items = body @ Asm.halt @ funcs in
+  {
+    Progs.prog_name = Printf.sprintf "rand_s%d_n%d" seed length;
+    items;
+    data;
+    dyn_instructions = Progs.dyn_count ~items ~data ();
+  }
 
 (* Interrupt-stress generation: the same body generator, wrapped in an
    ISR template, with traps and overflow-prone arithmetic mixed in. *)

@@ -37,7 +37,10 @@ val with_branch_frac : profile -> float -> profile
 val generate : seed:int -> length:int -> profile -> Dlx.Progs.t
 (** A deterministic program of roughly [length] instructions (plus a
     short prologue and the halt idiom).  The same seed always yields
-    the same program. *)
+    the same program.  [dyn_instructions] is counted by
+    {!Dlx.Progs.dyn_count}.
+    @raise Dlx.Progs.Runaway if the program never reaches its halt
+    loop (forward skips and leaf calls always do). *)
 
 val generate_with_interrupts :
   seed:int -> length:int -> sisr:int -> profile -> Dlx.Progs.t

@@ -43,7 +43,7 @@ val dependency_sweep :
     the rebuild path (one {!Sim.t} per point: generation,
     transformation, plan compilation and simulation all per-task) —
     kept as the reference for the equivalence tests and the
-    [PERF.sweep_batched_vs_rebuild] benchmark; both paths produce
+    [PERF.sweep_batched_speedup] benchmark; both paths produce
     bit-identical rows.
 
     With [pool], the points fan out over the domain pool; rows are

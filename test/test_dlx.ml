@@ -90,6 +90,53 @@ let cow_program { cseed; kind; length } =
       Workload.Gen.generate_with_interrupts ~seed:cseed ~length ~sisr:8
         Workload.Gen.memory_heavy )
 
+let refmodel_config = function
+  | SD.With_interrupts { sisr } -> { Dlx.Refmodel.with_interrupts = true; sisr }
+  | SD.Base | SD.Branch_predict -> Dlx.Refmodel.default_config
+
+(* The oracle run: a freshly created golden-model state stepped [n]
+   times, with a deep snapshot before every step and after the last,
+   and whether each step was a store. *)
+let oracle variant ~data ~program n =
+  let config = refmodel_config variant in
+  let s = Dlx.Refmodel.create ~data ~program () in
+  let snaps = Array.make (n + 1) [] and stores = Array.make n false in
+  for i = 0 to n do
+    snaps.(i) <- deep_snapshot variant s;
+    if i < n then begin
+      let word =
+        s.Dlx.Refmodel.imem.(Dlx.Refmodel.word_index s.Dlx.Refmodel.dpc)
+      in
+      (stores.(i) <-
+         match Dlx.Isa.decode word with
+         | Some (Dlx.Isa.Sw _) -> true
+         | Some _ | None -> false);
+      Dlx.Refmodel.step ~config s
+    end
+  done;
+  (snaps, stores)
+
+(* Where a reference trace departs from the oracle's snapshots. *)
+let oracle_mismatch (trace : Machine.Seqsem.trace) expected =
+  let snaps = trace.Machine.Seqsem.spec_before in
+  let rec step i =
+    if i = Array.length expected then None
+    else if List.map fst snaps.(i) <> List.map fst expected.(i) then
+      Some (Printf.sprintf "step %d: register names differ" i)
+    else
+      match
+        List.find_opt
+          (fun ((_, v), (_, v')) -> not (Machine.Value.equal v v'))
+          (List.combine snaps.(i) expected.(i))
+      with
+      | Some ((name, _), _) ->
+        Some (Printf.sprintf "step %d: %s differs from the oracle" i name)
+      | None -> step (i + 1)
+  in
+  if Array.length snaps <> Array.length expected then
+    Some "trace length differs from the oracle"
+  else step 0
+
 let prop_cow_trace =
   QCheck.Test.make ~count:40
     ~name:"ref_trace = deep-copy oracle, MEM shared until a store"
@@ -107,45 +154,88 @@ let prop_cow_trace =
       let program = Progs.program p and data = p.Progs.data in
       let n = p.Progs.dyn_instructions in
       let trace = SD.ref_trace ~data variant ~program ~instructions:n in
-      let snaps = trace.Machine.Seqsem.spec_before in
-      let config =
-        match variant with
-        | SD.With_interrupts { sisr } ->
-          { Dlx.Refmodel.with_interrupts = true; sisr }
-        | SD.Base | SD.Branch_predict -> Dlx.Refmodel.default_config
-      in
-      let s = Dlx.Refmodel.create ~data ~program () in
-      let mem i = List.assoc "MEM" snaps.(i) in
+      let expected, stores = oracle variant ~data ~program n in
+      let mem i = List.assoc "MEM" trace.Machine.Seqsem.spec_before.(i) in
       (* Step 0 starts from the image the pipelined machine is reset
          from, physically. *)
       if mem 0 != List.assoc "MEM" (SD.image ~data ~program ()) then
         QCheck.Test.fail_report "MEM at step 0 is not the image";
-      for i = 0 to n do
-        let expected = deep_snapshot variant s in
-        if List.map fst snaps.(i) <> List.map fst expected then
-          QCheck.Test.fail_reportf "step %d: register names differ" i;
-        List.iter2
-          (fun (name, v) (_, v') ->
-            if not (Machine.Value.equal v v') then
-              QCheck.Test.fail_reportf "step %d: %s differs from the oracle" i
-                name)
-          snaps.(i) expected;
-        if i < n then begin
-          let word =
-            s.Dlx.Refmodel.imem.(Dlx.Refmodel.word_index s.Dlx.Refmodel.dpc)
-          in
-          let stores =
-            match Dlx.Isa.decode word with
-            | Some (Dlx.Isa.Sw _) -> true
-            | Some _ | None -> false
-          in
-          Dlx.Refmodel.step ~config s;
-          if (not stores) && mem i != mem (i + 1) then
+      Option.iter QCheck.Test.fail_report (oracle_mismatch trace expected);
+      Array.iteri
+        (fun i stored ->
+          if (not stored) && mem i != mem (i + 1) then
             QCheck.Test.fail_reportf
-              "step %d stored nothing but MEM was copied" i
-        end
-      done;
+              "step %d stored nothing but MEM was copied" i)
+        stores;
       true)
+
+(* [ref_trace] and [Progs.dyn_count] run on the domain's one
+   golden-model state: a run right after a store-heavy one (which
+   leaves data memory, registers and, on the interrupt machine, the
+   exception registers dirty) must see exactly what a fresh state
+   would. *)
+let test_reused_state_leaks_nothing () =
+  (* The interrupt machine's programs are wrapped around an ISR. *)
+  let generate variant ~seed ~length profile =
+    match variant with
+    | SD.With_interrupts { sisr } ->
+      Workload.Gen.generate_with_interrupts ~seed ~length ~sisr profile
+    | SD.Base | SD.Branch_predict -> Workload.Gen.generate ~seed ~length profile
+  in
+  let dirty variant seed =
+    let p = generate variant ~seed ~length:60 Workload.Gen.memory_heavy in
+    ignore
+      (SD.ref_trace ~data:p.Progs.data variant ~program:(Progs.program p)
+         ~instructions:p.Progs.dyn_instructions)
+  in
+  List.iter
+    (fun (name, variant) ->
+      List.iter
+        (fun seed ->
+          let p = generate variant ~seed ~length:20 Workload.Gen.typical in
+          let program = Progs.program p and data = p.Progs.data in
+          let n = p.Progs.dyn_instructions in
+          dirty variant (seed + 1000);
+          let trace = SD.ref_trace ~data variant ~program ~instructions:n in
+          match oracle_mismatch trace (fst (oracle variant ~data ~program n)) with
+          | Some msg -> Alcotest.failf "%s, seed %d: %s" name seed msg
+          | None -> ())
+        [ 1; 2; 3; 4; 5 ])
+    [ ("base", SD.Base); ("interrupts", SD.With_interrupts { sisr = 8 });
+      ("branch prediction", SD.Branch_predict) ]
+
+(* The oracle count: a freshly created golden-model state stepped to
+   the halt loop. *)
+let fresh_count (p : Progs.t) =
+  let rec words acc = function
+    | [] | Dlx.Asm.Label "$halt" :: _ -> acc
+    | Dlx.Asm.Label _ :: rest -> words acc rest
+    | _ :: rest -> words (acc + 1) rest
+  in
+  let halt = 4 * words 0 p.Progs.items in
+  let s =
+    Dlx.Refmodel.create ~data:p.Progs.data ~program:(Progs.program p) ()
+  in
+  while s.Dlx.Refmodel.dpc <> halt && s.Dlx.Refmodel.instret < 200_000 do
+    Dlx.Refmodel.step s
+  done;
+  s.Dlx.Refmodel.instret
+
+let test_generated_counts_fresh () =
+  List.iter
+    (fun (name, profile) ->
+      for seed = 0 to 39 do
+        let p = Workload.Gen.generate ~seed ~length:(5 + seed) profile in
+        Alcotest.(check int)
+          (Printf.sprintf "%s seed %d" name seed)
+          (fresh_count p) p.Progs.dyn_instructions
+      done)
+    [
+      ("typical", Workload.Gen.typical);
+      ("memory_heavy", Workload.Gen.memory_heavy);
+      ("branch_heavy", Workload.Gen.branch_heavy ~taken_frac:0.5);
+      ("alu_only", Workload.Gen.alu_only ~dependency_bias:0.5);
+    ]
 
 (* ---------------- pipelined consistency ---------------- *)
 
@@ -445,6 +535,10 @@ let () =
           QCheck_alcotest.to_alcotest
             ~rand:(Random.State.make [| qcheck_seed |])
             prop_cow_trace;
+          Alcotest.test_case "a reused golden model leaks nothing" `Quick
+            test_reused_state_leaks_nothing;
+          Alcotest.test_case "generated counts = fresh-state counts" `Quick
+            test_generated_counts_fresh;
         ] );
       ( "pipelined consistency",
         [

@@ -156,6 +156,40 @@ let test_toy3_campaign_classes () =
         toy3_classes)
     [ false; true ]
 
+(* [pipegen campaign dlx5_intr --seed 1 -n 1] samples a forwarding
+   mutant whose GPRb mux selects are swapped.  Its structural check
+   compares two 32-bit candidates bit by bit, and one BDD for the OR
+   of all 32 bit differences grows exponentially under [Equiv]'s
+   variable order, so the check must test the bits one at a time.  The
+   report pins the counterexample: it must not depend on how much
+   memory the process may take. *)
+let test_dlx_muxswap_counterexample () =
+  let req =
+    Service.Request.make
+      ~spec:
+        {
+          Service.Request.default_spec with
+          Service.Request.machine = Service.Machine_spec.Dlx5_intr;
+        }
+      (Service.Request.Campaign
+         { seed = 1; mutants = Some 1; transients = 8; hang = false;
+           timeout_s = 30.0; bmc = false })
+  in
+  match (Service.Handler.handle req).Service.Response.result with
+  | Ok (Service.Response.Campaign_report { summary = s; text; _ }) ->
+    Alcotest.(check (list int)) "one mutant, detected" [ 1; 1; 0; 0; 0; 0 ]
+      [ s.Campaign.mutants; s.Campaign.detected; s.Campaign.masked;
+        s.Campaign.missed; s.Campaign.timed_out; s.Campaign.aborted ];
+    Alcotest.(check string) "report"
+      "detected   muxswap:$g_1_GPRb:$hit_1_GPRb_2<->$hit_1_GPRb_3 \
+       obligation TOP.1_GPRb: differs from the priority specification: \
+       DIFFER at {$cand_1_GPRb_2=0, $cand_1_GPRb_3=1, $cand_1_GPRb_4=0, \
+       $hit_1_GPRb_2=0, $hit_1_GPRb_3=1, $hit_1_GPRb_4=0, IR.1=0}: left \
+       32'd0, ...[truncated]\n\
+       1 mutants: 1 detected, 0 masked, 0 MISSED, 0 timed out, 0 aborted\n"
+      text
+  | Ok _ | Error _ -> Alcotest.fail "no campaign report"
+
 let test_campaign_deterministic_across_pools () =
   let mutants =
     Mutate.sample ~seed:5 ~count:8
@@ -279,6 +313,8 @@ let () =
             test_campaign_deterministic_across_pools;
           Alcotest.test_case "hang times out without aborting" `Quick
             test_hang_times_out_without_aborting;
+          Alcotest.test_case "dlx5_intr mux swap: a counterexample" `Quick
+            test_dlx_muxswap_counterexample;
         ] );
       ( "checkpoint",
         [

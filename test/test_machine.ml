@@ -65,6 +65,7 @@ let test_holds_image () =
   let img =
     Machine.Value.File (Array.init 16 (fun i -> bv ~width:16 (3 * i)))
   in
+  let contents = Machine.Value.copy img in
   let st = S.create toy in
   let holds what expected =
     Alcotest.(check bool) what expected (S.holds_image st "REG" img)
@@ -103,7 +104,30 @@ let test_holds_image () =
   S.reset toy st;
   holds "reset to the spec's image" false;
   Alcotest.(check bool) "which it holds" true
-    (S.holds_image st "REG" spec_image)
+    (S.holds_image st "REG" spec_image);
+  (* Copy-on-write: a reset shares the image, and the first write goes
+     to a copy of it, so the image itself never changes. *)
+  let intact what =
+    Alcotest.(check bool) what true (Machine.Value.equal img contents)
+  in
+  reset ();
+  S.write_file st "REG" ~addr:a ~data:(bv ~width:16 1);
+  intact "a write leaves the image intact";
+  Alcotest.(check int) "the write landed" 1 (B.to_int (S.read_file st "REG" a));
+  reset ();
+  Alcotest.(check bool) "the next reset reads the image back" true
+    (Machine.Value.equal (S.get st "REG") contents);
+  holds "and holds it again" true;
+  (* A file without an image is zero-filled by a reset, never inside
+     an image the previous reset shared. *)
+  let bare = { toy with Spec.init = List.remove_assoc "REG" toy.Spec.init } in
+  let st = S.create bare in
+  S.reset ~init:[ ("REG", img) ] bare st;
+  S.reset bare st;
+  intact "a zero-filling reset leaves the image intact";
+  Alcotest.(check bool) "and zero-fills" true
+    (Machine.Value.equal (S.get st "REG")
+       (Machine.Value.zero_file ~width:16 ~addr_bits:4))
 
 (* ---------------- Spec lookups ---------------- *)
 
