@@ -34,6 +34,12 @@ val eval : env -> Expr.t -> Bitvec.t
 val eval_bool : env -> Expr.t -> bool
 (** Evaluate a 1-bit expression to a boolean. *)
 
+val eval_unop : Expr.unop -> Bitvec.t -> Bitvec.t
+val eval_binop : Expr.binop -> Bitvec.t -> Bitvec.t -> Bitvec.t
+(** One operator on constant operands: the step {!eval} takes at an
+    [Unop] or [Binop] node.  [Shl]/[Shr]/[Sra] read the shift amount
+    as an unsigned int. *)
+
 val env_of_assoc :
   ?files:(string * (Bitvec.t -> Bitvec.t)) list ->
   (string * Bitvec.t) list ->

@@ -22,12 +22,19 @@ let provenance = function Value.File a -> Some a | Value.Scalar _ -> None
    until its first write. *)
 let shared v = { v; src = provenance v }
 
+(* [List.assoc_opt] on register names, comparing with [String.equal]
+   instead of polymorphic compare: every reset looks each register up
+   in two init lists. *)
+let rec init_of name = function
+  | [] -> None
+  | (n, v) :: rest -> if String.equal n name then Some v else init_of name rest
+
 let create (m : Spec.t) =
   let tbl = Hashtbl.create 64 in
   List.iter
     (fun (r : Spec.register) ->
       Hashtbl.replace tbl r.reg_name
-        (match List.assoc_opt r.reg_name m.Spec.init with
+        (match init_of r.reg_name m.Spec.init with
         | Some v -> shared v
         | None -> { v = Spec.initial_value m r; src = None }))
     m.registers;
@@ -50,9 +57,9 @@ let reset ?(init = []) (m : Spec.t) t =
   List.iter
     (fun (r : Spec.register) ->
       let v =
-        match List.assoc_opt r.reg_name init with
+        match init_of r.reg_name init with
         | Some v -> Some v
-        | None -> List.assoc_opt r.reg_name m.Spec.init
+        | None -> init_of r.reg_name m.Spec.init
       in
       match (Hashtbl.find_opt t r.reg_name, v) with
       | Some c, Some v ->
@@ -349,9 +356,9 @@ let reset_lanes ~inits ln =
   List.iter
     (fun (r : Spec.register) ->
       let cell = Hashtbl.find ln.ls_tbl r.reg_name in
-      let dflt = List.assoc_opt r.reg_name m.Spec.init in
+      let dflt = init_of r.reg_name m.Spec.init in
       let value_for l =
-        match List.assoc_opt r.reg_name inits.(l) with
+        match init_of r.reg_name inits.(l) with
         | Some _ as v -> v
         | None -> dflt
       in

@@ -12,17 +12,12 @@ type result =
   | Different of counterexample
   | Width_mismatch of int * int
 
-type ctx = {
-  man : B.man;
-  resolve_input : string -> int -> B.t array;
-  resolve_file : string -> B.t array -> int -> B.t array;
-}
-
-let input_vector ctx name width = ctx.resolve_input name width
+(* ------------------------------------------------------------------ *)
+(* One operator at a time, over its operands' vectors (LSB first)      *)
+(* ------------------------------------------------------------------ *)
 
 (* Ripple-carry addition with an initial carry. *)
-let add_vec ctx ?(carry = B.fls) a b =
-  let m = ctx.man in
+let add_vec m ?(carry = B.fls) a b =
   let w = Array.length a in
   let out = Array.make w B.fls in
   let c = ref carry in
@@ -33,73 +28,49 @@ let add_vec ctx ?(carry = B.fls) a b =
   done;
   (out, !c)
 
-let not_vec ctx a = Array.map (B.neg ctx.man) a
+let not_vec m a = Array.map (B.neg m) a
 
 let const_vec v =
   Array.init (Hw.Bitvec.width v) (fun i ->
       if Hw.Bitvec.bit v i then B.tru else B.fls)
 
-let mux_vec ctx s a b = Array.mapi (fun i ai -> B.ite ctx.man s ai b.(i)) a
+let mux_vec m s a b = Array.mapi (fun i ai -> B.ite m s ai b.(i)) a
 
 (* Shift by a constant amount, saturating. *)
-let shift_const ctx dir a k =
+let shift_const dir a k =
   let w = Array.length a in
   let fill =
     match dir with `Left | `Right_logical -> B.fls | `Right_arith -> a.(w - 1)
   in
-  ignore ctx;
   Array.init w (fun i ->
       match dir with
       | `Left -> if i - k >= 0 then a.(i - k) else B.fls
       | `Right_logical | `Right_arith ->
         if i + k < w then a.(i + k) else fill)
 
-let rec blast ctx e =
-  let m = ctx.man in
-  match e with
-  | E.Const v -> const_vec v
-  | E.Input (n, w) -> input_vector ctx n w
-  | E.Unop (E.Not, a) -> not_vec ctx (blast ctx a)
-  | E.Unop (E.Neg, a) ->
-    fst (add_vec ctx ~carry:B.tru (not_vec ctx (blast ctx a))
-           (Array.make (E.width a) B.fls))
-  | E.Unop (E.Reduce_or, a) ->
-    [| Array.fold_left (B.disj m) B.fls (blast ctx a) |]
-  | E.Unop (E.Reduce_and, a) ->
-    [| Array.fold_left (B.conj m) B.tru (blast ctx a) |]
-  | E.Binop (op, a, b) -> blast_binop ctx op a b
-  | E.Mux (s, a, b) ->
-    let sv = (blast ctx s).(0) in
-    mux_vec ctx sv (blast ctx a) (blast ctx b)
-  | E.Concat (hi, lo) -> Array.append (blast ctx lo) (blast ctx hi)
-  | E.Slice (a, hi, lo) -> Array.sub (blast ctx a) lo (hi - lo + 1)
-  | E.Zext (a, w) ->
-    let av = blast ctx a in
-    Array.init w (fun i -> if i < Array.length av then av.(i) else B.fls)
-  | E.Sext (a, w) ->
-    let av = blast ctx a in
-    let top = av.(Array.length av - 1) in
-    Array.init w (fun i -> if i < Array.length av then av.(i) else top)
-  | E.File_read { file; data_width; addr } ->
-    ctx.resolve_file file (blast ctx addr) data_width
+let unop m op a =
+  match op with
+  | E.Not -> not_vec m a
+  | E.Neg ->
+    fst
+      (add_vec m ~carry:B.tru (not_vec m a)
+         (Array.make (Array.length a) B.fls))
+  | E.Reduce_or -> [| Array.fold_left (B.disj m) B.fls a |]
+  | E.Reduce_and -> [| Array.fold_left (B.conj m) B.tru a |]
 
-and blast_binop ctx op a b =
-  let m = ctx.man in
-  let av () = blast ctx a and bv () = blast ctx b in
-  let map2 f = Array.map2 f (av ()) (bv ()) in
+let binop m op x y =
   let ltu a b =
     (* a < b iff no carry out of a + ~b + 1. *)
-    let _, cout = add_vec ctx ~carry:B.tru a (not_vec ctx b) in
+    let _, cout = add_vec m ~carry:B.tru a (not_vec m b) in
     B.neg m cout
   in
   match op with
-  | E.And -> map2 (B.conj m)
-  | E.Or -> map2 (B.disj m)
-  | E.Xor -> map2 (B.xor m)
-  | E.Add -> fst (add_vec ctx (av ()) (bv ()))
-  | E.Sub -> fst (add_vec ctx ~carry:B.tru (av ()) (not_vec ctx (bv ())))
+  | E.And -> Array.map2 (B.conj m) x y
+  | E.Or -> Array.map2 (B.disj m) x y
+  | E.Xor -> Array.map2 (B.xor m) x y
+  | E.Add -> fst (add_vec m x y)
+  | E.Sub -> fst (add_vec m ~carry:B.tru x (not_vec m y))
   | E.Mul ->
-    let x = av () and y = bv () in
     let w = Array.length x in
     let acc = ref (Array.make w B.fls) in
     for i = 0 to w - 1 do
@@ -107,16 +78,14 @@ and blast_binop ctx op a b =
         Array.init w (fun j ->
             if j - i >= 0 then B.conj m y.(i) x.(j - i) else B.fls)
       in
-      acc := fst (add_vec ctx !acc addend)
+      acc := fst (add_vec m !acc addend)
     done;
     !acc
-  | E.Eq ->
-    [| Array.fold_left (B.conj m) B.tru (map2 (B.xnor m)) |]
+  | E.Eq -> [| Array.fold_left (B.conj m) B.tru (Array.map2 (B.xnor m) x y) |]
   | E.Ne ->
-    [| B.neg m (Array.fold_left (B.conj m) B.tru (map2 (B.xnor m))) |]
-  | E.Ltu -> [| ltu (av ()) (bv ()) |]
+    [| B.neg m (Array.fold_left (B.conj m) B.tru (Array.map2 (B.xnor m) x y)) |]
+  | E.Ltu -> [| ltu x y |]
   | E.Lts ->
-    let x = av () and y = bv () in
     let w = Array.length x in
     let sa = x.(w - 1) and sb = y.(w - 1) in
     (* sa=1, sb=0 -> true; same sign -> unsigned compare. *)
@@ -133,15 +102,63 @@ and blast_binop ctx op a b =
       | E.Sra | E.Add | E.Sub | E.Mul | E.And | E.Or | E.Xor | E.Eq | E.Ne
       | E.Ltu | E.Lts -> `Right_arith
     in
-    let x = av () and amt = bv () in
     let w = Array.length x in
     let cur = ref x in
     Array.iteri
       (fun j bit ->
         let k = if j >= 30 then w else min w (1 lsl j) in
-        cur := mux_vec ctx bit (shift_const ctx dir !cur k) !cur)
-      amt;
+        cur := mux_vec m bit (shift_const dir !cur k) !cur)
+      y;
     !cur
+
+let concat ~hi ~lo = Array.append lo hi
+let slice a ~hi ~lo = Array.sub a lo (hi - lo + 1)
+let zext a w =
+  Array.init w (fun i -> if i < Array.length a then a.(i) else B.fls)
+
+let sext a w =
+  let top = a.(Array.length a - 1) in
+  Array.init w (fun i -> if i < Array.length a then a.(i) else top)
+
+(* ------------------------------------------------------------------ *)
+(* Whole expressions                                                   *)
+(* ------------------------------------------------------------------ *)
+
+type ctx = {
+  man : B.man;
+  resolve_input : string -> int -> B.t array;
+  resolve_file : string -> B.t array -> int -> B.t array;
+}
+
+(* Leaves resolve in a fixed order, and [new_ctx] numbers variables in
+   first-use order, so this order fixes [check]'s variable numbering
+   and node counts: the right operand first, except under [Mul], [Lts]
+   and the shifts; a mux's select, then its else arm; a concat's high
+   part. *)
+let rec blast ctx e =
+  let m = ctx.man in
+  match e with
+  | E.Const v -> const_vec v
+  | E.Input (n, w) -> ctx.resolve_input n w
+  | E.Unop (op, a) -> unop m op (blast ctx a)
+  | E.Binop (((E.Mul | E.Lts | E.Shl | E.Shr | E.Sra) as op), a, b) ->
+    let x = blast ctx a in
+    binop m op x (blast ctx b)
+  | E.Binop (op, a, b) ->
+    let y = blast ctx b in
+    binop m op (blast ctx a) y
+  | E.Mux (s, a, b) ->
+    let sv = (blast ctx s).(0) in
+    let bv = blast ctx b in
+    mux_vec m sv (blast ctx a) bv
+  | E.Concat (hi, lo) ->
+    let h = blast ctx hi in
+    concat ~hi:h ~lo:(blast ctx lo)
+  | E.Slice (a, hi, lo) -> slice (blast ctx a) ~hi ~lo
+  | E.Zext (a, w) -> zext (blast ctx a) w
+  | E.Sext (a, w) -> sext (blast ctx a) w
+  | E.File_read { file; data_width; addr } ->
+    ctx.resolve_file file (blast ctx addr) data_width
 
 (* The default leaf resolvers: each named input gets fresh variables,
    each distinct (file, address-vector) read gets a fresh vector. *)
@@ -257,12 +274,14 @@ let tautology e =
   B.is_tru (blast c.fctx e).(0)
 
 module Blast = struct
-  type nonrec ctx = ctx
-
-  let create man ~resolve_input ~resolve_file =
-    { man; resolve_input; resolve_file }
-
-  let expr = blast
+  let const = const_vec
+  let unop = unop
+  let binop = binop
+  let mux = mux_vec
+  let concat = concat
+  let slice = slice
+  let zext = zext
+  let sext = sext
 end
 
 let pp_result ppf = function

@@ -42,19 +42,28 @@ val tautology : Hw.Expr.t -> bool
 
 val pp_result : Format.formatter -> result -> unit
 
-(** Low-level access to the bit-blaster with custom leaf resolution
-    (used by the symbolic co-simulator, which resolves inputs from a
-    symbolic machine state instead of allocating free variables). *)
+(** The bit-blaster one operator at a time: each function maps its
+    operands' vectors (LSB first) to the result's, the step the
+    checker takes at each expression node.  The symbolic co-simulator
+    ({!Symsim}, through {!Term}) blasts its terms with these, so there
+    is one bit-blaster. *)
 module Blast : sig
-  type ctx
+  val const : Hw.Bitvec.t -> Hw.Bdd.t array
+  val unop : Hw.Bdd.man -> Hw.Expr.unop -> Hw.Bdd.t array -> Hw.Bdd.t array
 
-  val create :
-    Hw.Bdd.man ->
-    resolve_input:(string -> int -> Hw.Bdd.t array) ->
-    resolve_file:(string -> Hw.Bdd.t array -> int -> Hw.Bdd.t array) ->
-    ctx
-  (** [resolve_file file addr_bits data_width] returns the read value
-      (LSB first). *)
+  val binop :
+    Hw.Bdd.man -> Hw.Expr.binop -> Hw.Bdd.t array -> Hw.Bdd.t array ->
+    Hw.Bdd.t array
+  (** A shift's amount may have any width: its bit [j] shifts by
+      [2^j], saturating at the operand's width. *)
 
-  val expr : ctx -> Hw.Expr.t -> Hw.Bdd.t array
+  val mux :
+    Hw.Bdd.man -> Hw.Bdd.t -> Hw.Bdd.t array -> Hw.Bdd.t array ->
+    Hw.Bdd.t array
+  (** [mux man sel a b]: [a] where [sel] holds, else [b]. *)
+
+  val concat : hi:Hw.Bdd.t array -> lo:Hw.Bdd.t array -> Hw.Bdd.t array
+  val slice : Hw.Bdd.t array -> hi:int -> lo:int -> Hw.Bdd.t array
+  val zext : Hw.Bdd.t array -> int -> Hw.Bdd.t array
+  val sext : Hw.Bdd.t array -> int -> Hw.Bdd.t array
 end

@@ -1,5 +1,6 @@
 module B = Hw.Bdd
 module E = Hw.Expr
+module V = Hw.Bitvec
 module Spec = Machine.Spec
 
 type outcome =
@@ -14,15 +15,14 @@ type outcome =
 
 exception Symbolic_control of { cycle : int; what : string }
 
+(* A register's contents.  Values are never mutated (a file write
+   builds a new entry array), so snapshots and forked paths share
+   them. *)
 type svalue =
-  | SScalar of B.t array
-  | SFile of B.t array array  (* entries, each LSB-first *)
+  | SScalar of Term.t
+  | SFile of Term.t array  (* entries *)
 
 type sstate = (string, svalue) Hashtbl.t
-
-let copy_svalue = function
-  | SScalar v -> SScalar (Array.copy v)
-  | SFile entries -> SFile (Array.map Array.copy entries)
 
 (* ------------------------------------------------------------------ *)
 (* Symbolic state construction                                         *)
@@ -30,6 +30,7 @@ let copy_svalue = function
 
 type alloc = {
   man : B.man;
+  terms : Term.table;
   mutable next : int;
   bit_names : (int, string * int) Hashtbl.t;  (* var -> (display, bit) *)
 }
@@ -50,14 +51,11 @@ let fresh_file a ~name ~entries ~width =
   let base = a.next in
   a.next <- base + (entries * width);
   Array.init entries (fun e ->
+      let display = Printf.sprintf "%s[%d]" name e in
       Array.init width (fun b ->
           let v = base + (b * entries) + e in
-          Hashtbl.replace a.bit_names v (Printf.sprintf "%s[%d]" name e, b);
+          Hashtbl.replace a.bit_names v (display, b);
           B.var a.man v))
-
-let const_vector v =
-  Array.init (Hw.Bitvec.width v) (fun i ->
-      if Hw.Bitvec.bit v i then B.tru else B.fls)
 
 (* The symbolic initial values are allocated once and shared by the
    sequential and pipelined runs: both machines must start from the
@@ -72,30 +70,33 @@ let shared_symbolic a (m : Spec.t) ~symbolic =
       | r -> (
         match r.Spec.kind with
         | Spec.Simple ->
-          Hashtbl.replace tbl name (SScalar (fresh a ~name ~width:r.Spec.width))
+          Hashtbl.replace tbl name
+            (SScalar (Term.var a.terms (fresh a ~name ~width:r.Spec.width)))
         | Spec.File { addr_bits } ->
           Hashtbl.replace tbl name
             (SFile
-               (fresh_file a ~name ~entries:(1 lsl addr_bits)
-                  ~width:r.Spec.width)))
+               (Array.map (Term.var a.terms)
+                  (fresh_file a ~name ~entries:(1 lsl addr_bits)
+                     ~width:r.Spec.width))))
       | exception Not_found ->
         invalid_arg (Printf.sprintf "Symsim: unknown symbolic register %s" name))
     symbolic;
   tbl
 
-let initial_state shared (m : Spec.t) =
+let initial_state a shared (m : Spec.t) =
   let st : sstate = Hashtbl.create 32 in
   List.iter
     (fun (r : Spec.register) ->
       let name = r.Spec.reg_name in
       let v =
         match Hashtbl.find_opt shared name with
-        | Some sv -> copy_svalue sv
+        | Some sv -> sv
         | None -> (
           match (r.Spec.kind, Spec.initial_value m r) with
-          | Spec.Simple, Machine.Value.Scalar bv -> SScalar (const_vector bv)
+          | Spec.Simple, Machine.Value.Scalar bv ->
+            SScalar (Term.const a.terms bv)
           | Spec.File _, Machine.Value.File arr ->
-            SFile (Array.map const_vector arr)
+            SFile (Array.map (Term.const a.terms) arr)
           | Spec.Simple, Machine.Value.File _
           | Spec.File _, Machine.Value.Scalar _ -> assert false)
       in
@@ -107,34 +108,51 @@ let initial_state shared (m : Spec.t) =
 (* Symbolic evaluation helpers                                         *)
 (* ------------------------------------------------------------------ *)
 
-let addr_equals man addr i =
-  (* addr (LSB-first vector) == constant i *)
-  let acc = ref B.tru in
-  Array.iteri
-    (fun b bit ->
-      let want = (i lsr b) land 1 = 1 in
-      acc := B.conj man !acc (if want then bit else B.neg man bit))
-    addr;
-  !acc
+let bit_term a b = Term.const a.terms (V.of_bool b)
 
-let file_read man entries addr =
-  let n = Array.length entries in
-  let acc = ref entries.(0) in
-  for i = 1 to n - 1 do
-    let sel = addr_equals man addr i in
-    acc := Array.mapi (fun b cur -> B.ite man sel entries.(i).(b) cur) !acc
-  done;
-  !acc
+(* A 1-bit term's value where every valuation agrees on it.  This
+   blasts the term: only decisions call it. *)
+let known a t =
+  let b = (Term.blast a.terms t).(0) in
+  if B.is_tru b then Some true else if B.is_fls b then Some false else None
 
-let blaster a ~cycle (st : sstate) (overlay : (string, B.t array) Hashtbl.t) =
-  Equiv.Blast.create a.man
-    ~resolve_input:(fun name width ->
+(* [addr = i] on the address's bits: an address narrower than the
+   file selects every entry whose low bits it equals. *)
+let selects a addr i =
+  Term.binop a.terms E.Eq addr
+    (Term.const a.terms (V.make ~width:(Term.width addr) i))
+
+(* [guard] is the constant true or a term whose BDD is not constant. *)
+let file_write a entries ~addr ~data ~guard =
+  let entries' = Array.copy entries in
+  (match Term.value addr with
+  | Some c ->
+    Array.iteri
+      (fun i cur ->
+        if Term.selected c i then
+          entries'.(i) <- Term.mux a.terms guard data cur)
+      entries
+  | None ->
+    Array.iteri
+      (fun i cur ->
+        let sel = Term.binop a.terms E.And guard (selects a addr i) in
+        match known a sel with
+        | Some true -> entries'.(i) <- data
+        | Some false -> ()
+        | None -> entries'.(i) <- Term.mux a.terms sel data cur)
+      entries);
+  entries'
+
+(* The term of an expression in state [st], signals from [overlay]. *)
+let evaluator a ~cycle (st : sstate) (overlay : (string, Term.t) Hashtbl.t) =
+  Term.of_expr a.terms
+    ~input:(fun name width ->
       match Hashtbl.find_opt overlay name with
       | Some v -> v
       | None -> (
         match Hashtbl.find_opt st name with
         | Some (SScalar v) ->
-          if Array.length v <> width then
+          if Term.width v <> width then
             failwith (Printf.sprintf "Symsim: %s width mismatch" name)
           else v
         | Some (SFile _) ->
@@ -142,9 +160,9 @@ let blaster a ~cycle (st : sstate) (overlay : (string, B.t array) Hashtbl.t) =
         | None ->
           raise
             (Symbolic_control { cycle; what = "unknown input " ^ name })))
-    ~resolve_file:(fun file addr _width ->
+    ~file:(fun file addr _width ->
       match Hashtbl.find_opt st file with
-      | Some (SFile entries) -> file_read a.man entries addr
+      | Some (SFile entries) -> Term.read a.terms entries addr
       | Some (SScalar _) | None ->
         failwith (Printf.sprintf "Symsim: unknown file %s" file))
 
@@ -153,51 +171,53 @@ let blaster a ~cycle (st : sstate) (overlay : (string, B.t array) Hashtbl.t) =
 (* ------------------------------------------------------------------ *)
 
 type supdate =
-  | USet of string * B.t array
-  | UFile of string * B.t array * B.t array * B.t  (* file, addr, data, enable *)
+  | USet of string * Term.t
+  | UFile of string * Term.t * Term.t * Term.t  (* file, addr, data, guard *)
 
-let write_updates a ctx (m : Spec.t) st (w : Spec.write) =
-  let man = a.man in
+let write_updates a eval (m : Spec.t) st (w : Spec.write) =
   let r = Spec.find_register m w.Spec.dst in
-  let guard =
+  (* A guard is a decision: blasted unless constant, and constant when
+     its BDD is. *)
+  let guard, truth =
     match w.Spec.guard with
-    | None -> B.tru
-    | Some g -> (Equiv.Blast.expr ctx g).(0)
+    | None -> (bit_term a true, Some true)
+    | Some g -> (
+      let g = eval g in
+      match known a g with
+      | Some b -> (bit_term a b, Some b)
+      | None -> (g, None))
   in
   match r.Spec.kind with
-  | Spec.File _ ->
-    if B.is_fls guard then []
-    else
+  | Spec.File _ -> (
+    match truth with
+    | Some false -> []
+    | Some true | None ->
       let addr =
         match w.Spec.wr_addr with
-        | Some e -> Equiv.Blast.expr ctx e
+        | Some e -> eval e
         | None -> failwith "Symsim: file write without address"
       in
-      [ UFile (w.Spec.dst, addr, Equiv.Blast.expr ctx w.Spec.value, guard) ]
+      [ UFile (w.Spec.dst, addr, eval w.Spec.value, guard) ])
   | Spec.Simple -> (
-    let v = Equiv.Blast.expr ctx w.Spec.value in
-    match r.Spec.prev_instance with
-    | None ->
-      if B.is_fls guard then []
-      else if B.is_tru guard then [ USet (w.Spec.dst, v) ]
-      else
-        let cur =
-          match Hashtbl.find_opt st w.Spec.dst with
-          | Some (SScalar c) -> c
-          | _ -> failwith "Symsim: scalar state missing"
-        in
-        [ USet (w.Spec.dst, Array.mapi (fun i vb -> B.ite man guard vb cur.(i)) v) ]
-    | Some p ->
-      let prev =
-        match Hashtbl.find_opt st p with
-        | Some (SScalar c) -> c
-        | _ -> failwith "Symsim: prev instance missing"
-      in
-      [ USet (w.Spec.dst, Array.mapi (fun i vb -> B.ite man guard vb prev.(i)) v) ])
+    let v = eval w.Spec.value in
+    let scalar name ~missing =
+      match Hashtbl.find_opt st name with
+      | Some (SScalar c) -> c
+      | _ -> failwith missing
+    in
+    match (r.Spec.prev_instance, truth) with
+    | None, Some false -> []
+    | None, Some true -> [ USet (w.Spec.dst, v) ]
+    | None, None ->
+      let cur = scalar w.Spec.dst ~missing:"Symsim: scalar state missing" in
+      [ USet (w.Spec.dst, Term.mux a.terms guard v cur) ]
+    | Some p, _ ->
+      let prev = scalar p ~missing:"Symsim: prev instance missing" in
+      [ USet (w.Spec.dst, Term.mux a.terms guard v prev) ])
 
-let stage_updates a ctx (m : Spec.t) st ~stage =
+let stage_updates a eval (m : Spec.t) st ~stage =
   let s = Spec.stage_of m stage in
-  let explicit = List.concat_map (write_updates a ctx m st) s.Spec.writes in
+  let explicit = List.concat_map (write_updates a eval m st) s.Spec.writes in
   let written = List.map (fun (w : Spec.write) -> w.Spec.dst) s.Spec.writes in
   let shifts =
     List.filter_map
@@ -206,7 +226,7 @@ let stage_updates a ctx (m : Spec.t) st ~stage =
         | Some p when r.Spec.stage = stage && not (List.mem r.Spec.reg_name written)
           -> (
           match Hashtbl.find_opt st p with
-          | Some (SScalar v) -> Some (USet (r.Spec.reg_name, Array.copy v))
+          | Some (SScalar v) -> Some (USet (r.Spec.reg_name, v))
           | _ -> None)
         | Some _ | None -> None)
       m.Spec.registers
@@ -214,22 +234,14 @@ let stage_updates a ctx (m : Spec.t) st ~stage =
   explicit @ shifts
 
 let apply a st updates =
-  let man = a.man in
   List.iter
     (fun u ->
       match u with
       | USet (n, v) -> Hashtbl.replace st n (SScalar v)
-      | UFile (f, addr, data, enable) -> (
+      | UFile (f, addr, data, guard) -> (
         match Hashtbl.find_opt st f with
         | Some (SFile entries) ->
-          let entries' =
-            Array.mapi
-              (fun i entry ->
-                let sel = B.conj man enable (addr_equals man addr i) in
-                Array.mapi (fun b cur -> B.ite man sel data.(b) cur) entry)
-              entries
-          in
-          Hashtbl.replace st f (SFile entries')
+          Hashtbl.replace st f (SFile (file_write a entries ~addr ~data ~guard))
         | _ -> failwith "Symsim: file state missing"))
     updates
 
@@ -238,41 +250,42 @@ let apply a st updates =
 (* ------------------------------------------------------------------ *)
 
 let seq_spec_trace a shared (m : Spec.t) ~instructions =
-  let st = initial_state shared m in
+  let st = initial_state a shared m in
   let snaps = Array.make (instructions + 1) [] in
   let visible () =
     List.filter_map
       (fun (r : Spec.register) ->
         if r.Spec.visible then
-          Some (r.Spec.reg_name, copy_svalue (Hashtbl.find st r.Spec.reg_name))
+          Some (r.Spec.reg_name, Hashtbl.find st r.Spec.reg_name)
         else None)
       m.Spec.registers
   in
+  let no_signals = Hashtbl.create 1 in
   for i = 0 to instructions - 1 do
     snaps.(i) <- visible ();
     for k = 0 to m.Spec.n_stages - 1 do
-      let ctx = blaster a ~cycle:(-1) st (Hashtbl.create 1) in
-      let ups = stage_updates a ctx m st ~stage:k in
-      apply a st ups
+      let eval = evaluator a ~cycle:(-1) st no_signals in
+      apply a st (stage_updates a eval m st ~stage:k)
     done
   done;
   snaps.(instructions) <- visible ();
   snaps
 
-let svalue_diff man a b =
-  match (a, b) with
-  | SScalar x, SScalar y ->
-    Array.map2 (B.xor man) x y |> Array.fold_left (B.disj man) B.fls
-  | SFile x, SFile y ->
+(* Where two values differ, as one BDD.  A term equal to its
+   counterpart differs nowhere and is not blasted. *)
+let svalue_diff a x y =
+  let man = a.man in
+  let term_diff s t =
+    if s == t then B.fls
+    else
+      Array.map2 (B.xor man) (Term.blast a.terms s) (Term.blast a.terms t)
+      |> Array.fold_left (B.disj man) B.fls
+  in
+  match (x, y) with
+  | SScalar s, SScalar t -> term_diff s t
+  | SFile xs, SFile ys ->
     let acc = ref B.fls in
-    Array.iteri
-      (fun i xi ->
-        let d =
-          Array.map2 (B.xor man) xi y.(i)
-          |> Array.fold_left (B.disj man) B.fls
-        in
-        acc := B.disj man !acc d)
-      x;
+    Array.iteri (fun i s -> acc := B.disj man !acc (term_diff s ys.(i))) xs;
     !acc
   | SScalar _, SFile _ | SFile _, SScalar _ -> B.tru
 
@@ -297,10 +310,8 @@ type path_state = {
 }
 
 let copy_path ps =
-  let st = Hashtbl.create (Hashtbl.length ps.ps_st) in
-  Hashtbl.iter (fun k v -> Hashtbl.replace st k (copy_svalue v)) ps.ps_st;
   {
-    ps_st = st;
+    ps_st = Hashtbl.copy ps.ps_st;
     ps_fullb = Array.copy ps.ps_fullb;
     ps_tags = Array.copy ps.ps_tags;
     ps_retired = ps.ps_retired;
@@ -329,12 +340,18 @@ let check ?symbolic ?(max_paths = 64) ~instructions (t : Pipeline.Transform.t) =
           | Spec.File _ | Spec.Simple -> None)
         base.Spec.registers
   in
-  let a = { man = B.manager (); next = 0; bit_names = Hashtbl.create 256 } in
+  let man = B.manager () in
+  let a =
+    { man; terms = Term.table man; next = 0; bit_names = Hashtbl.create 256 }
+  in
   let paths = ref 1 in
   try
     let shared = shared_symbolic a base ~symbolic in
     (* The specification: symbolic sequential run. *)
-    let spec = seq_spec_trace a shared base ~instructions in
+    let spec =
+      Obs.Span.with_span "symsim.spec" @@ fun () ->
+      seq_spec_trace a shared base ~instructions
+    in
     let visible_of_stage =
       Array.init n (fun k ->
           List.filter
@@ -351,37 +368,37 @@ let check ?symbolic ?(max_paths = 64) ~instructions (t : Pipeline.Transform.t) =
        [Need_split] is raised before any mutation, so the caller can
        fork from the same state. *)
     let run_cycle pathc ps =
-      let overlay : (string, B.t array) Hashtbl.t = Hashtbl.create 64 in
+      let overlay : (string, Term.t) Hashtbl.t = Hashtbl.create 64 in
       for k = 0 to n - 1 do
         Hashtbl.replace overlay
           (Pipeline.Transform.full_signal k)
-          [| (if k = 0 || ps.ps_fullb.(k) then B.tru else B.fls) |];
-        Hashtbl.replace overlay (Pipeline.Transform.ext_signal k) [| B.fls |]
+          (bit_term a (k = 0 || ps.ps_fullb.(k)));
+        Hashtbl.replace overlay
+          (Pipeline.Transform.ext_signal k)
+          (bit_term a false)
       done;
-      let ctx = blaster a ~cycle:ps.ps_cycle ps.ps_st overlay in
+      let eval = evaluator a ~cycle:ps.ps_cycle ps.ps_st overlay in
       List.iter
-        (fun (name, e) ->
-          Hashtbl.replace overlay name (Equiv.Blast.expr ctx e))
+        (fun (name, e) -> Hashtbl.replace overlay name (eval e))
         t.Pipeline.Transform.signals;
-      let control ~what bit =
-        ignore what;
+      (* A control bit is a decision: its term is blasted (a constant
+         builds no node) and decided under the path constraint. *)
+      let control term =
+        let bit = (Term.blast a.terms term).(0) in
         match decide a.man pathc bit with
         | Some b -> b
         | None -> raise (Need_split bit)
       in
       let dhaz =
         Array.init n (fun k ->
-            control
-              ~what:(Printf.sprintf "dhaz_%d" k)
-              (Hashtbl.find overlay t.Pipeline.Transform.stage_dhaz.(k)).(0))
+            control (Hashtbl.find overlay t.Pipeline.Transform.stage_dhaz.(k)))
       in
       let mispredict ~stage ~stalled =
         (not stalled)
         && List.exists
              (fun (sp : Pipeline.Fwd_spec.speculation) ->
                sp.Pipeline.Fwd_spec.resolve_stage = stage
-               && control ~what:sp.Pipeline.Fwd_spec.spec_label
-                    (Equiv.Blast.expr ctx sp.Pipeline.Fwd_spec.mispredict).(0))
+               && control (eval sp.Pipeline.Fwd_spec.mispredict))
              t.Pipeline.Transform.speculations
       in
       let ext = Array.make n false in
@@ -407,13 +424,13 @@ let check ?symbolic ?(max_paths = 64) ~instructions (t : Pipeline.Transform.t) =
       let updates = ref [] in
       for k = 0 to n - 1 do
         if s.Pipeline.Stall_engine.ue.(k) then
-          updates := stage_updates a ctx machine ps.ps_st ~stage:k :: !updates
+          updates := stage_updates a eval machine ps.ps_st ~stage:k :: !updates
       done;
       (match firing_spec with
       | Some sp ->
         updates :=
           List.concat_map
-            (write_updates a ctx machine ps.ps_st)
+            (write_updates a eval machine ps.ps_st)
             sp.Pipeline.Fwd_spec.rollback_writes
           :: !updates
       | None -> ());
@@ -429,9 +446,7 @@ let check ?symbolic ?(max_paths = 64) ~instructions (t : Pipeline.Transform.t) =
                   Hashtbl.find_opt ps.ps_st r.Spec.reg_name )
               with
               | Some expected, Some got ->
-                let diff =
-                  B.conj a.man pathc (svalue_diff a.man expected got)
-                in
+                let diff = B.conj a.man pathc (svalue_diff a expected got) in
                 if not (B.is_fls diff) then begin
                   let sat = Option.get (B.any_sat a.man diff) in
                   let grouped : (string, int) Hashtbl.t = Hashtbl.create 16 in
@@ -536,7 +551,7 @@ let check ?symbolic ?(max_paths = 64) ~instructions (t : Pipeline.Transform.t) =
     in
     let ps =
       {
-        ps_st = initial_state shared machine;
+        ps_st = initial_state a shared machine;
         ps_fullb = Array.make n false;
         ps_tags = Array.make n None;
         ps_retired = 0;
@@ -545,7 +560,7 @@ let check ?symbolic ?(max_paths = 64) ~instructions (t : Pipeline.Transform.t) =
       }
     in
     ps.ps_tags.(0) <- Some 0;
-    run_path B.tru ps;
+    Obs.Span.with_span "symsim.paths" (fun () -> run_path B.tru ps);
     match (!mismatch, !stopped) with
     | Some m, _ | None, Some m -> m
     | None, None ->

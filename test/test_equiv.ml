@@ -37,13 +37,15 @@ let test_bdd_sat () =
 
 (* ---------------- blaster vs evaluator ---------------- *)
 
-let arb_expr =
+(* Expressions of width [w] over the inputs [p<w>], [q<w>] (and 1-bit
+   mux selects), with constants drawn by [const w]. *)
+let gen_expr ~const =
   let open QCheck.Gen in
   let rec gen depth w =
     if depth = 0 then
       oneof
         [
-          (int_bound 500 >|= fun v -> E.const_int ~width:w v);
+          (const w >|= fun v -> E.const_int ~width:w v);
           return (E.input (Printf.sprintf "p%d" w) w);
           return (E.input (Printf.sprintf "q%d" w) w);
         ]
@@ -69,7 +71,15 @@ let arb_expr =
           (1, gen (depth - 1) w >|= fun a -> E.Unop (E.Neg, a));
         ]
   in
-  QCheck.make ~print:E.to_string (int_range 1 8 >>= fun w -> gen 3 w)
+  gen
+
+(* Widths 1-8: the symbolic properties blast inputs, and an adder's
+   BDD grows exponentially with the width under [Equiv]'s variable
+   order. *)
+let arb_expr =
+  QCheck.make ~print:E.to_string
+    QCheck.Gen.(
+      int_range 1 8 >>= fun w -> gen_expr ~const:(fun _ -> int_bound 500) 3 w)
 
 (* The checker against itself: e is always equivalent to e, and the
    blast semantics agree with the evaluator (via a self-equivalence
@@ -405,17 +415,148 @@ let prop_bdd_tables_lossless =
           (B.node_count m);
       true)
 
+(* Symsim blasts a term only where a decision or a mismatch needs it.
+   toy3's control is concrete and its pipelined results meet the
+   sequential ones in the same terms, so a proof builds no node beyond
+   its 256 variables' own and the two terminals, in every variant.
+   [pipegen symbolic toy3] prints this figure. *)
 let test_symsim_toy_node_count () =
-  (* Node ids and counts are the same as with any other lossless table,
-     and proofs print them: [proof toy3] reports this figure. *)
-  let tr = Core.Toy.transform ~program:Core.Toy.default_program () in
-  match Proof_engine.Symsim.check ~instructions:6 tr with
-  | Proof_engine.Symsim.Proved { instructions; variables; bdd_nodes } ->
-    Alcotest.(check int) "instructions" 6 instructions;
-    Alcotest.(check int) "variables" 256 variables;
-    Alcotest.(check int) "BDD nodes" 37_032 bdd_nodes
-  | o ->
-    Alcotest.failf "not proved: %a" Proof_engine.Symsim.pp_outcome o
+  List.iter
+    (fun (mode, impl) ->
+      let tr =
+        Core.Toy.transform
+          ~options:{ Pipeline.Fwd_spec.mode; impl }
+          ~program:Core.Toy.default_program ()
+      in
+      match Proof_engine.Symsim.check ~instructions:6 tr with
+      | Proof_engine.Symsim.Proved { instructions; variables; bdd_nodes } ->
+        Alcotest.(check int) "instructions" 6 instructions;
+        Alcotest.(check int) "variables" 256 variables;
+        Alcotest.(check int) "no node beyond the variables'" (variables + 2)
+          bdd_nodes;
+        Alcotest.(check int) "BDD nodes" 258 bdd_nodes
+      | o ->
+        Alcotest.failf "not proved: %a" Proof_engine.Symsim.pp_outcome o)
+    (List.concat_map
+       (fun mode ->
+         List.map (fun impl -> (mode, impl))
+           [ Hw.Circuits.Chain; Hw.Circuits.Tree; Hw.Circuits.Bus ])
+       [ Pipeline.Fwd_spec.Full; Pipeline.Fwd_spec.Interlock_only ])
+
+(* ---------------- the term domain on constants ---------------- *)
+
+(* Widths 1-62, a quarter of them 62, with constants at the sign bit
+   and all ones, and a value per input. *)
+let arb_constant_case =
+  let open QCheck.Gen in
+  let width =
+    let w = Hw.Bitvec.max_width in
+    frequency [ (1, return w); (3, int_range 1 w) ]
+  in
+  let const w =
+    oneof [ int_bound 500; return (1 lsl (w - 1)); return (-1); int ]
+  in
+  QCheck.make
+    ~print:(fun (e, vs) ->
+      Printf.sprintf "%s with inputs %s" (E.to_string e)
+        (String.concat "," (List.map string_of_int (Array.to_list vs))))
+    (pair (width >>= fun w -> gen_expr ~const 3 w) (array_repeat 4 int))
+
+(* Terms over constants fold without a BDD: the only values Symsim
+   computes that way.  The folded constant must be what the evaluator
+   computes and what [Equiv] blasts. *)
+let prop_term_folding =
+  QCheck.Test.make ~name:"term folding = Eval = blast on constants"
+    ~count:500 arb_constant_case (fun (e, vs) ->
+      let inputs =
+        List.mapi
+          (fun i (n, w) ->
+            (n, Hw.Bitvec.make ~width:w vs.(i mod Array.length vs)))
+          (E.inputs e)
+      in
+      let evaluated = Hw.Eval.eval (Hw.Eval.env_of_assoc inputs) e in
+      let module T = Proof_engine.Term in
+      let tb = T.table (B.manager ()) in
+      let term =
+        T.of_expr tb
+          ~input:(fun n _ -> T.const tb (List.assoc n inputs))
+          ~file:(fun f _ _ -> Alcotest.failf "no file %s" f)
+          e
+      in
+      let closed =
+        E.subst (fun n -> Option.map E.const (List.assoc_opt n inputs)) e
+      in
+      match T.value term with
+      | None -> QCheck.Test.fail_report "did not fold to a constant"
+      | Some folded -> (
+        if not (Hw.Bitvec.equal folded evaluated) then
+          QCheck.Test.fail_reportf "folded %s, evaluated %s"
+            (Hw.Bitvec.to_string folded) (Hw.Bitvec.to_string evaluated);
+        match Q.check closed (E.Const folded) with
+        | Q.Equivalent _ -> true
+        | r -> QCheck.Test.fail_reportf "blast: %a" Q.pp_result r))
+
+(* The folds that keep a symbolic operand (a mux with a constant
+   select or equal arms, [And]/[Or] with an absorbing or neutral
+   constant) must keep the function: with every input a variable, the
+   term's blast, evaluated at random inputs, is what the evaluator
+   computes.  Widths 1-8, as for the other symbolic properties. *)
+let arb_symbolic_case =
+  let open QCheck.Gen in
+  let const _ = oneof [ int_bound 500; return 0; return (-1) ] in
+  QCheck.make
+    ~print:(fun (e, vs) ->
+      Printf.sprintf "%s with inputs %s" (E.to_string e)
+        (String.concat "," (List.map string_of_int (Array.to_list vs))))
+    (pair (int_range 1 8 >>= fun w -> gen_expr ~const 3 w) (array_repeat 4 int))
+
+let prop_term_blast =
+  QCheck.Test.make ~name:"term blast = Eval on symbolic inputs" ~count:300
+    arb_symbolic_case (fun (e, vs) ->
+      let module T = Proof_engine.Term in
+      let man = B.manager () in
+      let tb = T.table man in
+      (* Input i: its value, its first variable, its term. *)
+      let inputs, _ =
+        List.fold_left
+          (fun (acc, base) (n, w) ->
+            let value = Hw.Bitvec.make ~width:w vs.(List.length acc mod 4) in
+            let term = T.var tb (Array.init w (fun b -> B.var man (base + b))) in
+            ((n, (value, base, term)) :: acc, base + w))
+          ([], 0) (E.inputs e)
+      in
+      let term =
+        T.of_expr tb
+          ~input:(fun n _ ->
+            let _, _, t = List.assoc n inputs in
+            t)
+          ~file:(fun f _ _ -> Alcotest.failf "no file %s" f)
+          e
+      in
+      let assign v =
+        List.exists
+          (fun (_, (value, base, _)) ->
+            v >= base
+            && v < base + Hw.Bitvec.width value
+            && Hw.Bitvec.bit value (v - base))
+          inputs
+      in
+      let bits = T.blast tb term in
+      let blasted =
+        Hw.Bitvec.make ~width:(Array.length bits)
+          (Array.to_list bits
+          |> List.mapi (fun i b -> if B.eval man b assign then 1 lsl i else 0)
+          |> List.fold_left ( lor ) 0)
+      in
+      let evaluated =
+        Hw.Eval.eval
+          (Hw.Eval.env_of_assoc
+             (List.map (fun (n, (value, _, _)) -> (n, value)) inputs))
+          e
+      in
+      Hw.Bitvec.equal blasted evaluated
+      || QCheck.Test.fail_reportf "blast %s, evaluated %s"
+           (Hw.Bitvec.to_string blasted) (Hw.Bitvec.to_string evaluated))
 
 let () =
   Alcotest.run "equiv"
@@ -452,5 +593,7 @@ let () =
             prop_self_equivalent;
             prop_rewrite_equivalent;
             prop_counterexamples_are_real;
+            prop_term_folding;
+            prop_term_blast;
           ] );
     ]
