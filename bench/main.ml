@@ -620,7 +620,9 @@ let perf_compiled () =
       (List.fold_left (fun a s -> a +. log s) 0.0 speedups
       /. float_of_int (List.length speedups))
   in
-  add_entry (Obs.Export.entry ~ns_per_run:geo "PERF.speedup_geomean");
+  add_entry
+    (Obs.Export.entry ~ns_per_run:geo ~higher_is_better:true
+       "PERF.speedup_geomean");
   Format.printf
     "geomean speedup %.2fx (identical cycles, retirements and hazard counts)@."
     geo
@@ -739,7 +741,7 @@ let perf_parallel ~jobs () =
      number (attached to a timing row, so informational, never
      gated). *)
   add_entry
-    (Obs.Export.entry ~ns_per_run:speedup
+    (Obs.Export.entry ~ns_per_run:speedup ~higher_is_better:true
        ~breakdown:
          [ ("jobs", float_of_int jobs); ("cores", float_of_int cores) ]
        "PERF.par_sweep_speedup")
@@ -806,7 +808,7 @@ let perf_bmc ~jobs () =
       (Obs.Export.entry ~ns_per_run:np_b
          (Printf.sprintf "PERF.bmc_%s_batched" name));
     add_entry
-      (Obs.Export.entry ~ns_per_run:speedup
+      (Obs.Export.entry ~ns_per_run:speedup ~higher_is_better:true
          (Printf.sprintf "PERF.bmc_%s_speedup" name))
   in
   (* The 3-stage toy: run cost is a large share of the rebuild cost,
@@ -882,10 +884,10 @@ let perf_bmc ~jobs () =
     "  sweep (%d points): rebuild %.2f ms, batched %.2f ms: speedup %.2fx, \
      rows bit-identical@."
     (List.length biases) (ns_sr /. 1e6) (ns_sb /. 1e6) (ns_sr /. ns_sb);
-  (* A ratio, higher is better: the name carries "speedup", which is
-     how the history trend gate reads a row's direction. *)
+  (* A ratio: higher is better, which the row says for the history
+     trend gate. *)
   add_entry
-    (Obs.Export.entry ~ns_per_run:(ns_sr /. ns_sb)
+    (Obs.Export.entry ~ns_per_run:(ns_sr /. ns_sb) ~higher_is_better:true
        "PERF.sweep_batched_speedup")
 
 (* ------------------------------------------------------------------ *)
@@ -921,7 +923,8 @@ let perf_bmc_lanes () =
      rows and WORK bit-identical@."
     (List.length biases) (ns_s /. 1e6) (ns_l /. 1e6) (ns_s /. ns_l);
   add_entry
-    (Obs.Export.entry ~ns_per_run:(ns_s /. ns_l) "PERF.sweep_lanes_speedup")
+    (Obs.Export.entry ~ns_per_run:(ns_s /. ns_l) ~higher_is_better:true
+       "PERF.sweep_lanes_speedup")
 
 (* ------------------------------------------------------------------ *)
 (* CAMPAIGN: fault-injection detection coverage (smoke campaign)       *)

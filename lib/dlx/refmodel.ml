@@ -18,6 +18,11 @@ type state = {
   mutable instret : int;
   mutable gpr_written : int;
   mutable stored : int;
+  mutable loaded_words : int;
+  mutable loaded_data : (int * int) list;
+  mutable stores : int array;
+  mutable n_stores : int;
+  store_seen : Bytes.t;
 }
 
 let mem_words = 1 lsl 12
@@ -25,11 +30,45 @@ let mask32 v = v land 0xFFFFFFFF
 let signed v = if v land 0x80000000 <> 0 then v - 0x100000000 else v
 let word_index addr = (addr lsr 2) land (mem_words - 1)
 
+(* A store logs its word once ([store_seen]: one bit per word), so a
+   reset can undo exactly what the last program stored. *)
+let note_store s w =
+  let byte = Char.code (Bytes.get s.store_seen (w lsr 3)) in
+  if byte land (1 lsl (w land 7)) = 0 then begin
+    Bytes.set s.store_seen (w lsr 3) (Char.chr (byte lor (1 lsl (w land 7))));
+    if s.n_stores = Array.length s.stores then begin
+      let grown = Array.make (max 16 (2 * s.n_stores)) 0 in
+      Array.blit s.stores 0 grown 0 s.n_stores;
+      s.stores <- grown
+    end;
+    s.stores.(s.n_stores) <- w;
+    s.n_stores <- s.n_stores + 1
+  end
+
+(* Undo only what the previous program touched — the instruction words
+   and data words its reset loaded and the words it stored — then load
+   this one: a reset costs the two programs' sizes, not two 4096-word
+   refills. *)
 let reset ?(data = []) ~program s =
-  Array.fill s.imem 0 mem_words Isa.nop_word;
-  List.iteri (fun i w -> if i < mem_words then s.imem.(i) <- mask32 w) program;
-  Array.fill s.mem 0 mem_words 0;
+  Array.fill s.imem 0 s.loaded_words Isa.nop_word;
+  List.iter (fun (i, _) -> s.mem.(i land (mem_words - 1)) <- 0) s.loaded_data;
+  for j = 0 to s.n_stores - 1 do
+    let w = s.stores.(j) in
+    s.mem.(w) <- 0;
+    Bytes.set s.store_seen (w lsr 3) '\000'
+  done;
+  s.n_stores <- 0;
+  let words = ref 0 in
+  List.iteri
+    (fun i w ->
+      if i < mem_words then begin
+        s.imem.(i) <- mask32 w;
+        words := i + 1
+      end)
+    program;
+  s.loaded_words <- !words;
   List.iter (fun (i, v) -> s.mem.(i land (mem_words - 1)) <- mask32 v) data;
+  s.loaded_data <- data;
   Array.fill s.gpr 0 32 0;
   s.pc <- 4;
   s.dpc <- 0;
@@ -56,6 +95,11 @@ let create ?data ~program () =
       instret = 0;
       gpr_written = -1;
       stored = -1;
+      loaded_words = 0;
+      loaded_data = [];
+      stores = [||];
+      n_stores = 0;
+      store_seen = Bytes.make (mem_words / 8) '\000';
     }
   in
   reset ?data ~program s;
@@ -83,111 +127,122 @@ let load s ~addr ~size ~signed:sgn =
     let h = (word lsr (16 * ((addr lsr 1) land 1))) land 0xFFFF in
     if sgn && h land 0x8000 <> 0 then mask32 (h - 0x10000) else h
 
+let set_gpr s r v =
+  if r <> 0 then begin
+    s.gpr.(r) <- mask32 v;
+    s.gpr_written <- r
+  end
+
+(* The next fetch after an instruction at [old_pc]'s predecessor: the
+   delay slot ([old_pc]) runs next, then [old_pc + 4] or, for a taken
+   control transfer, the target. *)
+let next s ~old_pc =
+  s.dpc <- old_pc;
+  s.pc <- mask32 (old_pc + 4)
+
+let jump s ~old_pc target =
+  s.dpc <- old_pc;
+  s.pc <- mask32 target
+
+let branch s ~old_pc taken target =
+  if taken then jump s ~old_pc target else next s ~old_pc
+
+(* "Continue"-type interrupts: the faulting instruction is aborted and
+   RFE resumes at its successor (old_pc / old_pc+4). *)
+let jisr config s ~old_pc cause =
+  s.epc <- mask32 (old_pc + 4);
+  s.edpc <- old_pc;
+  s.eca <- cause;
+  s.sr <- 0;
+  s.pc <- mask32 (config.sisr + 4);
+  s.dpc <- mask32 config.sisr
+
+let alu s ~old_pc d v =
+  set_gpr s d v;
+  next s ~old_pc
+
+let alu_ovf config s ~old_pc ~interrupts_on d sum ovf =
+  if ovf && interrupts_on then jisr config s ~old_pc 2 else alu s ~old_pc d sum
+
+let slt x y = if signed x < signed y then 1 else 0
+
+let load_to s ~old_pc d addr size sgn =
+  set_gpr s d (load s ~addr:(mask32 addr) ~size ~signed:sgn);
+  next s ~old_pc
+
+(* The helpers above are top-level functions, not closures over [s],
+   and [g] is inlined: a step allocates only its decoded
+   instruction. *)
 let step ?(config = default_config) s =
   let ir = s.imem.(word_index s.dpc) in
   let insn = Isa.decode ir in
   let old_pc = s.pc and old_dpc = s.dpc in
   s.gpr_written <- -1;
   s.stored <- -1;
-  let set_gpr r v =
-    if r <> 0 then begin
-      s.gpr.(r) <- mask32 v;
-      s.gpr_written <- r
-    end
-  in
   let g r = s.gpr.(r) in
-  (* "Continue"-type interrupts: the faulting instruction is aborted
-     and RFE resumes at its successor (old_pc / old_pc+4). *)
-  let jisr cause =
-    s.epc <- mask32 (old_pc + 4);
-    s.edpc <- old_pc;
-    s.eca <- cause;
-    s.sr <- 0;
-    s.pc <- mask32 (config.sisr + 4);
-    s.dpc <- mask32 config.sisr
-  in
   let interrupts_on = config.with_interrupts && s.sr land 1 = 1 in
-  let normal ?(taken = false) ?(target = 0) () =
-    s.dpc <- old_pc;
-    s.pc <- (if taken then mask32 target else mask32 (old_pc + 4))
-  in
-  let alu_op r f a b = set_gpr r (f a b); normal () in
-  let alu_ovf r sum ovf =
-    if ovf && interrupts_on then jisr 2
-    else begin
-      set_gpr r sum;
-      normal ()
-    end
-  in
   (match insn with
-  | None -> if interrupts_on then jisr 1 else normal ()
+  | None -> if interrupts_on then jisr config s ~old_pc 1 else next s ~old_pc
   | Some i -> (
     match i with
-    | Isa.Nop -> normal ()
-    | Isa.Add (d, a, b) -> alu_ovf d (g a + g b) (add_overflows (g a) (g b))
-    | Isa.Sub (d, a, b) -> alu_ovf d (g a - g b) (sub_overflows (g a) (g b))
-    | Isa.And (d, a, b) -> alu_op d ( land ) (g a) (g b)
-    | Isa.Or (d, a, b) -> alu_op d ( lor ) (g a) (g b)
-    | Isa.Xor (d, a, b) -> alu_op d ( lxor ) (g a) (g b)
-    | Isa.Sll (d, a, b) -> alu_op d (fun x y -> x lsl (y land 31)) (g a) (g b)
-    | Isa.Srl (d, a, b) -> alu_op d (fun x y -> x lsr (y land 31)) (g a) (g b)
-    | Isa.Sra (d, a, b) ->
-      alu_op d (fun x y -> signed x asr (y land 31)) (g a) (g b)
-    | Isa.Slt (d, a, b) ->
-      alu_op d (fun x y -> if signed x < signed y then 1 else 0) (g a) (g b)
-    | Isa.Sltu (d, a, b) -> alu_op d (fun x y -> if x < y then 1 else 0) (g a) (g b)
+    | Isa.Nop -> next s ~old_pc
+    | Isa.Add (d, a, b) ->
+      alu_ovf config s ~old_pc ~interrupts_on d (g a + g b)
+        (add_overflows (g a) (g b))
+    | Isa.Sub (d, a, b) ->
+      alu_ovf config s ~old_pc ~interrupts_on d (g a - g b)
+        (sub_overflows (g a) (g b))
+    | Isa.And (d, a, b) -> alu s ~old_pc d (g a land g b)
+    | Isa.Or (d, a, b) -> alu s ~old_pc d (g a lor g b)
+    | Isa.Xor (d, a, b) -> alu s ~old_pc d (g a lxor g b)
+    | Isa.Sll (d, a, b) -> alu s ~old_pc d (g a lsl (g b land 31))
+    | Isa.Srl (d, a, b) -> alu s ~old_pc d (g a lsr (g b land 31))
+    | Isa.Sra (d, a, b) -> alu s ~old_pc d (signed (g a) asr (g b land 31))
+    | Isa.Slt (d, a, b) -> alu s ~old_pc d (slt (g a) (g b))
+    | Isa.Sltu (d, a, b) -> alu s ~old_pc d (if g a < g b then 1 else 0)
     | Isa.Addi (d, a, imm) ->
-      alu_ovf d (g a + mask32 imm) (add_overflows (g a) (mask32 imm))
-    | Isa.Andi (d, a, imm) -> alu_op d ( land ) (g a) (imm land 0xFFFF)
-    | Isa.Ori (d, a, imm) -> alu_op d ( lor ) (g a) (imm land 0xFFFF)
-    | Isa.Xori (d, a, imm) -> alu_op d ( lxor ) (g a) (imm land 0xFFFF)
-    | Isa.Slti (d, a, imm) ->
-      alu_op d (fun x y -> if signed x < signed y then 1 else 0) (g a) (mask32 imm)
-    | Isa.Lhi (d, imm) -> alu_op d (fun _ y -> (y land 0xFFFF) lsl 16) 0 imm
-    | Isa.Slli (d, a, sh) -> alu_op d (fun x y -> x lsl y) (g a) sh
-    | Isa.Srli (d, a, sh) -> alu_op d (fun x y -> x lsr y) (g a) sh
-    | Isa.Srai (d, a, sh) -> alu_op d (fun x y -> signed x asr y) (g a) sh
-    | Isa.Lw (d, a, off) ->
-      set_gpr d (load s ~addr:(mask32 (g a + mask32 off)) ~size:`Word ~signed:false);
-      normal ()
-    | Isa.Lb (d, a, off) ->
-      set_gpr d (load s ~addr:(mask32 (g a + mask32 off)) ~size:`Byte ~signed:true);
-      normal ()
-    | Isa.Lbu (d, a, off) ->
-      set_gpr d (load s ~addr:(mask32 (g a + mask32 off)) ~size:`Byte ~signed:false);
-      normal ()
-    | Isa.Lh (d, a, off) ->
-      set_gpr d (load s ~addr:(mask32 (g a + mask32 off)) ~size:`Half ~signed:true);
-      normal ()
-    | Isa.Lhu (d, a, off) ->
-      set_gpr d (load s ~addr:(mask32 (g a + mask32 off)) ~size:`Half ~signed:false);
-      normal ()
+      alu_ovf config s ~old_pc ~interrupts_on d (g a + mask32 imm)
+        (add_overflows (g a) (mask32 imm))
+    | Isa.Andi (d, a, imm) -> alu s ~old_pc d (g a land (imm land 0xFFFF))
+    | Isa.Ori (d, a, imm) -> alu s ~old_pc d (g a lor (imm land 0xFFFF))
+    | Isa.Xori (d, a, imm) -> alu s ~old_pc d (g a lxor (imm land 0xFFFF))
+    | Isa.Slti (d, a, imm) -> alu s ~old_pc d (slt (g a) (mask32 imm))
+    | Isa.Lhi (d, imm) -> alu s ~old_pc d ((imm land 0xFFFF) lsl 16)
+    | Isa.Slli (d, a, sh) -> alu s ~old_pc d (g a lsl sh)
+    | Isa.Srli (d, a, sh) -> alu s ~old_pc d (g a lsr sh)
+    | Isa.Srai (d, a, sh) -> alu s ~old_pc d (signed (g a) asr sh)
+    | Isa.Lw (d, a, off) -> load_to s ~old_pc d (g a + mask32 off) `Word false
+    | Isa.Lb (d, a, off) -> load_to s ~old_pc d (g a + mask32 off) `Byte true
+    | Isa.Lbu (d, a, off) -> load_to s ~old_pc d (g a + mask32 off) `Byte false
+    | Isa.Lh (d, a, off) -> load_to s ~old_pc d (g a + mask32 off) `Half true
+    | Isa.Lhu (d, a, off) -> load_to s ~old_pc d (g a + mask32 off) `Half false
     | Isa.Sw (a, src, off) ->
       let w = word_index (mask32 (g a + mask32 off)) in
       s.mem.(w) <- g src;
       s.stored <- w;
-      normal ()
-    | Isa.Beqz (a, off) ->
-      normal ~taken:(g a = 0) ~target:(old_dpc + 4 + off) ()
-    | Isa.Bnez (a, off) ->
-      normal ~taken:(g a <> 0) ~target:(old_dpc + 4 + off) ()
-    | Isa.J off -> normal ~taken:true ~target:(old_dpc + 4 + off) ()
+      note_store s w;
+      next s ~old_pc
+    | Isa.Beqz (a, off) -> branch s ~old_pc (g a = 0) (old_dpc + 4 + off)
+    | Isa.Bnez (a, off) -> branch s ~old_pc (g a <> 0) (old_dpc + 4 + off)
+    | Isa.J off -> jump s ~old_pc (old_dpc + 4 + off)
     | Isa.Jal off ->
-      set_gpr 31 (old_pc + 4);
-      normal ~taken:true ~target:(old_dpc + 4 + off) ()
-    | Isa.Jr a -> normal ~taken:true ~target:(g a) ()
+      set_gpr s 31 (old_pc + 4);
+      jump s ~old_pc (old_dpc + 4 + off)
+    | Isa.Jr a -> jump s ~old_pc (g a)
     | Isa.Jalr a ->
       let target = g a in
-      set_gpr 31 (old_pc + 4);
-      normal ~taken:true ~target ()
-    | Isa.Trap code -> if interrupts_on then jisr (0x20 lor code) else normal ()
+      set_gpr s 31 (old_pc + 4);
+      jump s ~old_pc target
+    | Isa.Trap code ->
+      if interrupts_on then jisr config s ~old_pc (0x20 lor code)
+      else next s ~old_pc
     | Isa.Rfe ->
       if config.with_interrupts then begin
         s.sr <- 1;
         s.pc <- s.epc;
         s.dpc <- s.edpc
       end
-      else normal ()));
+      else next s ~old_pc));
   s.instret <- s.instret + 1
 
 let run ?config s ~steps =

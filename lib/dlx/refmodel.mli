@@ -34,8 +34,16 @@ type state = {
       (** the [mem] word index the latest {!step} stored to, [-1] if it
           stored nothing.  With [gpr_written] this tells a caller that
           snapshots the state after every step exactly which entry
-          changed, so it can copy one entry instead of scanning a
-          file ({!Seq_dlx.ref_trace}). *)
+          changed, so it can log one write instead of scanning a file
+          ({!Seq_dlx.ref_trace}). *)
+  mutable loaded_words : int;
+      (** [imem] words the last {!reset} loaded (the program's length) *)
+  mutable loaded_data : (int * int) list;  (** the [data] it loaded *)
+  mutable stores : int array;
+      (** the distinct [mem] words stored to since that reset, in the
+          prefix of length [n_stores] *)
+  mutable n_stores : int;
+  store_seen : Bytes.t;  (** one bit per [mem] word: in [stores] *)
 }
 
 val mem_words : int
@@ -46,7 +54,9 @@ val create : ?data:(int * int) list -> program:int list -> unit -> state
 
 val reset : ?data:(int * int) list -> program:int list -> state -> unit
 (** Refill a state in place to what [create ?data ~program ()]
-    returns, without allocating. *)
+    returns, without allocating: only the words the previous program
+    loaded or {!step} stored are undone, so the memories must change
+    only through {!reset} and {!step}. *)
 
 val local_state : unit -> state
 (** The calling domain's own state, for a run that {!reset}s it first

@@ -165,13 +165,11 @@ let w ?guard ?addr dst value =
 
 (* Images are read-only initial values: [State.reset] points a file
    register at its image until the register's first write,
-   [State.reset_lanes] copies out of them, both remember the physical
-   array they were reset from, and [ref_trace] starts its MEM snapshots
-   from the same array.  Handing every consumer of one program the
-   {e same physical} image is what lets resets skip refill work and
-   the consistency checkers skip comparing a file no store has
-   touched.  The caches below are therefore never mutated, and their
-   results must not be either.
+   [State.reset_lanes] loads its non-zero entries, and [ref_trace]
+   starts its MEM column from the same array.  Handing every consumer
+   of one program the {e same physical} image lets a checker find the
+   starting contents equal by pointer.  The caches below are therefore
+   never mutated, and their results must not be either.
 
    The all-zero MEM table is shared by every empty-[data] image.
    Eager, not [lazy]: images are built on pool workers and OCaml lazy
@@ -566,14 +564,18 @@ let visible_names variant =
   | With_interrupts _ ->
     [ "DPC"; "ECA"; "EDPC"; "EPC"; "GPR"; "MEM"; "PC"; "SR" ]
 
-(* Copy-on-write (see the interface): [Refmodel] names the one entry
-   a step wrote, so no step scans or deep-copies the 4096-word
-   memory, and MEM starts as [mem_of_data]'s array — the one the
-   simulator is reset from — so checkers can match it by pointer until
-   the first store.  The golden model runs on the domain's
-   [Refmodel.local_state]: a fresh state is two 4096-word memories,
-   more than a short sweep point's whole trace costs, and snapshots
-   copy values out of it, so nothing refers to it once the trace
+(* One register-order array per variant, shared by every trace: a
+   checker resolves a trace's positions once per array. *)
+let base_registers = Array.of_list (visible_names Base)
+let intr_registers = Array.of_list (visible_names (With_interrupts { sisr = 0 }))
+let zero_gpr = Array.make 32 (Hw.Bitvec.zero 32)
+
+(* The trace straight from the golden model: a raw-int column per
+   scalar, and per file the start plus the one entry each step wrote
+   ([Refmodel] names it: [gpr_written], [stored]) — no step copies or
+   scans a file.  MEM starts as [mem_of_data]'s array, the image the
+   simulator is reset from.  The golden model runs on the domain's
+   [Refmodel.local_state]; nothing refers to it once the trace
    returns. *)
 let ref_trace ?(data = []) variant ~program ~instructions =
   let config =
@@ -583,56 +585,73 @@ let ref_trace ?(data = []) variant ~program ~instructions =
   in
   let s = Refmodel.local_state () in
   Refmodel.reset ~data ~program s;
-  let bv32 v = Hw.Bitvec.make ~width:32 v in
-  let scalar v = Machine.Value.scalar (bv32 v) in
-  let with_entry file i v =
-    match file with
-    | Machine.Value.File a ->
-      let a = Array.copy a in
-      a.(i) <- bv32 v;
-      Machine.Value.File a
-    | Machine.Value.Scalar _ -> invalid_arg "Seq_dlx.ref_trace: scalar file"
+  let n = instructions in
+  let intr = match variant with With_interrupts _ -> true | Base | Branch_predict -> false in
+  let column () = Array.make (n + 1) 0 in
+  let pc = column () and dpc = column () in
+  let epc, edpc, eca, sr =
+    if intr then (column (), column (), column (), column ())
+    else ([||], [||], [||], [||])
   in
-  let gpr = ref (Machine.Value.File (Array.make 32 (Hw.Bitvec.zero 32))) in
-  let mem = ref (mem_of_data data) in
-  (* Name-sorted, like [visible_names]. *)
-  let snapshot () =
-    match variant with
-    | Base | Branch_predict ->
-      [
-        ("DPC", scalar s.Refmodel.dpc);
-        ("GPR", !gpr);
-        ("MEM", !mem);
-        ("PC", scalar s.Refmodel.pc);
-      ]
-    | With_interrupts _ ->
-      [
-        ("DPC", scalar s.Refmodel.dpc);
-        ("ECA", scalar s.Refmodel.eca);
-        ("EDPC", scalar s.Refmodel.edpc);
-        ("EPC", scalar s.Refmodel.epc);
-        ("GPR", !gpr);
-        ("MEM", !mem);
-        ("PC", scalar s.Refmodel.pc);
-        ("SR", Machine.Value.scalar (Hw.Bitvec.make ~width:1 s.Refmodel.sr));
-      ]
+  (* At most one write per step and file. *)
+  let gpr_bounds = column () and gpr_e = Array.make n 0 and gpr_v = Array.make n 0 in
+  let mem_bounds = column () and mem_e = Array.make n 0 and mem_v = Array.make n 0 in
+  let ng = ref 0 and nm = ref 0 in
+  let record i =
+    pc.(i) <- s.Refmodel.pc;
+    dpc.(i) <- s.Refmodel.dpc;
+    if intr then begin
+      epc.(i) <- s.Refmodel.epc;
+      edpc.(i) <- s.Refmodel.edpc;
+      eca.(i) <- s.Refmodel.eca;
+      sr.(i) <- s.Refmodel.sr
+    end;
+    gpr_bounds.(i) <- !ng;
+    mem_bounds.(i) <- !nm
   in
-  let snaps = Array.make (instructions + 1) [] in
-  for i = 0 to instructions - 1 do
-    snaps.(i) <- snapshot ();
+  for i = 0 to n - 1 do
+    record i;
     Refmodel.step ~config s;
     let r = s.Refmodel.gpr_written and w = s.Refmodel.stored in
-    if r >= 0 then gpr := with_entry !gpr r s.Refmodel.gpr.(r);
-    if w >= 0 then mem := with_entry !mem w s.Refmodel.mem.(w)
+    if r >= 0 then begin
+      gpr_e.(!ng) <- r;
+      gpr_v.(!ng) <- s.Refmodel.gpr.(r);
+      incr ng
+    end;
+    if w >= 0 then begin
+      mem_e.(!nm) <- w;
+      mem_v.(!nm) <- s.Refmodel.mem.(w);
+      incr nm
+    end
   done;
-  snaps.(instructions) <- snapshot ();
-  { Machine.Seqsem.spec_before = snaps; instructions; halted = false }
+  record n;
+  Obs.Counters.add Obs.Counters.Golden_steps n;
+  let scalar ?(width = 32) v = Machine.Seqsem.Scalar_column { sc_width = width; sc_values = v } in
+  let file ~start bounds e v k =
+    Machine.Seqsem.File_column
+      (Machine.Seqsem.file_column ~width:32 ~start ~bounds
+         ~entries:(Array.sub e 0 k) ~values:(Array.sub v 0 k))
+  in
+  let gpr = file ~start:zero_gpr gpr_bounds gpr_e gpr_v !ng in
+  let mem =
+    match mem_of_data data with
+    | Machine.Value.File start -> file ~start mem_bounds mem_e mem_v !nm
+    | Machine.Value.Scalar _ -> assert false
+  in
+  (* In [visible_names] order. *)
+  let registers, columns =
+    if intr then
+      ( intr_registers,
+        [| scalar dpc; scalar eca; scalar edpc; scalar epc; gpr; mem; scalar pc;
+           scalar ~width:1 sr |] )
+    else (base_registers, [| scalar dpc; gpr; mem; scalar pc |])
+  in
+  { Machine.Seqsem.registers; columns; instructions = n; halted = false }
 
 let disasm ~(reference : Machine.Seqsem.trace) ~program tag =
-  let snaps = reference.Machine.Seqsem.spec_before in
-  if tag < 0 || tag >= Array.length snaps then None
+  if tag < 0 || tag > reference.Machine.Seqsem.instructions then None
   else
-    match List.assoc_opt "DPC" snaps.(tag) with
+    match Machine.Seqsem.value_before reference "DPC" tag with
     | Some (Machine.Value.Scalar pc) -> (
       match List.nth_opt program (Hw.Bitvec.to_int pc lsr 2) with
       | Some word -> Option.map Isa.to_string (Isa.decode word)

@@ -33,9 +33,10 @@ val mem_addr_bits : int
 (** {b Read-only images.}  {!machine}, {!image} and {!ref_trace} build
     their MEM (and {!machine} and {!image} their IMEM) through bounded
     per-domain memos, so the same program and data yield the {e same
-    physical} array.  Resets and checkers rely on that identity
-    ({!Machine.State.holds_image}): never mutate a file value obtained
-    from these functions. *)
+    physical} array.  A reset state shares such an image until its
+    register's first write ({!Machine.State.reset}), and a checker
+    compares starts physically equal in O(1): never mutate a file value
+    obtained from these functions. *)
 
 val machine :
   ?data:(int * int) list -> variant -> program:int list -> Machine.Spec.t
@@ -82,13 +83,12 @@ val ref_trace :
     ({!Refmodel}), in the shape {!Proof_engine.Consistency} consumes.
     Required for the speculation variants, valid for all three.
 
-    Copy-on-write: a snapshot shares every file the step before it
-    did not write with its predecessor, and a step that wrote GPR or
-    MEM gets a copy of the previous array with the one entry
-    {!Refmodel.state} names set — no step scans or deep-copies MEM.
-    MEM starts as {!image}'s array for [data], which lets the
-    checkers match an untouched data memory by pointer.  Snapshots
-    are shared, hence read-only. *)
+    Filled straight from the golden model: a raw-int column per
+    scalar, and per file its start and the one entry each step wrote
+    ({!Refmodel.state}'s [gpr_written] and [stored]) — no step copies
+    or scans a file.  MEM starts as {!image}'s array for [data], so a
+    checker finds the starts equal without a scan.  Counts
+    [instructions] golden-model steps ([Golden_steps]). *)
 
 val disasm :
   reference:Machine.Seqsem.trace -> program:int list -> int -> string option

@@ -7,10 +7,35 @@ let max_width = 62
 let mask w = if w = max_width then -1 lsr (63 - max_width) else (1 lsl w) - 1
 
 (* Zeros are interned per width: register-file images pad with zeros,
-   and sharing one object per width lets session resets and snapshot
-   comparisons recognize untouched entries by pointer (it also spares
-   the allocation). *)
-let zeros = Array.init (max_width + 1) (fun w -> { w; v = 0 })
+   and sharing one object per width lets lane resets recognize zero
+   entries by pointer (it also spares the allocation).  Written out as
+   literals so the records are static data, outside the heap: a module
+   initialiser that fills a large array with a zero (a 4096-word
+   memory image) would otherwise force a minor collection to promote
+   it first. *)
+let zeros =
+  [|
+    { w = 0; v = 0 }; { w = 1; v = 0 }; { w = 2; v = 0 }; { w = 3; v = 0 };
+    { w = 4; v = 0 }; { w = 5; v = 0 }; { w = 6; v = 0 }; { w = 7; v = 0 };
+    { w = 8; v = 0 }; { w = 9; v = 0 }; { w = 10; v = 0 }; { w = 11; v = 0 };
+    { w = 12; v = 0 }; { w = 13; v = 0 }; { w = 14; v = 0 };
+    { w = 15; v = 0 }; { w = 16; v = 0 }; { w = 17; v = 0 };
+    { w = 18; v = 0 }; { w = 19; v = 0 }; { w = 20; v = 0 };
+    { w = 21; v = 0 }; { w = 22; v = 0 }; { w = 23; v = 0 };
+    { w = 24; v = 0 }; { w = 25; v = 0 }; { w = 26; v = 0 };
+    { w = 27; v = 0 }; { w = 28; v = 0 }; { w = 29; v = 0 };
+    { w = 30; v = 0 }; { w = 31; v = 0 }; { w = 32; v = 0 };
+    { w = 33; v = 0 }; { w = 34; v = 0 }; { w = 35; v = 0 };
+    { w = 36; v = 0 }; { w = 37; v = 0 }; { w = 38; v = 0 };
+    { w = 39; v = 0 }; { w = 40; v = 0 }; { w = 41; v = 0 };
+    { w = 42; v = 0 }; { w = 43; v = 0 }; { w = 44; v = 0 };
+    { w = 45; v = 0 }; { w = 46; v = 0 }; { w = 47; v = 0 };
+    { w = 48; v = 0 }; { w = 49; v = 0 }; { w = 50; v = 0 };
+    { w = 51; v = 0 }; { w = 52; v = 0 }; { w = 53; v = 0 };
+    { w = 54; v = 0 }; { w = 55; v = 0 }; { w = 56; v = 0 };
+    { w = 57; v = 0 }; { w = 58; v = 0 }; { w = 59; v = 0 };
+    { w = 60; v = 0 }; { w = 61; v = 0 }; { w = 62; v = 0 };
+  |]
 
 let make ~width v =
   if width < 1 || width > max_width then

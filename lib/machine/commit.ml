@@ -256,13 +256,12 @@ let lanes_cwrite inst st ~mask (cw : cwrite) =
     match cell.State.lc_value with
     | State.Lfile rows ->
       let addr = Option.get cw.cw_addr in
-      let srcs = cell.State.lc_srcs in
       for l = 0 to act - 1 do
         if Hw.Lanes.test en l then begin
           let row = rows.(l) in
-          row.(Hw.Plan.lanes_get inst addr l land (Array.length row - 1)) <-
-            Hw.Plan.lanes_get inst cw.cw_value l;
-          srcs.(l) <- None
+          let e = Hw.Plan.lanes_get inst addr l land (Array.length row - 1) in
+          row.(e) <- Hw.Plan.lanes_get inst cw.cw_value l;
+          State.lane_log_write cell.State.lc_logs.(l) e
         end
       done;
       Hw.Lanes.popcount en

@@ -9,14 +9,86 @@
     before the execution of instruction [I_i]) is recorded here and
     consumed by the data-consistency checker. *)
 
-type trace = {
-  spec_before : (string * Value.t) list array;
-      (** [spec_before.(i)] is the visible state [R_S^i]: right before
-          instruction [I_i].  Length is [instructions + 1]; the last
-          entry is the final visible state. *)
-  instructions : int;  (** number of instructions executed *)
-  halted : bool;       (** stopped because the halt predicate held *)
+(** {1 Golden traces}
+
+    A trace holds the visible state [R_S^i] of every instruction
+    boundary [i = 0 .. instructions] {e positionally}: the visible
+    registers in one fixed order (name-sorted), a raw-int column per
+    scalar register, and per register file its starting contents plus
+    a log of the (entry, value) writes of each instruction.  A file's
+    [R_S^i] is its start with the writes of instructions [0 .. i-1]
+    applied — nothing is copied per instruction, and a checker
+    compares a file only where either side wrote. *)
+
+type file_column = private {
+  fc_width : int;
+  fc_start : Hw.Bitvec.t array;
+      (** [R_S^0]'s entries: read-only, and possibly an image the
+          machine under test is reset from *)
+  fc_bounds : int array;
+      (** length [instructions + 1]: writes [fc_bounds.(i) ..
+          fc_bounds.(i+1) - 1] are instruction [i]'s, so the writes
+          before [R_S^i] are those below [fc_bounds.(i)] *)
+  fc_entries : int array;  (** per write: the entry written *)
+  fc_values : int array;  (** per write: the raw value written *)
+  fc_written : int array;  (** the distinct entries written, ascending *)
+  fc_groups : int array;
+      (** length [D + 1] for [D] written entries: the writes of
+          [fc_written.(d)] are [fc_writes.(fc_groups.(d)) ..
+          fc_writes.(fc_groups.(d+1) - 1)] *)
+  fc_writes : int array;  (** the writes' positions, by entry, ascending *)
 }
+
+type column =
+  | Scalar_column of { sc_width : int; sc_values : int array }
+      (** [sc_values.(i)]: the raw value in [R_S^i] *)
+  | File_column of file_column
+
+type trace = {
+  registers : string array;  (** the visible registers, name-sorted *)
+  columns : column array;  (** [columns.(j)] is [registers.(j)]'s *)
+  instructions : int;  (** number of instructions executed *)
+  halted : bool;  (** stopped because the halt predicate held *)
+}
+
+val file_column :
+  width:int ->
+  start:Hw.Bitvec.t array ->
+  bounds:int array ->
+  entries:int array ->
+  values:int array ->
+  file_column
+(** A file column from its start and write log ([entries] and [values]
+    of equal length, [bounds] as {!fc_bounds}); derives the distinct
+    written entries. *)
+
+val find_written : file_column -> int -> int
+(** The index [d] of an entry in {!fc_written}, or [-1] if no
+    instruction writes it (binary search). *)
+
+val written_before : file_column -> int -> int -> bool
+(** [written_before fc d i]: an instruction before [i] writes entry
+    [fc_written.(d)]. *)
+
+val entry_before : file_column -> int -> int -> int
+(** [entry_before fc d i]: the raw value of entry [fc_written.(d)] in
+    [R_S^i] — its last write before instruction [i] (binary search),
+    else its start. *)
+
+val column_value : column -> int -> Value.t
+(** The column's register in [R_S^i], rebuilt (a file: its start with
+    the writes before [i] applied). *)
+
+val column_of : trace -> string -> column option
+(** The named register's column; [None] when the trace holds no such
+    register. *)
+
+val value_before : trace -> string -> int -> Value.t option
+(** [value_before t name i]: register [name] in [R_S^i]; [None] when
+    the trace holds no such register. *)
+
+val state_before : trace -> int -> (string * Value.t) list
+(** All of [R_S^i], name-sorted, rebuilt — for tests and oracles. *)
 
 val step_stage : Spec.t -> State.t -> stage:int -> unit
 (** Run one stage of the current instruction: evaluate its data paths
@@ -72,9 +144,12 @@ val run_session :
   trace * State.t
 (** Reset the session state — [init] entries override the spec's
     initial values, see {!State.reset} — and execute.  The returned
-    state {e and trace} are the session's own (live until the next
-    [run_session] on this session, which recycles the trace's
-    snapshot storage): copy what must outlive the next run. *)
+    state is the session's own (live until the next [run_session] on
+    this session); the trace is the caller's and shares nothing
+    mutable with the session.  Its columns are filled
+    from the session's commits — the scalar registers read at every
+    instruction boundary, the files from their write logs
+    ({!State.cell_log}). *)
 
 val run :
   ?halt:(State.t -> bool) ->

@@ -2,25 +2,33 @@
    cell once and read the current value without a per-cycle hash
    lookup.
 
-   [src] is a file cell's provenance, the scalar twin of the lane
-   cells' [lc_srcs]: the image array the cell was last filled from by
-   [create] or [reset], kept only while the cell is untouched since.
-   Every write path ([set], [set_scalar], [write_file], [restore])
-   clears it.  While it is set the cell's file {e is} the image —
-   copy-on-write: [create] and [reset] point the cell at it, and the
-   first in-place write ([cell_write_file], [reset]'s zero-fill) copies
-   the array first.  Images are never mutated, and nobody writes a file
-   array obtained from [get], so a checker holding the same physical
-   image knows the two are equal without reading them
-   ([holds_image]). *)
-type cell = { mutable v : Value.t; mutable src : Hw.Bitvec.t array option }
+   [shared]: the cell's file array is an image — copy-on-write:
+   [create] and [reset] point the cell at it, and the first in-place
+   write copies it.  Images are never mutated.
+
+   The write log ([log], [log_len]): the entries of a file written
+   since the last reset (or drain), one per write, in write order — an
+   append, so a write costs one store more.  A reader keeps a cursor
+   into it: what lies past the cursor is what changed since the reader
+   last looked.  A whole-value store ([set], [set_scalar] or [restore]
+   on a file, or turning a file register into a scalar) cannot say
+   which entries changed, so it marks the cell [replaced] instead.
+   Scalar cells never log: their [log] stays empty. *)
+type cell = {
+  mutable v : Value.t;
+  mutable shared : bool;
+  mutable log : int array;
+  mutable log_len : int;
+  mutable replaced : bool;
+}
+
 type t = (string, cell) Hashtbl.t
 
-let provenance = function Value.File a -> Some a | Value.Scalar _ -> None
+let is_file = function Value.File _ -> true | Value.Scalar _ -> false
 
 (* A cell holding [v] itself: a scalar is immutable, a file is shared
    until its first write. *)
-let shared v = { v; src = provenance v }
+let fresh ~shared v = { v; shared; log = [||]; log_len = 0; replaced = false }
 
 (* [List.assoc_opt] on register names, comparing with [String.equal]
    instead of polymorphic compare: every reset looks each register up
@@ -29,14 +37,23 @@ let rec init_of name = function
   | [] -> None
   | (n, v) :: rest -> if String.equal n name then Some v else init_of name rest
 
+let initial ?(init = []) (m : Spec.t) name =
+  match init_of name init with
+  | Some _ as v -> v
+  | None -> init_of name m.Spec.init
+
+let clear_log c =
+  c.log_len <- 0;
+  c.replaced <- false
+
 let create (m : Spec.t) =
   let tbl = Hashtbl.create 64 in
   List.iter
     (fun (r : Spec.register) ->
       Hashtbl.replace tbl r.reg_name
         (match init_of r.reg_name m.Spec.init with
-        | Some v -> shared v
-        | None -> { v = Spec.initial_value m r; src = None }))
+        | Some v -> fresh ~shared:(is_file v) v
+        | None -> fresh ~shared:false (Spec.initial_value m r)))
     m.registers;
   tbl
 
@@ -50,33 +67,29 @@ let reset ?(init = []) (m : Spec.t) t =
   (* Registers are reset in place (cells survive) so plan bindings
      capturing a cell stay wired across resets.  A register with an
      image is pointed at it in O(1) — copy-on-write, see [cell] — so a
-     reset costs nothing for a 4096-word memory the run never writes,
-     and the sharing feeds the [Value.equal] pointer shortcut.  A file
-     without an image is zero-filled in its own array, unless that
-     array is still an image. *)
+     reset costs nothing for a 4096-word memory the run never writes.
+     A file without an image is zero-filled in its own array, unless
+     that array is still an image. *)
   List.iter
     (fun (r : Spec.register) ->
-      let v =
-        match init_of r.reg_name init with
-        | Some v -> Some v
-        | None -> init_of r.reg_name m.Spec.init
-      in
-      match (Hashtbl.find_opt t r.reg_name, v) with
+      match (Hashtbl.find_opt t r.reg_name, initial ~init m r.reg_name) with
       | Some c, Some v ->
+        clear_log c;
         c.v <- v;
-        c.src <- provenance v
+        c.shared <- is_file v
       | Some c, None -> (
-        match (c.v, c.src, r.kind) with
-        | Value.File dst, None, Spec.File { addr_bits }
-          when Array.length dst = 1 lsl addr_bits ->
+        clear_log c;
+        match (c.v, r.kind) with
+        | Value.File dst, Spec.File { addr_bits }
+          when (not c.shared) && Array.length dst = 1 lsl addr_bits ->
           Array.fill dst 0 (Array.length dst) (Hw.Bitvec.zero r.width)
         | _ ->
           c.v <- Spec.initial_value m r;
-          c.src <- None)
-      | None, Some v -> Hashtbl.replace t r.reg_name (shared v)
+          c.shared <- false)
+      | None, Some v -> Hashtbl.replace t r.reg_name (fresh ~shared:(is_file v) v)
       | None, None ->
         Hashtbl.replace t r.reg_name
-          { v = Spec.initial_value m r; src = None })
+          (fresh ~shared:false (Spec.initial_value m r)))
     m.registers;
   (* Every spec register is now present, so names the spec does not
      know — added by [set] during an instrumented run — exist only if
@@ -97,33 +110,62 @@ let cell t name =
 
 let get t name = (cell t name).v
 
-(* Forgetting the image tests before it stores: scalar cells, the
-   commit loop's hot path, never hold one. *)
-let forget_image c = match c.src with Some _ -> c.src <- None | None -> ()
-
+(* A whole-value store: a file involved on either side changes entries
+   the log cannot name. *)
 let store c v =
+  (match (c.v, v) with
+  | Value.Scalar _, Value.Scalar _ -> ()
+  | _ -> c.replaced <- true);
   c.v <- v;
-  forget_image c
+  c.shared <- false
 
 let set t name v =
   match Hashtbl.find_opt t name with
   | Some c -> store c v
-  | None -> Hashtbl.replace t name { v; src = None }
+  | None -> Hashtbl.replace t name (fresh ~shared:false v)
 
 (* The write paths of a resolved cell (looked up once by the compiled
    commit path).  Cells are never replaced — [reset] refills them in
    place — so a resolved cell stays the register's. *)
 let cell_set_scalar c v = store c (Value.Scalar v)
 
-(* The copy half of copy-on-write: a cell still holding its image
-   writes into a copy of it. *)
+(* A growable int array's append: [arr] holds [n] elements. *)
+let push arr n e =
+  let a =
+    if n = Array.length arr then begin
+      let grown = Array.make (max 8 (2 * n)) 0 in
+      Array.blit arr 0 grown 0 n;
+      grown
+    end
+    else arr
+  in
+  Array.unsafe_set a n e;
+  a
+
+let log_entry c e =
+  if not c.replaced then begin
+    c.log <- push c.log c.log_len e;
+    c.log_len <- c.log_len + 1
+  end
+
+(* One entry, in place — into a copy of the image first if the cell
+   still shares one (the copy half of copy-on-write) — and logged. *)
 let cell_write_file c ~addr ~data =
-  (match c.src with
-  | Some _ ->
-    c.v <- Value.copy c.v;
-    c.src <- None
-  | None -> ());
-  Value.write_entry c.v addr data
+  match c.v with
+  | Value.File a ->
+    let a =
+      if c.shared then begin
+        let a = Array.copy a in
+        c.v <- Value.File a;
+        c.shared <- false;
+        a
+      end
+      else a
+    in
+    let e = addr land (Array.length a - 1) in
+    a.(e) <- data;
+    log_entry c e
+  | Value.Scalar _ -> Value.write_entry c.v addr data
 
 let get_scalar t name = Value.read_scalar (get t name)
 let set_scalar t name v = set t name (Value.Scalar v)
@@ -132,13 +174,14 @@ let read_file t name addr = Value.read_file (get t name) addr
 let write_file t name ~addr ~data =
   cell_write_file (cell t name) ~addr:(Hw.Bitvec.to_int addr) ~data
 
-let holds_image t name image =
-  match image with
-  | Value.Scalar _ -> false
-  | Value.File b -> (
-    match Hashtbl.find_opt t name with
-    | Some { src = Some a; _ } -> a == b
-    | Some { src = None; _ } | None -> false)
+let cell_value c = c.v
+let cell_log c = c.log
+let cell_log_length c = c.log_len
+let cell_replaced c = c.replaced
+
+let cell_drain c = c.log_len <- 0
+
+let cell_snapshot c = if c.shared then c.v else Value.copy c.v
 
 let eval_env t =
   {
@@ -197,9 +240,8 @@ let snapshot t =
   Hashtbl.fold (fun n c acc -> (n, Value.copy c.v) :: acc) t []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
-(* A snapshot's work score is the words it scans: one per scalar, the
-   array length per register file — independent of how many entries
-   the blit below actually had to store. *)
+(* A snapshot's work score is the words it copies: one per scalar,
+   the array length per register file. *)
 let snap_words snap =
   List.fold_left
     (fun acc (_, v) ->
@@ -214,41 +256,6 @@ let snapshot_visible (m : Spec.t) t =
            (r.reg_name, Value.copy (get t r.reg_name)))
     |> List.sort (fun (a, _) (b, _) -> String.compare a b)
   in
-  Obs.Counters.add Obs.Counters.Snapshot_words (snap_words snap);
-  snap
-
-(* [snapshot_visible], but recycling [prev] (a snapshot of the same
-   machine from an earlier run): matching file entries are blitted
-   into [prev]'s own arrays instead of allocating fresh ones, and the
-   pairs are reused wholesale.  The caller transfers ownership of
-   [prev] — sessions use this to keep per-instruction trace snapshots
-   off the GC, which is why a session's trace is only valid until its
-   next run. *)
-let snapshot_visible_reusing ~prev (m : Spec.t) t =
-  let regs =
-    Spec.visible_registers m
-    |> List.sort (fun (a : Spec.register) b ->
-           String.compare a.reg_name b.reg_name)
-  in
-  let rec go prev regs =
-    match (regs, prev) with
-    | [], _ -> []
-    | (r : Spec.register) :: rtl, ((n, pv) as pair) :: ptl
-      when n = r.reg_name -> (
-      let cur = get t r.reg_name in
-      match (pv, cur) with
-      | Value.File dst, Value.File src
-        when dst != src && Array.length dst = Array.length src ->
-        (* [unsafe]: i < length src = length dst. *)
-        for i = 0 to Array.length src - 1 do
-          let s = Array.unsafe_get src i in
-          if Array.unsafe_get dst i != s then Array.unsafe_set dst i s
-        done;
-        pair :: go ptl rtl
-      | _ -> (r.reg_name, Value.copy cur) :: go ptl rtl)
-    | r :: rtl, _ -> (r.reg_name, Value.copy (get t r.reg_name)) :: go [] rtl
-  in
-  let snap = go prev regs in
   Obs.Counters.add Obs.Counters.Snapshot_words (snap_words snap);
   snap
 
@@ -270,15 +277,22 @@ type lane_value =
   | Lints of int array  (* lane -> value *)
   | Lfile of int array array  (* lane -> contents; inner rows replaceable *)
 
-(* [lc_srcs]: [Lfile] cells only (else [||]): per lane, the physical
-   image array last applied by [reset_lanes], valid while the lane's
-   row is untouched since.  Lets a reset from the same shared image
-   (e.g. an all-zero data memory) skip the row outright, and a checker
-   holding the same image know the row equal without reading it. *)
+(* One lane row's record of what differs from zero: [loaded], the
+   non-zero entries its last reset loaded from an image, and the write
+   log ([written], [n_written]: one entry per write, as in the scalar
+   cells).  [reset_lanes] undoes exactly these entries, and the
+   checker reads the log past its cursor. *)
+type lane_log = {
+  mutable loaded : int array;
+  mutable n_loaded : int;
+  mutable written : int array;
+  mutable n_written : int;
+}
+
 type lane_cell = {
   lc_width : int;
   lc_value : lane_value;
-  lc_srcs : Hw.Bitvec.t array option array;
+  lc_logs : lane_log array;
 }
 
 type lanes = {
@@ -287,30 +301,35 @@ type lanes = {
   ls_tbl : (string, lane_cell) Hashtbl.t;
 }
 
+let lane_log () = { loaded = [||]; n_loaded = 0; written = [||]; n_written = 0 }
+
+let lane_log_write lg e =
+  lg.written <- push lg.written lg.n_written e;
+  lg.n_written <- lg.n_written + 1
+
+let lane_log_entries lg = lg.written
+let lane_log_length lg = lg.n_written
+
 let create_lanes (m : Spec.t) =
   let capacity = Hw.Lanes.max_lanes in
   let tbl = Hashtbl.create 64 in
   List.iter
     (fun (r : Spec.register) ->
-      let value =
+      let value, logs =
         match r.kind with
         | Spec.Simple ->
-          if r.width = 1 then Lbool { word = 0 }
-          else Lints (Array.make capacity 0)
+          ((if r.width = 1 then Lbool { word = 0 } else Lints (Array.make capacity 0)), [||])
         | Spec.File { addr_bits } ->
-          Lfile (Array.init capacity (fun _ -> Array.make (1 lsl addr_bits) 0))
-      in
-      let lc_srcs =
-        match r.kind with
-        | Spec.File _ -> Array.make capacity None
-        | Spec.Simple -> [||]
+          ( Lfile (Array.init capacity (fun _ -> Array.make (1 lsl addr_bits) 0)),
+            Array.init capacity (fun _ -> lane_log ()) )
       in
       Hashtbl.replace tbl r.reg_name
-        { lc_width = r.width; lc_value = value; lc_srcs })
+        { lc_width = r.width; lc_value = value; lc_logs = logs })
     m.registers;
   { ls_spec = m; ls_active = capacity; ls_tbl = tbl }
 
 let lanes_active ln = ln.ls_active
+let lanes_spec ln = ln.ls_spec
 
 let lanes_cell ln name =
   match Hashtbl.find_opt ln.ls_tbl name with
@@ -330,13 +349,45 @@ let scalar_int ~what (r : Spec.register) v =
   | Value.File _ ->
     lane_err "State.%s: %s is a scalar, got a register file" what r.reg_name
 
+(* Zero a row where it may differ from zero — the entries its last
+   reset loaded and those written since — and forget both lists. *)
+let undo_row row lg =
+  for j = 0 to lg.n_loaded - 1 do
+    Array.unsafe_set row (Array.unsafe_get lg.loaded j) 0
+  done;
+  for j = 0 to lg.n_written - 1 do
+    Array.unsafe_set row (Array.unsafe_get lg.written j) 0
+  done;
+  lg.n_loaded <- 0;
+  lg.n_written <- 0
+
+(* Load an image into a zero row, recording its non-zero entries.
+   Zeros are interned per width, so an entry physically equal to the
+   file's zero is both zero and of the right width: only the others
+   are unboxed and width-checked. *)
+let load_row (r : Spec.register) row lg src =
+  let zero = Hw.Bitvec.zero r.width in
+  for i = 0 to Array.length src - 1 do
+    let bv = Array.unsafe_get src i in
+    if bv != zero then begin
+      if Hw.Bitvec.width bv <> r.width then
+        lane_err "State.reset_lanes: %s[%d]: width %d, file expects %d"
+          r.reg_name i (Hw.Bitvec.width bv) r.width;
+      let v = Hw.Bitvec.to_int bv in
+      if v <> 0 then begin
+        Array.unsafe_set row i v;
+        lg.loaded <- push lg.loaded lg.n_loaded i;
+        lg.n_loaded <- lg.n_loaded + 1
+      end
+    end
+  done
+
 (* The lane mirror of [reset]: lane [l] takes its values from
    [inits.(l)], falling back to the machine image and then zero, like
    the scalar reset.  The lane count becomes [Array.length inits].
-   A file row reset from the physically same image array it was last
-   reset from, and never written since ([lc_srcs]), is known equal and
-   skipped without being read — what makes a 4k-entry shared zero
-   memory free instead of a 4k-word copy per lane per reset. *)
+   A file row is first zeroed where its last program loaded or wrote
+   ([undo_row]), then loaded from its image: a reset touches only what
+   the two programs touch, not the whole 4096-entry memory. *)
 let reset_lanes ~inits ln =
   let m = ln.ls_spec in
   let act = Array.length inits in
@@ -356,12 +407,7 @@ let reset_lanes ~inits ln =
   List.iter
     (fun (r : Spec.register) ->
       let cell = Hashtbl.find ln.ls_tbl r.reg_name in
-      let dflt = init_of r.reg_name m.Spec.init in
-      let value_for l =
-        match init_of r.reg_name inits.(l) with
-        | Some _ as v -> v
-        | None -> dflt
-      in
+      let value_for l = initial ~init:inits.(l) m r.reg_name in
       match cell.lc_value with
       | Lbool b ->
         let w = ref 0 in
@@ -386,36 +432,24 @@ let reset_lanes ~inits ln =
           | Spec.File { addr_bits } -> 1 lsl addr_bits
           | Spec.Simple -> assert false
         in
-        let srcs = cell.lc_srcs in
         for l = 0 to act - 1 do
-          match value_for l with
-          | Some (Value.File src) -> (
-            match srcs.(l) with
-            | Some s when s == src && Array.length rows.(l) = Array.length src
-              ->
-              (* untouched since the same image was applied: equal *)
-              ()
-            | _ ->
-              let len = Array.length src in
-              if Array.length rows.(l) <> len then rows.(l) <- Array.make len 0;
-              let row = rows.(l) in
-              for i = 0 to len - 1 do
-                let bv = Array.unsafe_get src i in
-                if Hw.Bitvec.width bv <> r.width then
-                  lane_err
-                    "State.reset_lanes: %s[%d]: width %d, file expects %d"
-                    r.reg_name i (Hw.Bitvec.width bv) r.width;
-                Array.unsafe_set row i (Hw.Bitvec.to_int bv)
-              done;
-              srcs.(l) <- Some src)
-          | Some (Value.Scalar _) ->
-            lane_err "State.reset_lanes: %s is a register file, got a scalar"
-              r.reg_name
-          | None ->
-            if Array.length rows.(l) = default_len then
-              Array.fill rows.(l) 0 default_len 0
-            else rows.(l) <- Array.make default_len 0;
-            srcs.(l) <- None
+          let src =
+            match value_for l with
+            | Some (Value.File src) -> Some src
+            | Some (Value.Scalar _) ->
+              lane_err "State.reset_lanes: %s is a register file, got a scalar"
+                r.reg_name
+            | None -> None
+          in
+          let len = match src with Some s -> Array.length s | None -> default_len in
+          let lg = cell.lc_logs.(l) in
+          if Array.length rows.(l) = len then undo_row rows.(l) lg
+          else begin
+            rows.(l) <- Array.make len 0;
+            lg.n_loaded <- 0;
+            lg.n_written <- 0
+          end;
+          Option.iter (load_row r rows.(l) lg) src
         done)
     m.registers
 

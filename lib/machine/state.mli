@@ -1,8 +1,8 @@
 (** Mutable register state of a machine, shared by the sequential and
     pipelined simulators.
 
-    {b Read-only conventions.}  Two rules make file provenance
-    ({!holds_image}) and copy-on-write files sound:
+    {b Read-only conventions.}  Two rules make copy-on-write files
+    sound:
     - an {e image} — a register-file value passed as an initial value
       to {!create} (through the spec's [init]) or {!reset} — is never
       mutated afterwards, by anyone;
@@ -14,28 +14,41 @@
     shares the image's array until its first write: {!get} returns the
     image itself, and the first {!write_file} copies it before storing
     the entry.  So a reset costs the same for a 4096-word memory as
-    for a scalar, and a run pays one copy per file it writes. *)
+    for a scalar, and a run pays one copy per file it writes.
+
+    {b Write logs.}  Every file register logs the entry of each write
+    since the last {!reset}, in write order ({!cell_log}).  A store of a whole value to a file register
+    ({!set}, {!set_scalar}, {!restore}) cannot name its entries, so it
+    marks the register {!cell_replaced} instead.  Outside the logged
+    entries, a register that is not replaced still holds what the
+    reset filled it with: the consistency checker compares files only
+    at logged entries, and the sequential session builds its golden
+    traces from the logs. *)
 
 type t
 
 val create : Spec.t -> t
 (** All registers at their initial values ({!Spec.initial_value}).
-    File registers initialised from the spec's [init] remember that
+    File registers initialised from the spec's [init] share that
     image, as after {!reset}. *)
+
+val initial :
+  ?init:(string * Value.t) list -> Spec.t -> string -> Value.t option
+(** The value a {!reset} with [init] fills register [name] from: its
+    [init] entry, else the spec's own; [None] when the register gets
+    {!Spec.initial_value} (zero). *)
 
 val reset : ?init:(string * Value.t) list -> Spec.t -> t -> unit
 (** Return the state to [create m] semantics without reallocating
     cells: every spec register is restored to its initial value, with
     entries of [init] (shared until the register's first write, see
     above) taking precedence over the spec's own [init] list, and
-    registers the spec does not know are removed.
+    registers the spec does not know are removed.  Every write log is
+    emptied.
     Because cells are reset {e in place}, plan bindings made with
     {!bind_plan} remain valid across resets — this is what lets one
     compiled session serve many programs (see
     {!Pipeline.Pipesem.run_session}).
-    A file register filled from an image (an [init] entry, or the
-    spec's own) remembers the physical image array; see
-    {!holds_image}.
     @raise Invalid_argument if an [init] name is not a spec register. *)
 
 val get : t -> string -> Value.t
@@ -51,19 +64,7 @@ val read_file : t -> string -> Hw.Bitvec.t -> Hw.Bitvec.t
 
 val write_file : t -> string -> addr:Hw.Bitvec.t -> data:Hw.Bitvec.t -> unit
 (** Writes one entry, in place — into a copy of the image first if the
-    register still shares one.  Like {!set}, {!set_scalar} and
-    {!restore}, it makes the register forget its image, even when the
-    written value equals the old one. *)
-
-val holds_image : t -> string -> Value.t -> bool
-(** [holds_image t name v]: [v] is a file whose array is physically
-    the image register [name] was last filled from by {!create} or
-    {!reset}, and the register has not been written since.  Then its
-    contents equal [v]'s without a scan — the consistency checkers use
-    this to skip comparing an untouched data memory against a
-    reference trace that still shares the same image.  [false] for
-    scalars, unknown names and any other array, even one with equal
-    contents. *)
+    register still shares one — and logs it. *)
 
 val eval_env : t -> Hw.Eval.env
 (** Environment reading registers by name (scalars as inputs, files
@@ -92,6 +93,30 @@ val cell_write_file : cell -> addr:int -> data:Hw.Bitvec.t -> unit
     masked to the file's size.
     @raise Invalid_argument if the register currently holds a scalar. *)
 
+val cell_value : cell -> Value.t
+(** What {!get} returns for the cell's register. *)
+
+val cell_log : cell -> int array
+(** The write log: the entry of each write since the last reset (or
+    {!cell_drain}), in write order — an entry written twice appears
+    twice — in the prefix of length {!cell_log_length}.  The array is the cell's own, valid until the
+    next write: read, do not keep. *)
+
+val cell_log_length : cell -> int
+
+val cell_replaced : cell -> bool
+(** A whole value was stored to the register since the last reset, so
+    its log does not name every change: compare it in full. *)
+
+val cell_drain : cell -> unit
+(** Empty the log (a drained entry logs again at its next write);
+    {!cell_replaced} stays as it was.  For a reader that consumes the
+    log as it goes — the sequential session, once per instruction. *)
+
+val cell_snapshot : cell -> Value.t
+(** The register's value as no later write can change it: the image
+    itself while the register still shares one, else a copy. *)
+
 (** {1 Plan binding} *)
 
 type bound
@@ -118,15 +143,6 @@ val snapshot : t -> (string * Value.t) list
 
 val snapshot_visible : Spec.t -> t -> (string * Value.t) list
 (** Deep copy of the programmer-visible registers only. *)
-
-val snapshot_visible_reusing :
-  prev:(string * Value.t) list -> Spec.t -> t -> (string * Value.t) list
-(** {!snapshot_visible}, recycling the storage of [prev] — a snapshot
-    of the same machine from an earlier run whose ownership transfers
-    to the result.  Register files are blitted into [prev]'s arrays
-    instead of freshly allocated, keeping session replays off the GC;
-    sessions consequently invalidate their previous trace on every
-    run. *)
 
 val restore : t -> (string * Value.t) list -> unit
 
@@ -161,17 +177,26 @@ type lane_value =
           replaced by {!reset_lanes} (length change), the outer array
           never is — plan bindings capture the outer array. *)
 
+type lane_log
+(** One file row's write log, the lane twin of {!cell_log}. *)
+
 type lane_cell = {
   lc_width : int;
   lc_value : lane_value;
-  lc_srcs : Hw.Bitvec.t array option array;
-      (** file cells only (else [[||]]): per lane, the physical image
-          array last applied by {!reset_lanes} while the row is
-          untouched since — the lane twin of {!holds_image}: a reset
-          from the same shared image skips the row without reading
-          it, and a checker holding the same image knows the row equal
-          without a scan.  Every write to a row clears its entry. *)
+  lc_logs : lane_log array;
+      (** file cells only (else [[||]]): per lane, the row's write log.
+          Every write to a row logs its entry ({!lane_log_write}). *)
 }
+
+val lane_log_write : lane_log -> int -> unit
+(** Log a write of entry [e] (already masked to the row's size). *)
+
+val lane_log_entries : lane_log -> int array
+(** As {!cell_log}: the entry of each write since the last
+    {!reset_lanes}, in write order, in the prefix of length
+    {!lane_log_length}. *)
+
+val lane_log_length : lane_log -> int
 
 type lanes
 
@@ -182,13 +207,20 @@ val create_lanes : Spec.t -> lanes
 val lanes_active : lanes -> int
 (** Current lane count — set by the latest {!reset_lanes}. *)
 
+val lanes_spec : lanes -> Spec.t
+(** The machine the lanes were created for: what {!reset_lanes} falls
+    back to ({!initial}). *)
+
 val lanes_cell : lanes -> string -> lane_cell
 (** @raise Invalid_argument for unknown registers. *)
 
 val reset_lanes : inits:(string * Value.t) list array -> lanes -> unit
 (** The lane mirror of {!reset}: lane [l] is initialised from
     [inits.(l)], with the spec's own [init] list and then zero as
-    fallback.  The active lane count becomes [Array.length inits].
+    fallback ({!initial}).  The active lane count becomes
+    [Array.length inits].  A file row is zeroed only where its
+    previous program loaded a non-zero entry or wrote, then loaded
+    from its image; its write log is emptied.
     Counts one [State_resets] per lane, like one {!reset} per lane.
     @raise Invalid_argument on unknown init names (scalar message) or
     width/kind mismatches. *)

@@ -7,6 +7,8 @@ type id =
   | Sim_cycles
   | Sim_retired
   | Seq_instructions
+  | Golden_steps
+  | Entries_compared
   | Obligations
   | Bmc_programs
   | Sweep_points
@@ -30,7 +32,8 @@ type id =
 let all =
   [
     Plan_runs; Plan_ops; Cells_written; State_resets; Snapshot_words;
-    Sim_cycles; Sim_retired; Seq_instructions; Obligations; Bmc_programs;
+    Sim_cycles; Sim_retired; Seq_instructions; Golden_steps; Entries_compared;
+    Obligations; Bmc_programs;
     Sweep_points; Plan_binds; Sessions; Pool_tasks; Pool_stolen; Pool_helped;
     Pool_inline; Pool_queue_hwm; Serve_requests; Serve_cache_hits;
     Serve_cache_misses; Serve_coalesced; Serve_queue_hwm; Serve_shed;
@@ -46,27 +49,29 @@ let index = function
   | Sim_cycles -> 5
   | Sim_retired -> 6
   | Seq_instructions -> 7
-  | Obligations -> 8
-  | Bmc_programs -> 9
-  | Sweep_points -> 10
-  | Plan_binds -> 11
-  | Sessions -> 12
-  | Pool_tasks -> 13
-  | Pool_stolen -> 14
-  | Pool_helped -> 15
-  | Pool_inline -> 16
-  | Pool_queue_hwm -> 17
-  | Serve_requests -> 18
-  | Serve_cache_hits -> 19
-  | Serve_cache_misses -> 20
-  | Serve_coalesced -> 21
-  | Serve_queue_hwm -> 22
-  | Serve_shed -> 23
-  | Serve_retries -> 24
-  | Serve_journal_replayed -> 25
-  | Pool_restarts -> 26
+  | Golden_steps -> 8
+  | Entries_compared -> 9
+  | Obligations -> 10
+  | Bmc_programs -> 11
+  | Sweep_points -> 12
+  | Plan_binds -> 13
+  | Sessions -> 14
+  | Pool_tasks -> 15
+  | Pool_stolen -> 16
+  | Pool_helped -> 17
+  | Pool_inline -> 18
+  | Pool_queue_hwm -> 19
+  | Serve_requests -> 20
+  | Serve_cache_hits -> 21
+  | Serve_cache_misses -> 22
+  | Serve_coalesced -> 23
+  | Serve_queue_hwm -> 24
+  | Serve_shed -> 25
+  | Serve_retries -> 26
+  | Serve_journal_replayed -> 27
+  | Pool_restarts -> 28
 
-let n_ids = 27
+let n_ids = 29
 
 let name = function
   | Plan_runs -> "plan_runs"
@@ -77,6 +82,8 @@ let name = function
   | Sim_cycles -> "sim_cycles"
   | Sim_retired -> "sim_retired"
   | Seq_instructions -> "seq_instructions"
+  | Golden_steps -> "golden_steps"
+  | Entries_compared -> "entries_compared"
   | Obligations -> "obligations"
   | Bmc_programs -> "bmc_programs"
   | Sweep_points -> "sweep_points"
@@ -99,7 +106,8 @@ let name = function
 
 let is_work = function
   | Plan_runs | Plan_ops | Cells_written | State_resets | Snapshot_words
-  | Sim_cycles | Sim_retired | Seq_instructions | Obligations | Bmc_programs
+  | Sim_cycles | Sim_retired | Seq_instructions | Golden_steps
+  | Entries_compared | Obligations | Bmc_programs
   | Sweep_points ->
     true
   | Plan_binds | Sessions | Pool_tasks

@@ -33,10 +33,25 @@ type id =
           {!Hw.Plan.n_instrs} per compiled shape *)
   | Cells_written  (** register/file cells written by [Commit.apply] *)
   | State_resets  (** in-place {!Machine.State.reset} calls *)
-  | Snapshot_words  (** words scanned by visible-state snapshots *)
+  | Snapshot_words
+      (** words recorded by sequential golden traces ({!Machine.Seqsem}):
+          one per scalar per instruction boundary, one per file write,
+          and a starting file's entries when it had to be copied; and
+          words copied by {!Machine.State.snapshot_visible} *)
   | Sim_cycles  (** pipeline cycles driven by the [Pipesem] loop *)
   | Sim_retired  (** instructions retired by the [Pipesem] loop *)
   | Seq_instructions  (** instructions executed by [Seqsem] sessions *)
+  | Golden_steps
+      (** instructions the DLX golden model ([Dlx.Refmodel]) executed
+          for reference traces ([Dlx.Seq_dlx.ref_trace]), added once
+          per trace.  A program's dynamic count is not included: a
+          batched sweep generates its first program twice. *)
+  | Entries_compared
+      (** entries the consistency checker compared: one per scalar
+          register comparison and, per register-file comparison, the
+          writes either side logged since that register's previous
+          comparison (the whole file when it must be compared in
+          full); added once per run *)
   | Obligations  (** proof obligations processed by [discharge_all] *)
   | Bmc_programs  (** programs enumerated by [Bmc.exhaustive] *)
   | Sweep_points  (** sweep points evaluated by [Workload.Sweep] *)

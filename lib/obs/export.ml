@@ -5,10 +5,12 @@ type entry = {
   instructions : int option;
   cycles : int option;
   breakdown : (string * float) list;
+  higher_is_better : bool;
 }
 
-let entry ?ns_per_run ?cpi ?instructions ?cycles ?(breakdown = []) experiment =
-  { experiment; ns_per_run; cpi; instructions; cycles; breakdown }
+let entry ?ns_per_run ?cpi ?instructions ?cycles ?(breakdown = [])
+    ?(higher_is_better = false) experiment =
+  { experiment; ns_per_run; cpi; instructions; cycles; breakdown; higher_is_better }
 
 let schema_version = "pipeline-bench/1"
 
@@ -27,6 +29,8 @@ let entry_json e =
            Some
              ( "breakdown",
                Json.Obj (List.map (fun (k, v) -> (k, Json.Float v)) b) ));
+         (if e.higher_is_better then Some ("better", Json.String "higher")
+          else None);
        ])
 
 let to_json entries =
@@ -81,7 +85,24 @@ let entry_of_json name j =
         |> Result.map List.rev
       | Some _ -> Error (Printf.sprintf "experiment %s: breakdown not an object" name)
     in
-    Ok { experiment = name; ns_per_run; cpi; instructions; cycles; breakdown }
+    let* higher_is_better =
+      match List.assoc_opt "better" members with
+      | None | Some (Json.String "lower") -> Ok false
+      | Some (Json.String "higher") -> Ok true
+      | Some _ ->
+        Error
+          (Printf.sprintf "experiment %s: better not \"higher\" or \"lower\"" name)
+    in
+    Ok
+      {
+        experiment = name;
+        ns_per_run;
+        cpi;
+        instructions;
+        cycles;
+        breakdown;
+        higher_is_better;
+      }
 
 let of_json j =
   match Json.member "schema" j with

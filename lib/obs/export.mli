@@ -14,6 +14,10 @@ type entry = {
   cycles : int option;
   breakdown : (string * float) list;
       (** CPI components by {!Hazard.cause_label} *)
+  higher_is_better : bool;
+      (** the row's direction: [ns_per_run] holds a ratio where more is
+          better (a speedup), not a time.  Exported as
+          ["better": "higher"]; absent means lower is better. *)
 }
 
 val entry :
@@ -22,8 +26,10 @@ val entry :
   ?instructions:int ->
   ?cycles:int ->
   ?breakdown:(string * float) list ->
+  ?higher_is_better:bool ->
   string ->
   entry
+(** [higher_is_better] defaults to [false]. *)
 
 val schema_version : string
 

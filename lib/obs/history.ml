@@ -181,11 +181,6 @@ type gate = {
 let has_prefix p s =
   String.length s >= String.length p && String.sub s 0 (String.length p) = p
 
-let contains_sub sub s =
-  let n = String.length sub and m = String.length s in
-  let rec go i = i + n <= m && (String.sub s i n = sub || go (i + 1)) in
-  n = 0 || go 0
-
 let pct ~baseline ~current =
   if baseline = 0.0 then if current = 0.0 then 0.0 else infinity
   else (current -. baseline) /. baseline *. 100.0
@@ -265,7 +260,7 @@ let trend_gate ?(k = 5) ?(tol = 0.5) ?(min_records = 3) ~history entries =
           in
           if List.length past >= min_records then
             let row = name ^ ".ns_per_run" in
-            if contains_sub "speedup" name then begin
+            if e.Export.higher_is_better then begin
               (* Higher is better: regress against the window's best. *)
               let best = List.fold_left max neg_infinity past in
               if current < best *. (1.0 -. tol) then

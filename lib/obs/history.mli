@@ -21,8 +21,10 @@
        records: with at least [min_records] prior observations, the
        run fails if the current value falls outside
        [best * (1 +- tol)] — [best] is the minimum of the window for
-       ns-like rows (lower is better) and the maximum for rows whose
-       name contains ["speedup"] (higher is better).  The generous
+       ns-like rows (lower is better) and the maximum for rows marked
+       {!Export.entry.higher_is_better} (ratios such as speedups).  The
+       current run's entry carries the direction; a row's name plays no
+       part.  The generous
        default tolerance absorbs shared-host noise while still
        catching sustained erosion.}} *)
 

@@ -21,14 +21,20 @@
     stall-engine invariants ({!Trace_invariants.step}) once per cycle,
     and accounts the run's liveness gaps.
 
-    A visible register file matches without an entry scan when its
-    reference value is physically the image the register was last
-    filled from and no write has touched the register since
-    ({!Machine.State.holds_image}) — e.g. a DLX data memory before its
-    first store, against {!Dlx.Seq_dlx.ref_trace}'s copy-on-write
-    snapshots.  The comparison still counts in [edge_checks]; any
-    other case compares entries.  Sound under the read-only
-    conventions of {!Machine.State}. *)
+    The comparison is positional and write-based.  Each visible
+    register is resolved once per run, to a reader of the pipelined
+    state and, per lane, to its column of the golden trace
+    ({!Machine.Seqsem.trace}).  Scalars compare as raw integers.  A
+    register file's starting contents are compared with the trace's
+    once per run; after that a comparison looks only at the entries
+    either side wrote since reset — the run's write log
+    ({!Machine.State.cell_log}, the lane logs) and the trace's writes
+    before [R_S^{i+1}] — unless the starts differ or the run stored a
+    whole value to the register ({!Machine.State.cell_replaced}), when
+    it compares every entry.  Whole values are rebuilt only for a
+    violation's text.  Each comparison counts one in [edge_checks];
+    the entries compared are counted once per run into
+    [Entries_compared]. *)
 
 type violation = {
   at_cycle : int;
@@ -188,8 +194,5 @@ val check_lanes :
   lane_verdict array
 (** Check lane [l], initialized from [inits.(l)], against
     [references.(l)] over [references.(l).instructions] instructions
-    (a sweep's golden traces).  A file lane still holding the very
-    array its reference value is ([State.lane_cell.lc_srcs]) matches
-    without a scan, as in the one-lane checker.  The pack runs on the
-    calling domain's cached pack for the shape.  An exception aborts
-    the whole pack. *)
+    (a sweep's golden traces).  The pack runs on the calling domain's
+    cached pack for the shape.  An exception aborts the whole pack. *)

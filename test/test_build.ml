@@ -49,8 +49,8 @@ let test_matches_handwritten () =
         Alcotest.(check string) "name" n1 n2;
         Alcotest.(check bool) (Printf.sprintf "instr %d %s" i n1) true
           (Machine.Value.equal v1 v2))
-      t1.Machine.Seqsem.spec_before.(i)
-      t2.Machine.Seqsem.spec_before.(i)
+      (Machine.Seqsem.state_before t1 i)
+      (Machine.Seqsem.state_before t2 i)
   done
 
 let test_dsl_machine_pipelines () =

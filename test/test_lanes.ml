@@ -443,6 +443,57 @@ let test_store_against_image_lanes () =
   Alcotest.(check (list bool)) "lane verdicts" expected
     (Array.to_list (Array.map (fun v -> v.C.lv_ok) verdicts))
 
+(* A pack resets each lane by undoing only what its previous program
+   loaded or wrote.  Long programs that store (memcpy, bubble sort)
+   leave instruction words far past a short program's end and data in
+   MEM; a later pack of short programs — one of which branches on a
+   word the long ones stored — must report what one-lane checks on
+   fresh sessions report. *)
+let test_long_then_short_packs () =
+  let probe =
+    Dlx.Progs.make "probe"
+      Dlx.Asm.
+        [
+          Insn (Dlx.Isa.Lw (1, 0, 512));
+          Beqz_l (1, "done");
+          Insn Dlx.Isa.Nop;
+          Insn (Dlx.Isa.Addi (2, 0, 1));
+          Label "done";
+        ]
+  in
+  let batch (programs : Dlx.Progs.t list) =
+    let references =
+      Array.of_list
+        (List.map
+           (fun (p : Dlx.Progs.t) ->
+             Dlx.Seq_dlx.ref_trace ~data:p.Dlx.Progs.data Dlx.Seq_dlx.Base
+               ~program:(Dlx.Progs.program p)
+               ~instructions:p.Dlx.Progs.dyn_instructions)
+           programs)
+    in
+    let inits =
+      Array.of_list
+        (List.map
+           (fun (p : Dlx.Progs.t) ->
+             Dlx.Seq_dlx.image ~data:p.Dlx.Progs.data ~program:(Dlx.Progs.program p) ())
+           programs)
+    in
+    (references, inits)
+  in
+  let long = List.init 6 (fun i -> if i mod 2 = 0 then Dlx.Progs.memcpy 8 else Dlx.Progs.bubble_sort [ 5; 4; 3; 2; 1; 0 ]) in
+  let short = List.init 6 (fun i -> if i mod 2 = 0 then probe else Dlx.Progs.fib 3) in
+  let shape =
+    C.shape
+      (Dlx.Seq_dlx.transform Dlx.Seq_dlx.Base
+         ~program:(Dlx.Progs.program (List.hd long)))
+  in
+  let references, inits = batch long in
+  Alcotest.(check bool) "long programs consistent" true
+    (Array.for_all (fun v -> v.C.lv_ok) (C.check_lanes ~references ~inits shape));
+  let references, inits = batch short in
+  let reports = compare_batch ~what:"short after long" shape ~references ~inits in
+  Alcotest.(check bool) "short programs consistent" true (List.for_all C.ok reports)
+
 (* ------------------------------------------------------------------ *)
 (* The liveness bound ends a lane's run where it ends a one-lane run   *)
 (* ------------------------------------------------------------------ *)
@@ -514,6 +565,8 @@ let () =
             test_dlx_speculating_sweep_lanes;
           Alcotest.test_case "store against an untouched image" `Quick
             test_store_against_image_lanes;
+          Alcotest.test_case "long programs, then short ones" `Quick
+            test_long_then_short_packs;
           Alcotest.test_case "stops at the liveness bound" `Quick
             test_liveness_bound_lanes;
         ] );

@@ -56,75 +56,93 @@ let test_snapshot_diff () =
   Alcotest.(check (list string)) "diff" [ "REG" ] (Machine.State.diff a b);
   Alcotest.(check bool) "equal_on" false (Machine.State.equal_on a b)
 
-(* File provenance: a register counts as holding an image only while
-   it is untouched since the reset that filled it from that very
-   array.  Every write path must clear it — a stale claim would let
-   the consistency checkers accept a file without comparing it. *)
-let test_holds_image () =
+(* Write logs: every write to a file logs its entry, in write order,
+   until the next reset or drain, and a whole-value store marks the
+   register replaced instead.  A write path that did neither
+   would let the consistency checker accept a file without comparing
+   the entry it changed. *)
+let test_write_log () =
   let module S = Machine.State in
   let img =
     Machine.Value.File (Array.init 16 (fun i -> bv ~width:16 (3 * i)))
   in
   let contents = Machine.Value.copy img in
   let st = S.create toy in
-  let holds what expected =
-    Alcotest.(check bool) what expected (S.holds_image st "REG" img)
+  let c = S.cell st "REG" in
+  let logged what expected =
+    Alcotest.(check (list int)) what expected
+      (List.init (S.cell_log_length c) (fun j -> (S.cell_log c).(j)))
+  in
+  let replaced what expected =
+    Alcotest.(check bool) what expected (S.cell_replaced c)
   in
   let reset () = S.reset ~init:[ ("REG", img) ] toy st in
-  let spec_image = List.assoc "REG" toy.Spec.init in
-  Alcotest.(check bool) "create: the spec's image" true
-    (S.holds_image st "REG" spec_image);
-  holds "create: not another image" false;
+  let write a d = S.write_file st "REG" ~addr:(bv ~width:4 a) ~data:(bv ~width:16 d) in
+  logged "create: nothing written" [];
+  replaced "create: not replaced" false;
   reset ();
-  holds "after reset" true;
-  Alcotest.(check bool) "an equal copy never counts" false
-    (S.holds_image st "REG" (Machine.Value.copy img));
-  Alcotest.(check bool) "scalar register" false (S.holds_image st "PC" img);
-  Alcotest.(check bool) "unknown register" false (S.holds_image st "NOPE" img);
   (* write_file, also when it stores the value already there *)
-  let a = bv ~width:4 5 in
-  S.write_file st "REG" ~addr:a ~data:(S.read_file st "REG" a);
-  holds "after an equal write_file" false;
+  write 5 (B.to_int (S.read_file st "REG" (bv ~width:4 5)));
+  logged "an equal write logs" [ 5 ];
+  write 2 1;
+  write 5 7;
+  write 2 9;
+  logged "every write, in order" [ 5; 2; 5; 2 ];
+  S.cell_write_file c ~addr:(16 + 3) ~data:(bv ~width:16 4);
+  logged "a resolved write logs its masked entry" [ 5; 2; 5; 2; 3 ];
   reset ();
-  S.write_file st "REG" ~addr:a ~data:(bv ~width:16 1);
-  holds "after write_file" false;
+  logged "reset empties the log" [];
+  write 3 1;
+  S.cell_drain c;
+  logged "drained" [];
+  write 3 2;
+  logged "a drained entry logs again" [ 3 ];
+  (* whole-value stores *)
+  List.iter
+    (fun (what, store) ->
+      reset ();
+      store ();
+      replaced what true;
+      S.cell_drain c;
+      replaced (what ^ ", drained") true;
+      reset ();
+      replaced (what ^ ", then reset") false)
+    [
+      ("set", fun () -> S.set st "REG" (Machine.Value.copy img));
+      ("set_scalar", fun () -> S.set_scalar st "REG" (bv ~width:16 0));
+      ("restore", fun () -> S.restore st (S.snapshot st));
+    ];
   reset ();
-  holds "reset again" true;
-  S.set st "REG" (Machine.Value.copy img);
-  holds "after set" false;
-  reset ();
-  S.set_scalar st "REG" (bv ~width:16 0);
-  holds "after set_scalar" false;
-  reset ();
-  let snap = S.snapshot st in
-  S.restore st snap;
-  holds "after restore" false;
-  (* a reset without an image forgets the old one *)
-  reset ();
+  S.set_scalar st "PC" (bv ~width:8 3);
+  replaced "a scalar store to a scalar register" false;
   S.reset toy st;
-  holds "reset to the spec's image" false;
-  Alcotest.(check bool) "which it holds" true
-    (S.holds_image st "REG" spec_image);
-  (* Copy-on-write: a reset shares the image, and the first write goes
-     to a copy of it, so the image itself never changes. *)
-  let intact what =
-    Alcotest.(check bool) what true (Machine.Value.equal img contents)
-  in
+  logged "reset to the spec's image" [];
+  (* Copy-on-write: a reset shares the image, the first write goes to a
+     copy of it, so the image itself never changes. *)
   reset ();
-  S.write_file st "REG" ~addr:a ~data:(bv ~width:16 1);
-  intact "a write leaves the image intact";
-  Alcotest.(check int) "the write landed" 1 (B.to_int (S.read_file st "REG" a));
+  Alcotest.(check bool) "a reset shares the image" true (S.get st "REG" == img);
+  Alcotest.(check bool) "a snapshot of a shared file is the image" true
+    (S.cell_snapshot c == img);
+  write 5 1;
+  Alcotest.(check bool) "a write leaves the image intact" true
+    (Machine.Value.equal img contents);
+  Alcotest.(check bool) "a snapshot after a write is a copy" true
+    (S.cell_snapshot c != S.get st "REG"
+    && Machine.Value.equal (S.cell_snapshot c) (S.get st "REG"));
+  Alcotest.(check int) "the write landed" 1
+    (B.to_int (S.read_file st "REG" (bv ~width:4 5)));
   reset ();
   Alcotest.(check bool) "the next reset reads the image back" true
-    (Machine.Value.equal (S.get st "REG") contents);
-  holds "and holds it again" true;
+    (Machine.Value.equal (S.get st "REG") contents)
+;
   (* A file without an image is zero-filled by a reset, never inside
      an image the previous reset shared. *)
   let bare = { toy with Spec.init = List.remove_assoc "REG" toy.Spec.init } in
   let st = S.create bare in
   S.reset ~init:[ ("REG", img) ] bare st;
   S.reset bare st;
-  intact "a zero-filling reset leaves the image intact";
+  Alcotest.(check bool) "a zero-filling reset leaves the image intact" true
+    (Machine.Value.equal img contents);
   Alcotest.(check bool) "and zero-fills" true
     (Machine.Value.equal (S.get st "REG")
        (Machine.Value.zero_file ~width:16 ~addr_bits:4))
@@ -276,16 +294,17 @@ let test_seq_run () =
     Machine.Seqsem.run_state ~max_instructions:3 toy
   in
   Alcotest.(check int) "count" 3 trace.Machine.Seqsem.instructions;
-  Alcotest.(check int) "snapshots" 4 (Array.length trace.Machine.Seqsem.spec_before);
+  Alcotest.(check (list string)) "visible registers" [ "PC"; "REG" ]
+    (Array.to_list trace.Machine.Seqsem.registers);
   (* After the first program instruction r3 := r1 + r2 = 3. *)
   Alcotest.(check int) "r3" 3
     (B.to_int (Machine.State.read_file st "REG" (bv ~width:4 3)));
-  (* spec_before.(1) reflects it too. *)
-  let snap1 = trace.Machine.Seqsem.spec_before.(1) in
-  match List.assoc "REG" snap1 with
-  | v ->
+  (* R_S^1 reflects it too. *)
+  match Machine.Seqsem.value_before trace "REG" 1 with
+  | Some v ->
     Alcotest.(check int) "spec r3" 3
       (B.to_int (Machine.Value.read_file v (bv ~width:4 3)))
+  | None -> Alcotest.fail "no REG column"
 
 let test_seq_halt () =
   let trace =
@@ -315,7 +334,7 @@ let () =
           Alcotest.test_case "file of list" `Quick test_value_of_list;
           Alcotest.test_case "state" `Quick test_state;
           Alcotest.test_case "snapshots" `Quick test_snapshot_diff;
-          Alcotest.test_case "image provenance" `Quick test_holds_image;
+          Alcotest.test_case "write log" `Quick test_write_log;
         ] );
       ( "spec",
         [

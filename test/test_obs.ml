@@ -118,6 +118,7 @@ let test_export_roundtrip () =
         ~breakdown:[ ("dhaz:stage1:1_GPRa", 0.1875); ("startup", 0.0625) ]
         "C1.fib_10";
       Obs.Export.entry ~ns_per_run:1234.5 "TIMING.F2_dlx_transformation";
+      Obs.Export.entry ~ns_per_run:2.5 ~higher_is_better:true "PERF.ratio";
       Obs.Export.entry "empty";
     ]
   in
@@ -261,12 +262,12 @@ let test_trend_gate_timing_band () =
     (List.length (Obs.History.trend_gate ~tol:1.0 ~history (current 151.)))
 
 let test_trend_gate_speedup_direction () =
-  let hist s =
-    record [ Obs.Export.entry ~ns_per_run:s "PERF.par_sweep_speedup" ]
+  let row s =
+    Obs.Export.entry ~ns_per_run:s ~higher_is_better:true
+      "PERF.par_sweep_speedup"
   in
-  let current s =
-    [ Obs.Export.entry ~ns_per_run:s "PERF.par_sweep_speedup" ]
-  in
+  let hist s = record [ row s ] in
+  let current s = [ row s ] in
   let history = [ hist 1.8; hist 2.0; hist 1.9 ] in
   Alcotest.(check int) "getting faster passes" 0
     (List.length (Obs.History.trend_gate ~history (current 3.0)));
@@ -278,6 +279,34 @@ let test_trend_gate_speedup_direction () =
     Alcotest.(check (float 1e-9)) "baseline is the window max" 2.0
       g.Obs.History.g_baseline
   | gates -> Alcotest.failf "expected 1 gate, got %d" (List.length gates)
+
+(* The direction travels with the row: a ratio whose name says nothing
+   of speed gates downward when it is marked higher-is-better, and a
+   row named "speedup" but not marked gates as a time. *)
+let test_trend_gate_row_direction () =
+  let gates ~higher name ~current =
+    let row v = Obs.Export.entry ~ns_per_run:v ~higher_is_better:higher name in
+    List.length
+      (Obs.History.trend_gate
+         ~history:[ record [ row 1.8 ]; record [ row 2.0 ]; record [ row 1.9 ] ]
+         [ row current ])
+  in
+  Alcotest.(check int) "a ratio that drops fails" 1
+    (gates ~higher:true "PERF.batched_over_rebuild" ~current:0.9);
+  Alcotest.(check int) "a ratio that rises passes" 0
+    (gates ~higher:true "PERF.batched_over_rebuild" ~current:3.0);
+  Alcotest.(check int) "an unmarked row that rises fails" 1
+    (gates ~higher:false "PERF.lookalike_speedup" ~current:3.2);
+  Alcotest.(check int) "an unmarked row that drops passes" 0
+    (gates ~higher:false "PERF.lookalike_speedup" ~current:0.9);
+  (* and the direction survives the history file *)
+  let e =
+    Obs.Export.entry ~ns_per_run:2.0 ~higher_is_better:true "PERF.ratio"
+  in
+  match Obs.Export.of_json (Obs.Export.to_json [ e ]) with
+  | Ok [ back ] ->
+    Alcotest.(check bool) "direction round-trips" true back.Obs.Export.higher_is_better
+  | Ok _ | Error _ -> Alcotest.fail "export round-trip"
 
 let test_trend_gate_window () =
   let hist ns = record [ Obs.Export.entry ~ns_per_run:ns "PERF.x" ] in
@@ -473,6 +502,8 @@ let () =
             test_trend_gate_timing_band;
           Alcotest.test_case "speedup gates downward" `Quick
             test_trend_gate_speedup_direction;
+          Alcotest.test_case "direction is the row's" `Quick
+            test_trend_gate_row_direction;
           Alcotest.test_case "window bounds the trend" `Quick
             test_trend_gate_window;
           Alcotest.test_case "select and diff" `Quick test_history_select_diff;

@@ -155,11 +155,27 @@ let test_wraparound_without_interrupts () =
   R.run s ~steps:3;
   Alcotest.(check int) "wraps" 0x80000000 s.R.gpr.(2)
 
+(* A store high in MEM (word 4000), and a probe that skips one
+   instruction when that word reads zero. *)
+let high_store () =
+  P.make "high store" Dlx.Asm.[ Insn (I.Addi (1, 0, 7)); Insn (I.Sw (0, 1, 16000)) ]
+
+let high_probe () =
+  P.make "high probe"
+    Dlx.Asm.
+      [
+        Insn (I.Lw (1, 0, 16000));
+        Beqz_l (1, "done");
+        Insn I.Nop;
+        Insn (I.Addi (2, 0, 1));
+        Label "done";
+      ]
+
 (* [Progs.make] counts on one golden-model state per domain, refilled
    for each program.  A count taken right after a kernel that stores to
-   MEM (memcpy, to words 128-135) must equal one taken on a fresh
-   state — for every kernel, and for a probe that branches on word
-   128. *)
+   MEM (memcpy, to words 128-135, then a store to word 4000) must equal
+   one taken on a fresh state — for every kernel, and for probes that
+   branch on words 128 and 4000. *)
 let test_counts_on_reused_state () =
   let intr = { R.with_interrupts = true; sisr = 8 } in
   let fresh config (p : P.t) =
@@ -176,6 +192,7 @@ let test_counts_on_reused_state () =
         List.filteri (fun i _ -> i < List.length p.P.items - 3) p.P.items
       in
       ignore (P.memcpy 8);
+      ignore (high_store ());
       let again = P.make ~config ~data:p.P.data p.P.prog_name body in
       Alcotest.(check int) p.P.prog_name (fresh config p)
         again.P.dyn_instructions;
@@ -194,7 +211,25 @@ let test_counts_on_reused_state () =
                 Insn (I.Addi (2, 0, 1));
                 Label "done";
               ] );
+        (R.default_config, high_probe ());
       ])
+
+(* A reset undoes only what the previous program loaded or stored: a
+   store high in MEM (word 4000), far from any loaded data, must be
+   gone for the next program, and a short program after a long one
+   must see no-ops past its end. *)
+let test_reset_undoes_stores () =
+  let fresh = (high_probe ()).P.dyn_instructions in
+  ignore (high_store ());
+  let s = R.local_state () in
+  Alcotest.(check int) "the store landed" 7 s.R.mem.(4000);
+  Alcotest.(check int) "after the store" fresh (high_probe ()).P.dyn_instructions;
+  Alcotest.(check int) "the word reads zero again" 0 s.R.mem.(4000);
+  ignore (P.bubble_sort [ 5; 4; 3; 2; 1 ]);
+  let short = high_probe () in
+  Alcotest.(check int) "IMEM past the short program" Dlx.Isa.nop_word
+    s.R.imem.(Dlx.Asm.words_of short.P.items);
+  Alcotest.(check int) "after a long program" fresh short.P.dyn_instructions
 
 let () =
   Alcotest.run "refmodel"
@@ -208,6 +243,8 @@ let () =
           Alcotest.test_case "subword loads" `Quick test_subword_loads;
           Alcotest.test_case "strlen" `Quick test_strlen;
           Alcotest.test_case "checksum" `Quick test_checksum;
+          Alcotest.test_case "a reset undoes stores" `Quick
+            test_reset_undoes_stores;
           Alcotest.test_case "counts on a reused state" `Quick
             test_counts_on_reused_state;
         ] );
